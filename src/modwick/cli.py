@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .kernels import (
@@ -83,8 +84,8 @@ def _parse_lambdas(text: str) -> list:
         lams = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise CliError(EXIT_NUMERIC, f"bad lambda ladder {text!r}") from None
-    if not lams or any(not x > 0 for x in lams):
-        raise CliError(EXIT_NUMERIC, "lambda ladder must be positive reals")
+    if not lams or any(not 0 < x < math.inf for x in lams):
+        raise CliError(EXIT_NUMERIC, "lambda ladder must be finite positive reals")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise CliError(EXIT_NUMERIC, "lambda ladder must be strictly decreasing")
     return lams
@@ -190,8 +191,8 @@ def cmd_converge(args) -> tuple:
     lams = _parse_lambdas(args.lambdas)
 
     x = data.get("vanishing_x", 1.0)
-    if not isinstance(x, (int, float)):
-        raise CliError(EXIT_NUMERIC, "vanishing_x must be a number")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise CliError(EXIT_NUMERIC, "vanishing_x must be a finite number")
     if x == 0:
         raise CliError(
             EXIT_NUMERIC, "vanishing_x = 0: the kernel does not vanish there")
@@ -231,7 +232,7 @@ def cmd_render(args) -> tuple:
     data = _load_json(args.expr)
     try:
         e = from_json_dict(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(EXIT_PARSE, f"{args.expr}: bad expression data: {exc}") from None
     return _render_expr(e, args.format), 0
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .scalars import (
     Dot, Energy, MomentumDelta, PDot, PhaseArg, ScalarTerm,
@@ -51,6 +50,8 @@ def _as_vec3(value, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{what} must be a 3-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has a non-finite component")
     return arr
 
 
@@ -81,12 +82,22 @@ class Assignment:
                 f"momentum label {label!r} has no assigned vector") from None
 
 
+def _json_vec3(value, what: str) -> list:
+    # bool is an int subclass, and numpy reads strings and null as floats
+    if not isinstance(value, list) or any(
+            isinstance(c, bool) or not isinstance(c, (int, float)) for c in value):
+        raise ValueError(f"{what} must be a list of three numbers")
+    return value
+
+
 def assignment_from_json_dict(data: dict) -> Assignment:
     if not isinstance(data, dict) or "momenta" not in data or "p" not in data:
         raise ValueError('assignment needs "momenta" and "p" entries')
     if not isinstance(data["momenta"], dict):
         raise ValueError('"momenta" must map labels to 3-vectors')
-    return Assignment(momenta=data["momenta"], p=data["p"])
+    momenta = {k: _json_vec3(v, f"momentum {k!r}")
+               for k, v in data["momenta"].items()}
+    return Assignment(momenta=momenta, p=_json_vec3(data["p"], "p"))
 
 
 def phase_value(atom, a: Assignment) -> float:
@@ -208,6 +219,10 @@ def delta_kernel_quadrature(f: GaussianTest, g: GaussianTest, h: GaussianTest,
     Integrates f(t) g(t - lambda^2 tau) h_hat(tau) over (t, tau)
     directly, with no use of the closed-form Gaussian integral.
     """
+    # imported here, its only use: scipy.integrate costs every symbolic
+    # command about half a second and 50 MB when imported with the module
+    from scipy import integrate
+
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     tau_max = SIGMA_CUTOFF / h.width

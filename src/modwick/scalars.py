@@ -43,6 +43,11 @@ class RationalComplex:
         return RationalComplex(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: "RationalComplex") -> "RationalComplex":
+        # every rewrite coefficient is C_ONE, so skip the Fraction arithmetic
+        if other is C_ONE:
+            return self
+        if self is C_ONE:
+            return other
         return RationalComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -535,31 +540,42 @@ def _canonical_term(term: ScalarTerm):
                       phases, all_deltas)
 
 
+def _keyed_canonical(expr: ScalarExpr) -> list:
+    """Canonical terms, sorted and merged, each paired with its signature.
+
+    Every term is keyed once: the sort key is computed per canonical term
+    and like terms merge by comparing the signature stored with the head
+    of their run, which a merge leaves unchanged.
+    """
+    keyed = []
+    for term in expr.terms:
+        ct = _canonical_term(term)
+        if ct is not None:
+            keyed.append((_term_sort_key(ct), ct))
+    keyed.sort(key=lambda kt: kt[0])  # stable: ties keep their input order
+
+    combined: list = []
+    for key, term in keyed:
+        sig = key[0]
+        if combined and combined[-1][0] == sig:
+            prev = combined[-1][1]
+            combined[-1] = (sig, ScalarTerm(prev.coeff + term.coeff,
+                                            prev.two_pi_power, prev.lambda_power,
+                                            prev.phases, prev.deltas))
+        else:
+            combined.append((sig, term))
+    return [(sig, t) for sig, t in combined if not t.coeff.is_zero()]
+
+
 def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     """Canonical form: substitutions applied, like terms combined, sorted.
 
     Idempotent, and insensitive to the order in which momentum deltas were
     recorded since label identification runs through a union-find with the
-    smallest label as representative.
+    smallest label as representative.  Each term's sort key, signature
+    included, is computed once.
     """
-    cleaned = []
-    for term in expr.terms:
-        ct = _canonical_term(term)
-        if ct is not None:
-            cleaned.append(ct)
-    cleaned.sort(key=_term_sort_key)
-
-    combined: list = []
-    for term in cleaned:
-        if combined and term_signature(combined[-1]) == term_signature(term):
-            prev = combined[-1]
-            combined[-1] = ScalarTerm(prev.coeff + term.coeff, prev.two_pi_power,
-                                      prev.lambda_power, prev.phases, prev.deltas)
-        else:
-            combined.append(term)
-
-    final = tuple(t for t in combined if not t.coeff.is_zero())
-    return ScalarExpr(final)
+    return ScalarExpr(tuple(t for _, t in _keyed_canonical(expr)))
 
 
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -608,9 +624,8 @@ def substitute_momentum(e: ScalarExpr, frm: str, to: str) -> ScalarExpr:
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
     """Semantic equality: same canonical terms with the same coefficients."""
-    ca, cb = canonicalize(a), canonicalize(b)
-    sig_a = sorted((term_signature(t), str(t.coeff.re), str(t.coeff.im))
-                   for t in ca.terms)
-    sig_b = sorted((term_signature(t), str(t.coeff.re), str(t.coeff.im))
-                   for t in cb.terms)
-    return sig_a == sig_b
+    # canonical terms come out in signature order with distinct signatures
+    def keys(e):
+        return [(sig, t.coeff) for sig, t in _keyed_canonical(e)]
+
+    return keys(a) == keys(b)

@@ -262,15 +262,22 @@ def run_all(max_n: int, catalan_n: int = None) -> list:
     if not 1 <= max_n <= 6:
         raise ValueError("max_n must be between 1 and 6")
     cn = max_n if catalan_n is None else catalan_n
+    # one sub-word memo for every recursion of this run; the closed form
+    # and the limit routes never see it
+    memo: dict = {}
+
+    def recursive(w: Word) -> ScalarExpr:
+        return correlator_recursive(w, memo)
+
     return [
-        suite_closed_form_vs_recursion(max_n),
+        suite_closed_form_vs_recursion(max_n, recursive=recursive),
         suite_limit_triple_agreement(max_n),
         suite_catalan_count(cn),
         suite_noncrossing_uniqueness(max_n),
         suite_pairing_existence(max_n),
         suite_block_word_count(max_n),
-        suite_adjoint_symmetry(max_n),
-        suite_swap_consistency(max_n),
+        suite_adjoint_symmetry(max_n, recursive=recursive),
+        suite_swap_consistency(max_n, recursive=recursive),
     ]
 
 

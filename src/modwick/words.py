@@ -235,40 +235,70 @@ def expand_leading_annihilator(w: Word) -> list:
     if not w.gens or w.gens[0].dagger:
         raise WordError("word must start with an annihilator")
     lead, tail = w.gens[0], w.gens[1:]
+    creators = [j for j, g in enumerate(tail) if g.dagger]
+    if not creators:
+        return []
+    # term j takes the swap phases of tail[:j] as a prefix of this one tuple
+    swaps = tuple(
+        oscillation(lead.t, other.t, PhaseArg.of({Dot(lead.k, other.k): 1}),
+                    power=1 if other.dagger else -1)
+        for other in tail[:creators[-1]]
+    )
     out = []
-    for j, g in enumerate(tail):
-        if not g.dagger:
-            continue
-        scalar = _contraction_scalar(lead, g)
+    for j in creators:
+        scalar = _contraction_scalar(lead, tail[j])
         if not scalar.coeff.is_zero():
+            # the sum of the shift_p moves past every generator to the right
+            (phase,) = scalar.phases
+            acc = phase.arg.as_dict()
             for other in tail[j + 1:]:
-                scalar = shift_p(scalar, other, "right")
-            for other in tail[:j]:
-                power = 1 if other.dagger else -1
-                swap = oscillation(lead.t, other.t,
-                                   PhaseArg.of({Dot(lead.k, other.k): 1}),
-                                   power=power)
-                scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
+                d = Dot(lead.k, other.k)
+                acc[d] = acc.get(d, 0) + (1 if other.dagger else -1)
+            phase = ContractionPhase(phase.time, PhaseArg.of(acc), phase.weighted)
+            scalar = ScalarTerm(scalar.coeff, scalar.two_pi_power,
+                                scalar.lambda_power, (phase,) + swaps[:j],
+                                scalar.deltas)
         out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
     return out
 
 
-def correlator_recursive(w: Word) -> ScalarExpr:
-    """Vacuum correlator by repeated expansion of the leftmost annihilator."""
-    collected = []
-
-    def descend(prefix: ScalarTerm, rest: Word):
+def _raw_correlator_terms(rest: Word, memo: dict) -> tuple:
+    """Raw terms C(rest) of the vacuum correlator of a sub-word, memoized."""
+    terms = memo.get(rest.gens)
+    if terms is None:
         if not rest.gens:
-            collected.append(prefix)
-            return
-        if rest.gens[0].dagger:
-            return  # a leading creator has vanishing vacuum expectation
-        for ww in expand_leading_annihilator(rest):
-            if ww.scalar.coeff.is_zero():
-                continue
-            descend(prefix.times(ww.scalar), ww.word)
+            terms = (TERM_ONE,)
+        elif rest.gens[0].dagger:
+            terms = ()  # a leading creator has vanishing vacuum expectation
+        else:
+            terms = tuple(
+                ww.scalar.times(t)
+                for ww in expand_leading_annihilator(rest)
+                if not ww.scalar.coeff.is_zero()
+                for t in _raw_correlator_terms(ww.word, memo)
+            )
+        memo[rest.gens] = terms
+    return terms
 
-    descend(TERM_ONE, w)
-    if not collected:
+
+def correlator_recursive(w: Word, memo: dict | None = None) -> ScalarExpr:
+    """Vacuum correlator by repeated expansion of the leftmost annihilator.
+
+    Expanding the leading annihilator of a word gives terms s_j times a
+    shorter word w_j, so the raw terms obey C(w) = [s_j * t for each j,
+    for t in C(w_j)], and C(w_j) depends on w_j alone.  The recursion is
+    therefore a dynamic program over sub-words, memoized by their
+    generators.  The memo stores raw terms, not canonical ones: the final
+    `canonicalize` then sees exactly the terms, with phases concatenated
+    in the same order, that a plain walk of the expansion tree would
+    collect, so the output is byte-identical to it.
+
+    `memo` maps generator tuples to raw term tuples.  By default it lives
+    for one call; `verify.run_all` passes one memo to all the suites of a
+    run.  Entries are valid for any word, so a memo may be shared freely,
+    but it grows with every distinct sub-word it sees.
+    """
+    terms = _raw_correlator_terms(w, {} if memo is None else memo)
+    if not terms:
         return EXPR_ZERO
-    return canonicalize(ScalarExpr(tuple(collected)))
+    return canonicalize(ScalarExpr(terms))

@@ -36,7 +36,7 @@ def test_criterion_1_pairing_sum_matches_recursion_for_all_short_words():
     res = suite_closed_form_vs_recursion(4)
     elapsed = time.perf_counter() - t0
     assert res.cases == 1530  # 510 patterns of length <= 8, three modes
-    assert res.passed, res.failures[:3]
+    assert res.passed(), res.failures[:3]
     assert elapsed < 60.0
 
 
@@ -45,7 +45,7 @@ def test_criterion_2_three_limit_routes_agree_for_all_short_words():
     res = suite_limit_triple_agreement(4)
     elapsed = time.perf_counter() - t0
     assert res.cases == 1530
-    assert res.passed, res.failures[:3]
+    assert res.passed(), res.failures[:3]
     assert elapsed < 60.0
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
+import modwick.cli
 from modwick.scalars import EXPR_ZERO, canonically_equal
 from modwick.serialize import from_json_dict
 from modwick.verify import SuiteResult
@@ -231,6 +235,35 @@ def test_converge_numeric_errors(cli_run, write_json, study_assignment_file):
     assert code == 4 and "no assigned vector" in err
 
 
+def test_converge_rejects_non_finite_lambda(cli_run, study_assignment_file):
+    for ladder in ("inf,1.0", "1.0,nan"):
+        code, out, err = cli_run(
+            ["converge", study_assignment_file, "--lambdas", ladder])
+        assert code == 4 and out == "", ladder
+        assert "finite positive" in err and err.count("\n") == 1
+
+
+def test_converge_rejects_bad_vector_components(cli_run, write_json):
+    good = [1.0, 0.0, 0.0]
+    for bad in ([float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0],
+                ["1.0", 0.0, 0.0], [None, 0.0, 0.0], [True, 0.0, 0.0]):
+        for data in ({"momenta": {"k1": good, "k2": bad}, "p": good},
+                     {"momenta": {"k1": good, "k2": good}, "p": bad}):
+            code, out, err = cli_run(["converge", write_json("v.json", data)])
+            assert code == 4 and out == "", data
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_converge_rejects_non_numeric_vanishing_x(cli_run, write_json):
+    base = {"momenta": {"k1": [1.0, 0.0, 0.0], "k2": [1.0, 1.0, 0.0]},
+            "p": [0.0, 0.0, 0.0]}
+    for x in (True, float("nan"), float("inf")):
+        code, out, err = cli_run(
+            ["converge", write_json("x.json", dict(base, vanishing_x=x))])
+        assert code == 4 and out == "", x
+        assert "vanishing_x must be a finite number" in err
+
+
 # ---------------------------------------------------------------------------
 # render and shared plumbing
 
@@ -251,6 +284,26 @@ def test_render_rejects_bad_payload(cli_run, write_json):
     code, _, err = cli_run(["render", path])
     assert code == 2
     assert "bad expression data" in err
+
+
+def test_render_rejects_zero_denominator(cli_run, write_json):
+    path = write_json("zero.json", {"terms": [{
+        "coeff": [[1, 0], [0, 1]], "two_pi_power": 0, "lambda_power": 0,
+        "phases": [], "deltas": []}]})
+    code, out, err = cli_run(["render", path])
+    assert code == 2 and out == ""
+    assert "bad expression data" in err and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the dblquad oracle needs scipy; symbolic commands must not pay for it
+    src = os.path.dirname(os.path.dirname(modwick.cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, modwick.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_missing_file_is_a_parse_error(cli_run, tmp_path):

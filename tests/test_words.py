@@ -6,12 +6,17 @@ import pytest
 
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, ScalarTerm, TimeComb, canonically_equal,
+    PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb,
+    _canonical_term, _term_sort_key, canonically_equal, oscillation,
+    term_signature,
 )
+from modwick.serialize import to_json_str
+from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    Generator, Word, WordError, adjoint, annihilate, correlator_recursive,
-    create, expand_leading_annihilator, pattern_of, rewrite_a_adag, rewrite_aa,
-    shift_p, word, word_from_json_dict, word_from_pattern, word_to_json_dict,
+    Generator, Word, WordError, WeightedWord, _contraction_scalar, adjoint,
+    annihilate, correlator_recursive, create, expand_leading_annihilator,
+    pattern_of, rewrite_a_adag, rewrite_aa, shift_p, word, word_from_json_dict,
+    word_from_pattern, word_to_json_dict,
 )
 
 
@@ -207,3 +212,70 @@ def test_recursion_respects_generator_identity():
     (term,) = e.terms
     assert term.deltas == (MomentumDelta("q1", "q2"),)
     assert term.phases[0].time == TimeComb.difference("s1", "s2")
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the plain expansion-tree walk
+
+def _reference_expand(w: Word) -> list:
+    """One shift_p per generator to the right, one times() per swap."""
+    lead, tail = w.gens[0], w.gens[1:]
+    out = []
+    for j, g in enumerate(tail):
+        if not g.dagger:
+            continue
+        scalar = _contraction_scalar(lead, g)
+        if not scalar.coeff.is_zero():
+            for other in tail[j + 1:]:
+                scalar = shift_p(scalar, other, "right")
+            for other in tail[:j]:
+                swap = oscillation(lead.t, other.t,
+                                   PhaseArg.of({Dot(lead.k, other.k): 1}),
+                                   power=1 if other.dagger else -1)
+                scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
+        out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
+    return out
+
+
+def _reference_canonicalize(terms) -> ScalarExpr:
+    """Sort by the full key, merge neighbours whose signatures agree."""
+    cleaned = sorted((ct for ct in map(_canonical_term, terms) if ct is not None),
+                     key=_term_sort_key)
+    combined = []
+    for term in cleaned:
+        if combined and term_signature(combined[-1]) == term_signature(term):
+            prev = combined[-1]
+            combined[-1] = ScalarTerm(prev.coeff + term.coeff, prev.two_pi_power,
+                                      prev.lambda_power, prev.phases, prev.deltas)
+        else:
+            combined.append(term)
+    return ScalarExpr(tuple(t for t in combined if not t.coeff.is_zero()))
+
+
+def _reference_recursive(w: Word) -> ScalarExpr:
+    """Depth-first walk of the expansion tree, no memo."""
+    collected = []
+
+    def descend(prefix, rest):
+        if not rest.gens:
+            collected.append(prefix)
+        elif not rest.gens[0].dagger:
+            for ww in _reference_expand(rest):
+                if not ww.scalar.coeff.is_zero():
+                    descend(prefix.times(ww.scalar), ww.word)
+
+    descend(TERM_ONE, w)
+    return _reference_canonicalize(collected) if collected else EXPR_ZERO
+
+
+def test_recursion_is_byte_identical_to_the_tree_walk():
+    words = [_build(p, m) for p in patterns_up_to(8) for m in MODES]
+    words.append(word_from_pattern("aaaaaa++++++"))
+    shared: dict = {}
+    for w in words:
+        expected = to_json_str(_reference_recursive(w))
+        assert to_json_str(correlator_recursive(w)) == expected, pattern_of(w)
+        # one memo across every pattern and mode: the key must tell
+        # polarizations and labels apart
+        assert to_json_str(correlator_recursive(w, shared)) == expected, \
+            (pattern_of(w), w.gens[0].pol)
