@@ -11,20 +11,19 @@ from .scalars import (
     ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg, PhaseDelta,
     PolDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
     add, canonicalize, canonically_equal, conjugate, merged_exponent,
-    multiply, negate, oscillation, substitute_momentum, term_signature,
+    multiply, negate, oscillation, term_signature,
 )
 from .serialize import (
     from_json_dict, from_json_str, to_json_dict, to_json_str, to_latex,
 )
 from .words import (
     Generator, Word, WordError, adjoint, annihilate, correlator_recursive,
-    create, expand_leading_annihilator, shift_p, word, word_from_json_dict,
+    create, expand_leading_annihilator, word, word_from_json_dict,
     word_from_pattern, word_to_json_dict,
 )
 from .pairings import (
     Pairing, annotated_pairing_terms, correlator_pairing_sum, crossing_count,
-    crossing_patterns, enclosing_pairs, enumerate_pairings, is_crossing,
-    pairing_term, straddle_set,
+    crossing_patterns, enclosing_pairs, enumerate_pairings, pairing_term,
 )
 from .limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,

@@ -20,9 +20,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .kernels import (
-    GaussianTest, STANDARD_GAUSSIAN, UnassignedLabelError, arg_value,
-    assignment_from_json_dict, delta_kernel, delta_kernel_target,
+    ConvergenceRow, GaussianTest, STANDARD_GAUSSIAN, UnassignedLabelError,
+    arg_value, assignment_from_json_dict, delta_kernel, delta_kernel_target,
     strip_momentum_deltas, term_convergence, vanishing_kernel,
 )
 from .limits import (
@@ -32,7 +34,9 @@ from .pairings import annotated_pairing_terms, correlator_pairing_sum
 from .scalars import canonically_equal
 from .serialize import from_json_dict, term_to_json_dict, to_json_str, to_latex
 from .verify import all_passed, report, run_all
-from .words import WordError, correlator_recursive, word_from_json_dict
+from .words import (
+    WordError, correlator_recursive, word_from_json_dict, word_from_pattern,
+)
 
 MAX_GENERATORS = 12
 
@@ -59,6 +63,8 @@ def _load_json(path: str):
             EXIT_PARSE,
             f"{path}: parse error at line {e.lineno} column {e.colno}: {e.msg}",
         ) from None
+    except (ValueError, RecursionError) as e:  # bad bytes, huge ints, deep nesting
+        raise CliError(EXIT_PARSE, f"{path}: {e}") from None
 
 
 def _load_word(path: str, expect_mode=None):
@@ -103,21 +109,24 @@ def _render_expr(e, fmt: str) -> str:
     return to_json_str(e) + "\n"
 
 
+def _pairing_entry(at, with_term: bool) -> dict:
+    entry = {
+        "pairs": [list(p) for p in at.pairing.pairs],
+        "crossings": at.crossings,
+        "tag": "crossing" if at.crossings else "noncrossing",
+    }
+    if with_term:
+        entry["term"] = term_to_json_dict(at.term)
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_correlate(args) -> tuple:
     w = _load_word(args.word, args.mode)
     if args.annotate:
-        out = []
-        for at in annotated_pairing_terms(w):
-            entry = {
-                "pairs": [list(p) for p in at.pairing.pairs],
-                "crossings": at.crossings,
-                "tag": "crossing" if at.crossings else "noncrossing",
-                "term": term_to_json_dict(at.term),
-            }
-            out.append(entry)
+        out = [_pairing_entry(at, True) for at in annotated_pairing_terms(w)]
         return json.dumps({"terms": out}, indent=2) + "\n", 0
     if args.method == "recursion":
         e = correlator_recursive(w)
@@ -147,16 +156,7 @@ def cmd_limit(args) -> tuple:
 
 def cmd_pairings(args) -> tuple:
     w = _load_word(args.word, args.mode)
-    out = []
-    for at in annotated_pairing_terms(w):
-        entry = {
-            "pairs": [list(p) for p in at.pairing.pairs],
-            "crossings": at.crossings,
-            "tag": "crossing" if at.crossings else "noncrossing",
-        }
-        if args.annotate:
-            entry["term"] = term_to_json_dict(at.term)
-        out.append(entry)
+    out = [_pairing_entry(at, args.annotate) for at in annotated_pairing_terms(w)]
     return json.dumps({"count": len(out), "pairings": out}, indent=2) + "\n", 0
 
 
@@ -169,26 +169,34 @@ def cmd_verify(args) -> tuple:
 def _csv_rows(rows) -> list:
     lines = ["lambda,re_value,im_value,re_target,im_target,abs_err"]
     for r in rows:
-        lines.append(",".join(
-            "%.11e" % v for v in (r.lam, r.value.real, r.value.imag,
-                                  r.target.real, r.target.imag, r.abs_err)))
+        values = (r.lam, r.value.real, r.value.imag,
+                  r.target.real, r.target.imag, r.abs_err)
+        if not all(map(math.isfinite, values)):
+            raise CliError(EXIT_NUMERIC,
+                           f"out of numeric range: non-finite value at "
+                           f"lambda {r.lam!r}")
+        lines.append(",".join("%.11e" % v for v in values))
     return lines
 
 
-def _study_word():
-    from .words import word_from_pattern
-    return word_from_pattern("aa++")
-
-
 def cmd_converge(args) -> tuple:
-    from .kernels import ConvergenceRow
-
     data = _load_json(args.assignment)
+    try:
+        # an overflow becomes inf or an exception here, never a warning
+        with np.errstate(all="ignore"):
+            return _converge_csv(data, args.lambdas), 0
+    except UnassignedLabelError as e:
+        raise CliError(EXIT_NUMERIC, str(e)) from None
+    except (OverflowError, ZeroDivisionError) as e:
+        raise CliError(EXIT_NUMERIC, f"out of numeric range: {e}") from None
+
+
+def _converge_csv(data, lambdas: str) -> str:
     try:
         assignment = assignment_from_json_dict(data)
     except ValueError as e:
         raise CliError(EXIT_NUMERIC, str(e)) from None
-    lams = _parse_lambdas(args.lambdas)
+    lams = _parse_lambdas(lambdas)
 
     x = data.get("vanishing_x", 1.0)
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
@@ -210,22 +218,18 @@ def cmd_converge(args) -> tuple:
     lines.extend(_csv_rows(rows))
 
     tests = {f"t{i}": GaussianTest(0.0, 1.0) for i in range(1, 5)}
-    try:
-        for at in annotated_pairing_terms(_study_word()):
-            tag = "crossing" if at.crossings else "noncrossing"
-            term = strip_momentum_deltas(at.term)
-            lines.append(f"# study={tag}_4pt")
-            if at.crossings:
-                osc = [abs(arg_value(ph.arg, assignment))
-                       for ph in term.unweighted_phases()]
-                flag = "active" if any(v > 1e-12 for v in osc) \
-                    else "none (zero phase)"
-                lines.append(f"# suppression={flag}")
-            lines.extend(_csv_rows(term_convergence(term, tests, assignment, lams)))
-    except UnassignedLabelError as e:
-        raise CliError(EXIT_NUMERIC, str(e)) from None
-
-    return "\n".join(lines) + "\n", 0
+    for at in annotated_pairing_terms(word_from_pattern("aa++")):
+        tag = "crossing" if at.crossings else "noncrossing"
+        term = strip_momentum_deltas(at.term)
+        lines.append(f"# study={tag}_4pt")
+        if at.crossings:
+            osc = [abs(arg_value(ph.arg, assignment))
+                   for ph in term.unweighted_phases()]
+            flag = "active" if any(v > 1e-12 for v in osc) \
+                else "none (zero phase)"
+            lines.append(f"# suppression={flag}")
+        lines.extend(_csv_rows(term_convergence(term, tests, assignment, lams)))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_render(args) -> tuple:
@@ -286,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("assignment", help="assignment file (JSON)")
     p.add_argument("--lambdas", default="1.0,0.4,0.2,0.1,0.05",
                    help="comma-separated strictly decreasing ladder")
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.add_argument("--out", help="write CSV to this path")
     p.set_defaults(fn=cmd_converge)
 

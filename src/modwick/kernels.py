@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (
-    Dot, Energy, MomentumDelta, PDot, PhaseArg, ScalarTerm,
+    Dot, Energy, MomentumDelta, PDot, PhaseArg, ScalarTerm, contraction_phases,
+    label_classes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -273,32 +274,34 @@ def strip_momentum_deltas(term: ScalarTerm) -> ScalarTerm:
                       term.phases, kept)
 
 
+def _require_no_deltas(term: ScalarTerm) -> None:
+    if term.deltas:
+        raise ValueError(
+            "term still carries delta factors; apply them before smearing")
+
+
 def _coeff_complex(term: ScalarTerm) -> complex:
     return complex(float(term.coeff.re), float(term.coeff.im))
 
 
-def _identify_times(term: ScalarTerm) -> dict:
-    """Map every time label to its contraction representative.
+def _time_classes(term: ScalarTerm, labels) -> tuple:
+    """Map time labels to their contraction representatives; group `labels`.
 
     Each weighted phase pins its two time labels together; the
-    representative is the label that survives the induced substitution.
+    representative is the smallest label of the class.  Returns the map
+    and the representatives' member lists, in the order of `labels`.
     """
-    parent: dict = {}
-
-    def root(t):
-        while t in parent:
-            t = parent[t]
-        return t
-
-    for ph in term.weighted_phases():
+    weighted = term.weighted_phases()
+    for ph in weighted:
         items = ph.time.items
         if len(items) != 2 or {c for _, c in items} != {1, -1}:
             raise ValueError(
                 "weighted phase time combination must be a simple difference")
-        roots = sorted({root(t) for t, _ in items})
-        for t in roots[1:]:
-            parent[t] = roots[0]
-    return {t: root(t) for t in parent}
+    time_map = label_classes(ph.time.labels() for ph in weighted)
+    groups: dict = {}
+    for label in labels:
+        groups.setdefault(time_map.get(label, label), []).append(label)
+    return time_map, groups
 
 
 def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
@@ -315,14 +318,8 @@ def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
     value to zero as lambda -> 0.  The target is therefore the smeared
     kernel backbone with all surviving oscillations sent to their limit.
     """
-    if term.deltas:
-        raise ValueError(
-            "term still carries delta factors; apply them before smearing")
-    weighted = term.weighted_phases()
-    if term.lambda_power != -2 * len(weighted):
-        raise ValueError(
-            "term weight mismatch: lambda power "
-            f"{term.lambda_power} with {len(weighted)} weighted phases")
+    _require_no_deltas(term)
+    weighted = contraction_phases(term)
 
     for ph in term.phases:
         for t in ph.time.labels():
@@ -331,10 +328,7 @@ def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
                     f"time label {t!r} has no test function")
         arg_value(ph.arg, a)  # fail fast on unassigned momentum labels
 
-    time_map = _identify_times(term)
-    groups: dict = {}
-    for label in tests:
-        groups.setdefault(time_map.get(label, label), []).append(label)
+    time_map, groups = _time_classes(term, tests)
 
     freq: dict = {r: 0.0 for r in groups}
     for ph in term.unweighted_phases():
@@ -379,9 +373,7 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
     their full 1/lambda^2-weighted oscillatory integrals; for generic
     phase arguments this vanishes super-polynomially as lambda -> 0.
     """
-    if term.deltas:
-        raise ValueError(
-            "term still carries delta factors; apply them before smearing")
+    _require_no_deltas(term)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
 
@@ -435,63 +427,17 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
     return complex(acc)
 
 
-def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
-                          lam: float, points: int = 96) -> complex:
-    """Brute-force grid quadrature of the literal smeared term.
+def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,
+                   points: int) -> complex:
+    """Tensor-grid integral of a smeared product of oscillations.
 
-    Evaluates the integrand structurally, phase factor by phase factor,
-    at tensor-product nodes.  Intended for lambda >= 0.5, where the
-    oscillation frequencies stay resolvable on a moderate grid.
+    `groups` maps each integration variable to the time labels whose
+    test functions it carries; `phase_data` holds, per oscillation, its
+    time items over those variables and its evaluated argument.  The
+    integrand is evaluated structurally, factor by factor, at every node.
     """
-    if term.deltas:
-        raise ValueError(
-            "term still carries delta factors; apply them before smearing")
-    labels = sorted(tests)
-    index = {label: i for i, label in enumerate(labels)}
-    phase_data = []
-    for ph in term.phases:
-        x = arg_value(ph.arg, a)
-        phase_data.append((ph.time.items, x))
-
-    def integrand(*ts):
-        shape = np.broadcast_shapes(*(np.shape(t) for t in ts))
-        mag = np.ones(shape)
-        for label, t in zip(labels, ts):
-            mag = mag * tests[label](t)
-        expo = np.zeros(shape)
-        for items, x in phase_data:
-            delta = sum(c * ts[index[t]] for t, c in items)
-            expo = expo + x * delta
-        return mag * np.exp(-1j * expo / lam ** 2)
-
-    raw = _tensor_quadrature([tests[label].support() for label in labels],
-                             integrand, points)
-    return (_coeff_complex(term) * TWO_PI ** term.two_pi_power
-            * lam ** term.lambda_power * raw)
-
-
-def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
-                                lam: float, points: int = 96) -> complex:
-    """Brute-force companion to one term_convergence ladder entry.
-
-    Rebuilds the reduced integrand from the raw test functions on the
-    surviving time variables, without the product-Gaussian rewrite.
-    """
-    weighted = term.weighted_phases()
-    if term.lambda_power != -2 * len(weighted):
-        raise ValueError("term weight mismatch")
-    time_map = _identify_times(term)
-    groups: dict = {}
-    for label in sorted(tests):
-        groups.setdefault(time_map.get(label, label), []).append(label)
     reps = sorted(groups)
     index = {r: i for i, r in enumerate(reps)}
-
-    phase_data = []
-    for ph in term.unweighted_phases():
-        x = arg_value(ph.arg, a)
-        items = tuple((time_map.get(t, t), c) for t, c in ph.time.items)
-        phase_data.append((items, x))
 
     def integrand(*ts):
         shape = np.broadcast_shapes(*(np.shape(t) for t in ts))
@@ -509,7 +455,40 @@ def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     for r in reps:
         supports = [tests[m].support() for m in groups[r]]
         bounds.append((min(s[0] for s in supports), max(s[1] for s in supports)))
-    raw = _tensor_quadrature(bounds, integrand, points)
+    return _tensor_quadrature(bounds, integrand, points)
+
+
+def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
+                          lam: float, points: int = 96) -> complex:
+    """Brute-force grid quadrature of the literal smeared term.
+
+    Every time label is its own integration variable.  Intended for
+    lambda >= 0.5, where the oscillation frequencies stay resolvable on
+    a moderate grid.
+    """
+    _require_no_deltas(term)
+    phase_data = [(ph.time.items, arg_value(ph.arg, a)) for ph in term.phases]
+    raw = _grid_integral({label: [label] for label in tests}, tests,
+                         phase_data, lam, points)
+    return (_coeff_complex(term) * TWO_PI ** term.two_pi_power
+            * lam ** term.lambda_power * raw)
+
+
+def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
+                                lam: float, points: int = 96) -> complex:
+    """Brute-force companion to one term_convergence ladder entry.
+
+    Rebuilds the reduced integrand from the raw test functions on the
+    surviving time variables, without the product-Gaussian rewrite.
+    """
+    weighted = contraction_phases(term)
+    time_map, groups = _time_classes(term, sorted(tests))
+    phase_data = [
+        (tuple((time_map.get(t, t), c) for t, c in ph.time.items),
+         arg_value(ph.arg, a))
+        for ph in term.unweighted_phases()
+    ]
+    raw = _grid_integral(groups, tests, phase_data, lam, points)
     return (_coeff_complex(term)
             * TWO_PI ** (term.two_pi_power + len(weighted)) * raw)
 

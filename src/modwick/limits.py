@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from .pairings import Pairing, enclosing_pairs
 from .scalars import (
-    C_ONE, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot, PhaseArg, PhaseDelta,
-    PolDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta, canonicalize,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
+    PhaseArg, PhaseDelta, PolDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
+    canonicalize, contraction_phases, label_classes, merged_exponent,
 )
-from .words import Word, shift_p
+from .words import Word, contraction_arg
 
 
 def noncrossing_match(w: Word):
@@ -54,35 +55,14 @@ def noncrossing_match(w: Word):
 
 def _limit_term(term: ScalarTerm):
     """Apply the singular-limit map to one canonicalized structural term."""
-    weighted = term.weighted_phases()
-    if term.lambda_power != -2 * len(weighted):
-        raise ValueError(
-            "term weight mismatch: lambda power "
-            f"{term.lambda_power} with {len(weighted)} weighted phases"
-        )
-
-    time_map: dict = {}
-
-    def root(t):
-        while t in time_map:
-            t = time_map[t]
-        return t
-
-    for ph in weighted:
-        roots = sorted({root(t) for t in ph.time.labels()})
-        for t in roots[1:]:
-            time_map[t] = roots[0]
-    time_map = {t: root(t) for t in time_map}
+    weighted = contraction_phases(term)
+    time_map = label_classes(ph.time.labels() for ph in weighted)
 
     # a residual oscillation with nonzero exponent kills the term
-    residual: dict = {}
-    for ph in term.unweighted_phases():
-        time = ph.time.substituted(time_map)
-        for t, ct in time.items:
-            for a, ca in ph.arg.items:
-                key = (t, a)
-                residual[key] = residual.get(key, 0) + ct * ca
-    if any(v != 0 for v in residual.values()):
+    residual = ScalarTerm(phases=tuple(
+        ContractionPhase(ph.time.substituted(time_map), ph.arg)
+        for ph in term.unweighted_phases()))
+    if merged_exponent(residual):
         return None
 
     new_deltas = list(term.deltas)
@@ -160,18 +140,15 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
         if site is None:
             break
         x, y = gens[site], gens[site + 1]
+        del gens[site:site + 2]
         deltas = [
             MomentumDelta(x.k, y.k),
             TimeDelta(TimeComb.difference(x.t, y.t)),
-            PhaseDelta(PhaseArg.of({Energy(x.k): 1, PDot(x.k): 1})),
+            PhaseDelta(contraction_arg(x, gens[site:])),
         ]
         if x.pol is not None:
             deltas.append(PolDelta(x.pol, y.pol))
-        scalar = ScalarTerm(C_ONE, 1, 0, (), tuple(deltas))
-        del gens[site:site + 2]
-        for g in gens[site:]:
-            scalar = shift_p(scalar, g, "right")
-        acc = acc.times(scalar)
+        acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), tuple(deltas)))
     if gens:
         return EXPR_ZERO
     return canonicalize(ScalarExpr((acc,)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .scalars import (
     C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PolDelta, ScalarExpr, ScalarTerm, TimeComb, canonicalize,
+    PDot, PhaseArg, ScalarExpr, ScalarTerm, TimeComb, canonicalize,
 )
 from .words import Word, WordError
 
@@ -65,18 +65,6 @@ def enumerate_pairings(w: Word) -> list:
     assign(0, set(), [])
     out.sort(key=lambda p: p.pairs)
     return out
-
-
-def is_crossing(p1: tuple, p2: tuple) -> bool:
-    """Whether two pairs interleave as a < b < a' < b' in either order."""
-    (a, a2), (b, b2) = sorted((tuple(p1), tuple(p2)))
-    return a < b < a2 < b2
-
-
-def straddle_set(pairing: Pairing, h: tuple) -> list:
-    """Pairs whose span contains the annihilator position of pair h."""
-    m = tuple(h)[0]
-    return [p for p in pairing.pairs if p != tuple(h) and p[0] < m < p[1]]
 
 
 def enclosing_pairs(pairing: Pairing, h: tuple) -> list:

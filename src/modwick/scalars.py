@@ -158,9 +158,6 @@ class TimeComb:
         acc[t_minus] = acc.get(t_minus, 0) - 1
         return TimeComb.of(acc)
 
-    def as_dict(self) -> dict:
-        return dict(self.items)
-
     def negated(self) -> "TimeComb":
         return TimeComb(tuple((t, -c) for t, c in self.items))
 
@@ -378,6 +375,16 @@ class ScalarTerm:
 TERM_ONE = ScalarTerm()
 
 
+def contraction_phases(term: ScalarTerm) -> tuple:
+    """The weighted phases of a term, each carrying one 1/lambda^2."""
+    weighted = term.weighted_phases()
+    if term.lambda_power != -2 * len(weighted):
+        raise ValueError(
+            "term weight mismatch: lambda power "
+            f"{term.lambda_power} with {len(weighted)} weighted phases")
+    return weighted
+
+
 def merged_exponent(term: ScalarTerm) -> dict:
     """Sparse bilinear exponent over (time label, atom), summed over phases.
 
@@ -434,33 +441,29 @@ EXPR_ONE = ScalarExpr((TERM_ONE,))
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _momentum_union(deltas) -> dict:
-    """Union-find over momentum labels joined by deltas; rep = smallest label."""
+def label_classes(edges) -> dict:
+    """Union-find over labels; map each label to the smallest in its class.
+
+    Every edge is an iterable of labels identified with one another.
+    """
     parent: dict = {}
 
     def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while parent.setdefault(x, x) != x:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        lo, hi = (rx, ry) if rx < ry else (ry, rx)
-        parent[hi] = lo
-
-    for d in deltas:
-        if isinstance(d, MomentumDelta):
-            union(d.a, d.b)
+    for edge in edges:
+        roots = sorted({find(x) for x in edge})
+        for r in roots[1:]:
+            parent[r] = roots[0]
     return {x: find(x) for x in parent}
 
 
 def _canonical_deltas_and_subst(deltas):
     """Star-normalize momentum deltas and build the label substitution map."""
-    reps = _momentum_union(deltas)
+    reps = label_classes((d.a, d.b) for d in deltas
+                         if isinstance(d, MomentumDelta))
     classes: dict = {}
     counts: dict = {}
     for label, rep in reps.items():
@@ -593,33 +596,6 @@ def negate(e: ScalarExpr) -> ScalarExpr:
 
 def conjugate(e: ScalarExpr) -> ScalarExpr:
     return canonicalize(ScalarExpr(tuple(t.conjugated() for t in e.terms)))
-
-
-def substitute_momentum(e: ScalarExpr, frm: str, to: str) -> ScalarExpr:
-    """Rename momentum label `frm` to `to` everywhere in the expression.
-
-    Renaming a label into its delta partner would degenerate that delta to
-    delta(0); that is rejected rather than silently absorbed.
-    """
-    mapping = {frm: to}
-    out = []
-    for term in e.terms:
-        deltas = []
-        for d in term.deltas:
-            if isinstance(d, MomentumDelta):
-                deltas.append(MomentumDelta(mapping.get(d.a, d.a),
-                                            mapping.get(d.b, d.b)))
-            elif isinstance(d, PhaseDelta):
-                deltas.append(PhaseDelta(d.arg.substituted(mapping)))
-            else:
-                deltas.append(d)
-        phases = tuple(
-            ContractionPhase(ph.time, ph.arg.substituted(mapping), ph.weighted)
-            for ph in term.phases
-        )
-        out.append(ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
-                              phases, tuple(deltas)))
-    return canonicalize(ScalarExpr(tuple(out)))
 
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:

@@ -21,6 +21,24 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 # JSON
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but JSON true is no integer
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_label(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"label must be a string, got {value!r}")
+    return value
+
+
+def _json_fraction(pair) -> Fraction:
+    num, den = pair
+    return Fraction(_json_int(num, "coefficient"), _json_int(den, "coefficient"))
+
+
 def _atom_to_json(atom: Atom) -> dict:
     if isinstance(atom, Energy):
         return {"kind": "energy", "k": atom.k}
@@ -30,13 +48,13 @@ def _atom_to_json(atom: Atom) -> dict:
 
 
 def _atom_from_json(d: dict) -> Atom:
-    kind = d.get("kind")
+    kind = d["kind"]
     if kind == "energy":
-        return Energy(d["k"])
+        return Energy(_json_label(d["k"]))
     if kind == "dot":
-        return Dot(d["a"], d["b"])
+        return Dot(_json_label(d["a"]), _json_label(d["b"]))
     if kind == "pdot":
-        return PDot(d["k"])
+        return PDot(_json_label(d["k"]))
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
@@ -45,9 +63,10 @@ def _arg_to_json(arg: PhaseArg) -> list:
 
 
 def _arg_from_json(items: list) -> PhaseArg:
-    acc = {}
+    acc: dict = {}
     for atom_d, c in items:
-        acc[_atom_from_json(atom_d)] = c
+        atom = _atom_from_json(atom_d)
+        acc[atom] = acc.get(atom, 0) + _json_int(c, "phase coefficient")
     return PhaseArg.of(acc)
 
 
@@ -56,7 +75,11 @@ def _time_to_json(comb: TimeComb) -> list:
 
 
 def _time_from_json(items: list) -> TimeComb:
-    return TimeComb.of({t: c for t, c in items})
+    acc: dict = {}
+    for t, c in items:
+        t = _json_label(t)
+        acc[t] = acc.get(t, 0) + _json_int(c, "time coefficient")
+    return TimeComb.of(acc)
 
 
 def _delta_to_json(d: Delta) -> dict:
@@ -70,15 +93,16 @@ def _delta_to_json(d: Delta) -> dict:
 
 
 def _delta_from_json(d: dict) -> Delta:
-    kind = d.get("kind")
+    kind = d["kind"]
     if kind == "momentum":
-        return MomentumDelta(d["a"], d["b"])
+        return MomentumDelta(_json_label(d["a"]), _json_label(d["b"]))
     if kind == "time":
         return TimeDelta(_time_from_json(d["comb"]))
     if kind == "phase":
         return PhaseDelta(_arg_from_json(d["arg"]))
     if kind == "pol":
-        return PolDelta(d["i"], d["j"])
+        return PolDelta(_json_int(d["i"], "pol index"),
+                        _json_int(d["j"], "pol index"))
     raise ValueError(f"unknown delta kind: {kind!r}")
 
 
@@ -104,18 +128,18 @@ def term_to_json_dict(term: ScalarTerm) -> dict:
 
 
 def term_from_json_dict(d: dict) -> ScalarTerm:
-    coeff = RationalComplex(
-        Fraction(d["coeff"][0][0], d["coeff"][0][1]),
-        Fraction(d["coeff"][1][0], d["coeff"][1][1]),
-    )
-    phases = tuple(
-        ContractionPhase(_time_from_json(ph["time"]), _arg_from_json(ph["arg"]),
-                         bool(ph["weighted"]))
-        for ph in d["phases"]
-    )
+    re, im = d["coeff"]
+    phases = []
+    for ph in d["phases"]:
+        if not isinstance(ph["weighted"], bool):
+            raise ValueError("phase 'weighted' must be true or false")
+        phases.append(ContractionPhase(_time_from_json(ph["time"]),
+                                       _arg_from_json(ph["arg"]), ph["weighted"]))
     deltas = tuple(_delta_from_json(x) for x in d["deltas"])
-    return ScalarTerm(coeff, int(d["two_pi_power"]), int(d["lambda_power"]),
-                      phases, deltas)
+    return ScalarTerm(RationalComplex(_json_fraction(re), _json_fraction(im)),
+                      _json_int(d["two_pi_power"], "two_pi_power"),
+                      _json_int(d["lambda_power"], "lambda_power"),
+                      tuple(phases), deltas)
 
 
 def to_json_dict(expr: ScalarExpr) -> dict:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .scalars import (
     C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, PolDelta, ScalarExpr, ScalarTerm, TERM_ONE,
-    TimeComb, canonicalize, oscillation,
+    PDot, PhaseArg, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
+    oscillation,
 )
 
 
@@ -129,6 +129,8 @@ def word_from_json_dict(d: dict) -> Word:
     mode = d.get("mode", "scalar")
     if mode not in ("scalar", "polarized"):
         raise WordError(f"unknown mode {mode!r}")
+    if not isinstance(d["word"], list):
+        raise WordError("'word' must be a list of generators")
     gens = []
     for i, entry in enumerate(d["word"]):
         if not isinstance(entry, dict):
@@ -143,6 +145,8 @@ def word_from_json_dict(d: dict) -> Word:
         if mode == "polarized":
             if pol is None:
                 raise WordError(f"word entry {i}: polarized mode needs 'pol'")
+            if isinstance(pol, bool) or not isinstance(pol, int):
+                raise WordError(f"word entry {i}: 'pol' must be an integer")
         elif pol is not None:
             raise WordError(f"word entry {i}: 'pol' given in scalar mode")
         gens.append(Generator(op == "adag", t, k, pol))
@@ -158,66 +162,18 @@ class WeightedWord:
     word: Word
 
 
-def _pol_factor(x: Generator, y: Generator):
-    """Deltas contributed by polarization indices of a contracted pair."""
-    if x.pol is None and y.pol is None:
-        return ()
-    return (PolDelta(x.pol, y.pol),)
+def contraction_arg(x: Generator, right) -> PhaseArg:
+    """Phase argument E(k) + k.p of annihilator x, moved past `right`.
 
-
-def _contraction_scalar(x: Generator, y: Generator) -> ScalarTerm:
-    """Scalar for contracting annihilator x against creator y, in place."""
-    arg = PhaseArg.of({Energy(x.k): 1, PDot(x.k): 1})
-    phase = ContractionPhase(TimeComb.difference(x.t, y.t), arg, weighted=True)
-    deltas = (MomentumDelta(x.k, y.k),) + _pol_factor(x, y)
-    if any(isinstance(d, PolDelta) and d.i != d.j for d in deltas):
-        return ScalarTerm(C_ZERO)
-    deltas = tuple(d for d in deltas if not isinstance(d, PolDelta))
-    return ScalarTerm(C_ONE, 0, -2, (phase,), deltas)
-
-
-def rewrite_aa(x: Generator, y: Generator) -> WeightedWord:
-    """Swap two annihilators: a_x a_y = q^{-1}(t_x - t_y, k_x.k_y) a_y a_x."""
-    if x.dagger or y.dagger:
-        raise WordError("rewrite_aa needs two annihilators")
-    phase = oscillation(x.t, y.t, PhaseArg.of({Dot(x.k, y.k): 1}), power=-1)
-    return WeightedWord(ScalarTerm(C_ONE, 0, 0, (phase,), ()), word(y, x))
-
-
-def rewrite_a_adag(x: Generator, y: Generator):
-    """Normal-order an (annihilator, creator) pair.
-
-    Returns the swapped weighted word and the contraction scalar; with
-    unequal concrete polarizations the contraction scalar is zero.
+    The contraction scalar depends on p and migrates to the far end of
+    the word: a(t,k) f(p) = f(p + k) a(t,k), so passing a creator with
+    momentum g adds +k.g and passing an annihilator subtracts it.
     """
-    if x.dagger or not y.dagger:
-        raise WordError("rewrite_a_adag needs an annihilator then a creator")
-    phase = oscillation(x.t, y.t, PhaseArg.of({Dot(x.k, y.k): 1}), power=1)
-    swapped = WeightedWord(ScalarTerm(C_ONE, 0, 0, (phase,), ()), word(y, x))
-    return swapped, _contraction_scalar(x, y)
-
-
-def shift_p(s: ScalarTerm, g: Generator, direction: str) -> ScalarTerm:
-    """Move a p-dependent scalar past one generator.
-
-    Rightward past a creator with momentum g.k maps k.p to k.p + k.g for
-    every particle-momentum atom; past an annihilator the sign flips, and
-    leftward movement inverts both.
-    """
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    sign = 1 if g.dagger else -1
-    if direction == "left":
-        sign = -sign
-    phases = tuple(
-        ContractionPhase(ph.time, ph.arg.shifted(g.k, sign), ph.weighted)
-        for ph in s.phases
-    )
-    deltas = tuple(
-        PhaseDelta(d.arg.shifted(g.k, sign)) if isinstance(d, PhaseDelta) else d
-        for d in s.deltas
-    )
-    return ScalarTerm(s.coeff, s.two_pi_power, s.lambda_power, phases, deltas)
+    acc = {Energy(x.k): 1, PDot(x.k): 1}
+    for g in right:
+        d = Dot(x.k, g.k)
+        acc[d] = acc.get(d, 0) + (1 if g.dagger else -1)
+    return PhaseArg.of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +202,15 @@ def expand_leading_annihilator(w: Word) -> list:
     )
     out = []
     for j in creators:
-        scalar = _contraction_scalar(lead, tail[j])
-        if not scalar.coeff.is_zero():
-            # the sum of the shift_p moves past every generator to the right
-            (phase,) = scalar.phases
-            acc = phase.arg.as_dict()
-            for other in tail[j + 1:]:
-                d = Dot(lead.k, other.k)
-                acc[d] = acc.get(d, 0) + (1 if other.dagger else -1)
-            phase = ContractionPhase(phase.time, PhaseArg.of(acc), phase.weighted)
-            scalar = ScalarTerm(scalar.coeff, scalar.two_pi_power,
-                                scalar.lambda_power, (phase,) + swaps[:j],
-                                scalar.deltas)
+        y = tail[j]
+        if lead.pol != y.pol:
+            scalar = ScalarTerm(C_ZERO)
+        else:
+            phase = ContractionPhase(TimeComb.difference(lead.t, y.t),
+                                     contraction_arg(lead, tail[j + 1:]),
+                                     weighted=True)
+            scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
+                                (MomentumDelta(lead.k, y.k),))
         out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
     return out
 

@@ -264,6 +264,34 @@ def test_converge_rejects_non_numeric_vanishing_x(cli_run, write_json):
         assert "vanishing_x must be a finite number" in err
 
 
+def test_converge_rejects_overflowing_vanishing_x(cli_run, write_json):
+    # 1e308 / lambda^2 overflowed inside the kernel with a traceback
+    path = write_json("big_x.json", {
+        "momenta": {"k1": [1.0, 0.0, 0.0], "k2": [1.0, 1.0, 0.0]},
+        "p": [0.0, 0.0, 0.0], "vanishing_x": 1e308})
+    code, out, err = cli_run(["converge", path])
+    assert code == 4 and out == ""
+    assert "out of numeric range" in err and err.count("\n") == 1
+
+
+def test_converge_rejects_momenta_out_of_range(cli_run, write_json):
+    # finite momenta whose dot products overflow printed nan rows with exit 0
+    path = write_json("big_k.json", {
+        "momenta": {"k1": [1e308, 0.0, 0.0], "k2": [1e308, 1e308, 0.0]},
+        "p": [0.0, 0.0, 0.0]})
+    code, out, err = cli_run(["converge", path])
+    assert code == 4 and out == ""
+    assert "out of numeric range" in err and err.count("\n") == 1
+
+
+def test_converge_rejects_underflowing_lambda(cli_run, study_assignment_file):
+    # lambda^2 rounds to zero, which divided by zero with a traceback
+    code, out, err = cli_run(
+        ["converge", study_assignment_file, "--lambdas", "1.0,1e-170"])
+    assert code == 4 and out == ""
+    assert "out of numeric range" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # render and shared plumbing
 
@@ -295,6 +323,69 @@ def test_render_rejects_zero_denominator(cli_run, write_json):
     assert "bad expression data" in err and err.count("\n") == 1
 
 
+def _expr_file(write_json, name, time=(("t1", 1), ("t2", -1)), arg=None,
+               weighted=False, two_pi_power=0, lambda_power=0):
+    energy = {"kind": "energy", "k": "k1"}
+    return write_json(name, {"terms": [{
+        "coeff": [[1, 1], [0, 1]], "two_pi_power": two_pi_power,
+        "lambda_power": lambda_power,
+        "phases": [{"time": [list(it) for it in time],
+                    "arg": [list(it) for it in arg or ((energy, 1),)],
+                    "weighted": weighted}],
+        "deltas": []}]})
+
+
+def test_render_sums_repeated_entries(cli_run, write_json):
+    # repeated labels or atoms were overwritten, dropping the first entry
+    energy = {"kind": "energy", "k": "k1"}
+    path = _expr_file(write_json, "repeat.json",
+                      time=(("t1", 1), ("t1", 1), ("t2", -1)),
+                      arg=((energy, 1), (energy, 2)))
+    code, out, err = cli_run(["render", path])
+    assert code == 0 and err == ""
+    assert out == ("q_{\\lambda}\\left(2 t_{1} - t_{2},\\, "
+                   "3 \\tilde{\\omega}(k_{1})\\right)\n")
+
+
+def test_render_rejects_non_integer_numbers(cli_run, write_json):
+    # a string coefficient raised a TypeError traceback; floats and bools
+    # were truncated or read as 1
+    energy = {"kind": "energy", "k": "k1"}
+    for bad in ("x", 1.5, True, None):
+        for fields in ({"time": (("t1", bad), ("t2", -1))},
+                       {"arg": ((energy, bad),)},
+                       {"two_pi_power": bad}, {"lambda_power": bad}):
+            code, out, err = cli_run(
+                ["render", _expr_file(write_json, "bad.json", **fields)])
+            assert code == 2 and out == "", (bad, fields)
+            assert "bad expression data" in err and err.count("\n") == 1
+    for bad in (1, "true", None):
+        code, out, err = cli_run(
+            ["render", _expr_file(write_json, "bad.json", weighted=bad)])
+        assert code == 2 and out == "", bad
+        assert "weighted" in err and err.count("\n") == 1
+
+
+def test_word_file_with_non_list_word_is_invalid(cli_run, write_json):
+    # a non-list word raised a TypeError traceback
+    for bad in (5, None, "a+"):
+        code, out, err = cli_run(
+            ["correlate", write_json("w.json", {"word": bad})])
+        assert code == 3 and out == "", bad
+        assert "'word' must be a list" in err and err.count("\n") == 1
+
+
+def test_word_file_rejects_non_integer_pol(cli_run, write_json):
+    # "pol": true was read as polarization 1
+    for bad in (True, 1.0):
+        path = write_json("w.json", {"mode": "polarized", "word": [
+            {"op": "a", "t": "t1", "k": "k1", "pol": bad},
+            {"op": "adag", "t": "t2", "k": "k2", "pol": bad}]})
+        code, out, err = cli_run(["correlate", path])
+        assert code == 3 and out == "", bad
+        assert "'pol' must be an integer" in err and err.count("\n") == 1
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # only the dblquad oracle needs scipy; symbolic commands must not pay for it
     src = os.path.dirname(os.path.dirname(modwick.cli.__file__))
@@ -318,6 +409,18 @@ def test_malformed_json_is_a_parse_error(cli_run, tmp_path):
     code, _, err = cli_run(["correlate", str(path)])
     assert code == 2
     assert "parse error at line" in err
+
+
+def test_unreadable_json_is_a_parse_error(cli_run, tmp_path):
+    # each escaped json.load with a traceback: bytes that are no UTF-8, and
+    # nesting deeper than the interpreter's recursion limit
+    path = tmp_path / "input.json"
+    for data in (b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000):
+        path.write_bytes(data)
+        for command in ("correlate", "render", "converge"):
+            code, out, err = cli_run([command, str(path)])
+            assert code == 2 and out == "", command
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_invalid_word_payload(cli_run, write_json):

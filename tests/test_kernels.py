@@ -171,6 +171,49 @@ def test_off_center_configuration_error_is_quadratic():
     assert 1.7 <= slope <= 2.3
 
 
+def test_quadratic_error_term_carries_the_center_asymmetry():
+    """Series of the delta_kernel closed form in lambda, done by sympy.
+
+    The expression is checked against the code first, so the expansion
+    is one of delta_kernel itself.  Its lambda^2 coefficient is
+    c0 * (-i) h_center (f_center - g_center) / ((w_f^2 + w_g^2) w_h^2):
+    zero whenever h is centered or f and g share a center, which is why
+    the all-centered gate 5 configuration converges at rate lambda^4.
+    """
+    sp = pytest.importorskip("sympy")
+    mu, wf, wg, wh = sp.symbols("mu w_f w_g w_h", positive=True)  # mu = lambda^2
+    cf, cg, ch = sp.symbols("c_f c_g c_h", real=True)
+    var = wf ** 2 + wg ** 2
+    d = cf - cg
+    quad = (wh ** 2 + mu ** 2 / var) / 2
+    lin = mu * d / var - sp.I * ch
+    closed = (2 * sp.pi * wh * wf * wg / sp.sqrt(var) * sp.sqrt(sp.pi / quad)
+              * sp.exp(lin ** 2 / (4 * quad) - d ** 2 / (2 * var)))
+
+    numeric = sp.lambdify((mu, cf, wf, cg, wg, ch, wh), closed, "mpmath")
+    for f, g, h in ((GaussianTest(0.4, 1.0), GaussianTest(0.0, 1.0),
+                     GaussianTest(0.7, 1.0)),
+                    (GaussianTest(-0.3, 0.8), GaussianTest(0.5, 1.3),
+                     GaussianTest(-1.1, 0.6))):
+        for lam in (0.1, 0.5, 1.0, 1.7):
+            expect = complex(numeric(lam ** 2, f.center, f.width, g.center,
+                                     g.width, h.center, h.width))
+            assert rel_err(delta_kernel(f, g, h, lam), expect) <= 1e-12
+
+    # a function of lambda^2: the lambda^2 coefficient is d/dmu at mu = 0
+    c0 = closed.subs(mu, 0)
+    c2 = sp.diff(closed, mu).subs(mu, 0)
+    assert sp.simplify(c2.subs(ch, 0)) == 0
+    assert sp.simplify(c2.subs(cf, cg)) == 0
+    ratio = sp.simplify(c2 / (c0 * ch * d))
+    assert sp.simplify(ratio + sp.I / (var * wh ** 2)) == 0
+    # the limit itself: c0 = 2 pi h(0) * integral of f g
+    point = {cf: 0.4, cg: 0.0, ch: 0.7, wf: 1.0, wg: 1.0, wh: 1.0}
+    target = delta_kernel_target(GaussianTest(0.4, 1.0), GaussianTest(0.0, 1.0),
+                                 GaussianTest(0.7, 1.0))
+    assert rel_err(complex(c0.subs(point).evalf()), target) <= 1e-12
+
+
 def test_fit_loglog_slope_on_synthetic_data():
     lams = [0.8, 0.4, 0.2, 0.1]
     errs = [2.5 * lam ** 3 for lam in lams]

@@ -14,8 +14,7 @@ import pytest
 
 from modwick.pairings import (
     Pairing, annotated_pairing_terms, correlator_pairing_sum, crossing_count,
-    crossing_patterns, enclosing_pairs, enumerate_pairings, is_crossing,
-    pairing_term, straddle_set,
+    crossing_patterns, enclosing_pairs, enumerate_pairings, pairing_term,
 )
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
@@ -54,11 +53,6 @@ def test_pairing_sorted_and_deterministic():
 
 
 def test_crossing_predicates():
-    assert is_crossing((1, 3), (2, 4))
-    assert is_crossing((2, 4), (1, 3))
-    assert not is_crossing((1, 4), (2, 3))
-    assert not is_crossing((1, 2), (3, 4))
-
     nested = Pairing(((1, 6), (2, 5), (3, 4)))
     assert crossing_count(nested) == 0
     assert enclosing_pairs(nested, (3, 4)) == [(1, 6), (2, 5)]
@@ -69,7 +63,6 @@ def test_crossing_predicates():
     assert crossing_count(twisted) == 2
     assert crossing_patterns(twisted) == [((1, 4), (2, 6)), ((1, 4), (3, 5))]
     # (1,4) straddles position 3 but crosses (3,5) instead of enclosing it
-    assert straddle_set(twisted, (3, 5)) == [(1, 4), (2, 6)]
     assert enclosing_pairs(twisted, (3, 5)) == [(2, 6)]
 
 

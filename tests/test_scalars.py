@@ -17,8 +17,8 @@ from modwick.scalars import (
     C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
     MomentumDelta, PDot, PhaseArg, PhaseDelta, PolDelta, RationalComplex,
     ScalarExpr, ScalarTerm, TimeComb, TimeDelta, add, atom_str, canonicalize,
-    canonically_equal, conjugate, delta_key, merged_exponent, multiply, negate,
-    oscillation, substitute_momentum, term_signature,
+    canonically_equal, conjugate, delta_key, label_classes, merged_exponent,
+    multiply, negate, oscillation, term_signature,
 )
 
 
@@ -167,17 +167,13 @@ def test_canonicalize_merges_unweighted_oscillations():
         ContractionPhase(TimeComb.difference("t1", "t3"), x),)
 
 
-def test_substitute_momentum_renames_everywhere():
-    term = ScalarTerm(
-        phases=(ContractionPhase(TimeComb.difference("t1", "t2"),
-                                 PhaseArg.of({Energy("k2"): 1, PDot("k2"): 1}),
-                                 weighted=True),),
-        deltas=(PhaseDelta(PhaseArg.of({Dot("k2", "k3"): 1})),),
-        lambda_power=-2)
-    e = substitute_momentum(ScalarExpr((term,)), "k2", "k5")
-    out = e.terms[0]
-    assert out.phases[0].arg == PhaseArg.of({Energy("k5"): 1, PDot("k5"): 1})
-    assert out.deltas == (PhaseDelta(PhaseArg.of({Dot("k3", "k5"): 1})),)
+def test_label_classes_map_to_the_smallest_label():
+    reps = label_classes([("k3", "k2"), ("k5", "k4"), ("k4", "k3"), ("k7",)])
+    assert reps == {"k2": "k2", "k3": "k2", "k4": "k2", "k5": "k2", "k7": "k7"}
+    # an edge may join more than two labels; edge order does not matter
+    assert label_classes([("t3", "t1", "t2")]) == label_classes(
+        [("t2", "t1"), ("t3", "t2")])
+    assert label_classes([]) == {}
 
 
 # ---------------------------------------------------------------------------

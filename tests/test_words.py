@@ -5,18 +5,17 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb,
-    _canonical_term, _term_sort_key, canonically_equal, oscillation,
-    term_signature,
+    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
+    MomentumDelta, PDot, PhaseArg, PhaseDelta, PolDelta, ScalarExpr, ScalarTerm,
+    TERM_ONE, TimeComb, _canonical_term, _term_sort_key, canonically_equal,
+    oscillation, term_signature,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    Generator, Word, WordError, WeightedWord, _contraction_scalar, adjoint,
-    annihilate, correlator_recursive, create, expand_leading_annihilator,
-    pattern_of, rewrite_a_adag, rewrite_aa, shift_p, word, word_from_json_dict,
-    word_from_pattern, word_to_json_dict,
+    Generator, Word, WordError, WeightedWord, adjoint, annihilate,
+    contraction_arg, correlator_recursive, create, expand_leading_annihilator,
+    pattern_of, word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
 
 
@@ -88,57 +87,17 @@ def test_word_json_validation():
 # ---------------------------------------------------------------------------
 # rewrite rules
 
-def test_rewrite_aa_swap_phase():
-    x, y = annihilate("t1", "k1"), annihilate("t2", "k2")
-    ww = rewrite_aa(x, y)
-    assert ww.word == word(y, x)
-    (ph,) = ww.scalar.phases
-    assert ph.time == TimeComb.difference("t1", "t2")
-    assert ph.arg == PhaseArg.of({Dot("k1", "k2"): -1})
-    assert not ph.weighted
-    with pytest.raises(WordError):
-        rewrite_aa(x, create("t3", "k3"))
-
-
-def test_rewrite_a_adag_two_pieces():
-    x, y = annihilate("t1", "k1"), create("t2", "k2")
-    swapped, contraction = rewrite_a_adag(x, y)
-    assert swapped.word == word(y, x)
-    assert swapped.scalar.phases[0].arg == PhaseArg.of({Dot("k1", "k2"): 1})
-    assert contraction.lambda_power == -2
-    assert contraction.phases == (
-        weighted_phase("t1", "t2", {Energy("k1"): 1, PDot("k1"): 1}),)
-    assert contraction.deltas == (MomentumDelta("k1", "k2"),)
-
-
-def test_rewrite_a_adag_polarization():
-    x, y = annihilate("t1", "k1", 1), create("t2", "k2", 2)
-    _, contraction = rewrite_a_adag(x, y)
-    assert contraction.coeff.is_zero()
-    _, kept = rewrite_a_adag(annihilate("t1", "k1", 2), create("t2", "k2", 2))
-    assert kept.coeff == C_ONE
-    assert kept.deltas == (MomentumDelta("k1", "k2"),)
-
-
-def test_shift_p_moves_particle_momentum():
-    scalar = ScalarTerm(
-        C_ONE, 0, -2,
-        (weighted_phase("t1", "t2", {Energy("k1"): 1, PDot("k1"): 1}),),
-        (PhaseDelta(PhaseArg.of({PDot("k1"): 1})),))
-    past_creator = shift_p(scalar, create("t3", "k3"), "right")
-    assert past_creator.phases[0].arg == PhaseArg.of(
-        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1})
-    assert past_creator.deltas == (
-        PhaseDelta(PhaseArg.of({PDot("k1"): 1, Dot("k1", "k3"): 1})),)
-
-    past_annihilator = shift_p(scalar, annihilate("t3", "k3"), "right")
-    assert past_annihilator.phases[0].arg == PhaseArg.of(
-        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): -1})
-
-    # moving back left restores the scalar
-    assert shift_p(past_creator, create("t3", "k3"), "left") == scalar
-    with pytest.raises(ValueError):
-        shift_p(scalar, create("t3", "k3"), "up")
+def test_contraction_arg_moves_past_creators_and_annihilators():
+    x = annihilate("t1", "k1")
+    assert contraction_arg(x, ()) == PhaseArg.of({Energy("k1"): 1, PDot("k1"): 1})
+    # a(t,k) f(p) = f(p + k) a(t,k): +k.g past a creator, -k.g past an annihilator
+    right = (create("t3", "k3"), annihilate("t4", "k4"), create("t5", "k5"))
+    assert contraction_arg(x, right) == PhaseArg.of({
+        Energy("k1"): 1, PDot("k1"): 1,
+        Dot("k1", "k3"): 1, Dot("k1", "k4"): -1, Dot("k1", "k5"): 1})
+    # passing a creator and an annihilator of the same momentum cancels
+    assert contraction_arg(x, (create("t3", "k3"), annihilate("t4", "k3"))) \
+        == contraction_arg(x, ())
 
 
 def test_expand_leading_annihilator_two_creators():
@@ -160,6 +119,13 @@ def test_expand_leading_annihilator_two_creators():
     assert second.scalar.phases[1] == ContractionPhase(
         TimeComb.difference("t1", "t2"), PhaseArg.of({Dot("k1", "k2"): 1}))
     assert second.scalar.deltas == (MomentumDelta("k1", "k3"),)
+
+    # polarizations: a mismatch gives a zero scalar, a match only the momentum delta
+    mismatched, matched = expand_leading_annihilator(
+        word_from_pattern("a++", pols=[2, 1, 2]))
+    assert mismatched.scalar.coeff.is_zero()
+    assert matched.scalar.coeff == C_ONE
+    assert matched.scalar.deltas == (MomentumDelta("k1", "k3"),)
 
     with pytest.raises(WordError):
         expand_leading_annihilator(word_from_pattern("+a"))
@@ -217,17 +183,44 @@ def test_recursion_respects_generator_identity():
 # ---------------------------------------------------------------------------
 # byte identity with the plain expansion-tree walk
 
+def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
+    """Move a p-dependent scalar rightward past one generator."""
+    sign = 1 if g.dagger else -1
+    phases = tuple(
+        ContractionPhase(ph.time, ph.arg.shifted(g.k, sign), ph.weighted)
+        for ph in s.phases
+    )
+    deltas = tuple(
+        PhaseDelta(d.arg.shifted(g.k, sign)) if isinstance(d, PhaseDelta) else d
+        for d in s.deltas
+    )
+    return ScalarTerm(s.coeff, s.two_pi_power, s.lambda_power, phases, deltas)
+
+
+def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
+    """Contract annihilator x against creator y, in place, through PolDelta."""
+    arg = PhaseArg.of({Energy(x.k): 1, PDot(x.k): 1})
+    phase = ContractionPhase(TimeComb.difference(x.t, y.t), arg, weighted=True)
+    deltas = (MomentumDelta(x.k, y.k),)
+    if x.pol is not None or y.pol is not None:
+        deltas += (PolDelta(x.pol, y.pol),)
+    if any(isinstance(d, PolDelta) and d.i != d.j for d in deltas):
+        return ScalarTerm(C_ZERO)
+    deltas = tuple(d for d in deltas if not isinstance(d, PolDelta))
+    return ScalarTerm(C_ONE, 0, -2, (phase,), deltas)
+
+
 def _reference_expand(w: Word) -> list:
-    """One shift_p per generator to the right, one times() per swap."""
+    """One p-shift per generator to the right, one times() per swap."""
     lead, tail = w.gens[0], w.gens[1:]
     out = []
     for j, g in enumerate(tail):
         if not g.dagger:
             continue
-        scalar = _contraction_scalar(lead, g)
+        scalar = _reference_contraction(lead, g)
         if not scalar.coeff.is_zero():
             for other in tail[j + 1:]:
-                scalar = shift_p(scalar, other, "right")
+                scalar = _reference_shift_p(scalar, other)
             for other in tail[:j]:
                 swap = oscillation(lead.t, other.t,
                                    PhaseArg.of({Dot(lead.k, other.k): 1}),
