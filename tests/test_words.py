@@ -120,15 +120,26 @@ def test_expand_leading_annihilator_two_creators():
         TimeComb.difference("t1", "t2"), PhaseArg.of({Dot("k1", "k2"): 1}))
     assert second.scalar.deltas == (MomentumDelta("k1", "k3"),)
 
-    # polarizations: a mismatch gives a zero scalar, a match only the momentum delta
+    with pytest.raises(WordError):
+        expand_leading_annihilator(word_from_pattern("+a"))
+
+
+def test_rewrite_a_adag_polarization():
+    # the a a^dag exchange: a polarization mismatch gives a zero scalar,
+    # a match only the momentum delta
+    (mismatched,) = expand_leading_annihilator(
+        word(annihilate("t1", "k1", 1), create("t2", "k2", 2)))
+    assert mismatched.scalar.coeff.is_zero()
+    (kept,) = expand_leading_annihilator(
+        word(annihilate("t1", "k1", 2), create("t2", "k2", 2)))
+    assert kept.scalar.coeff == C_ONE
+    assert kept.scalar.deltas == (MomentumDelta("k1", "k2"),)
+
     mismatched, matched = expand_leading_annihilator(
         word_from_pattern("a++", pols=[2, 1, 2]))
     assert mismatched.scalar.coeff.is_zero()
     assert matched.scalar.coeff == C_ONE
     assert matched.scalar.deltas == (MomentumDelta("k1", "k3"),)
-
-    with pytest.raises(WordError):
-        expand_leading_annihilator(word_from_pattern("+a"))
 
 
 # ---------------------------------------------------------------------------
