@@ -8,8 +8,8 @@ and checks the limit numerically with Gaussian-smeared kernels.
 """
 
 from .scalars import (
-    ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg, PhaseDelta,
-    PolDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
+    Atom, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
+    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
     add, canonicalize, canonically_equal, conjugate, merged_exponent,
     multiply, negate, oscillation, term_signature,
 )

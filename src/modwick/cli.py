@@ -33,7 +33,7 @@ from .limits import (
 from .pairings import annotated_pairing_terms, correlator_pairing_sum
 from .scalars import canonically_equal
 from .serialize import from_json_dict, term_to_json_dict, to_json_str, to_latex
-from .verify import all_passed, report, run_all
+from .verify import MAX_N, all_passed, report, run_all
 from .words import (
     WordError, correlator_recursive, word_from_json_dict, word_from_pattern,
 )
@@ -78,7 +78,7 @@ def _load_word(path: str, expect_mode=None):
             EXIT_WORD,
             f"{path}: word has {len(w.gens)} generators, limit is {MAX_GENERATORS}")
     if expect_mode is not None:
-        actual = "polarized" if w.gens and w.gens[0].pol is not None else "scalar"
+        actual = "polarized" if w.polarized() else "scalar"
         if actual != expect_mode:
             raise CliError(
                 EXIT_WORD, f"{path}: word is {actual}, --mode asked {expect_mode}")
@@ -98,8 +98,8 @@ def _parse_lambdas(text: str) -> list:
 
 
 def _check_max_n(n: int) -> int:
-    if not 1 <= n <= 6:
-        raise CliError(EXIT_NUMERIC, f"max-n must be between 1 and 6, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise CliError(EXIT_NUMERIC, f"max-n must be between 1 and {MAX_N}, got {n}")
     return n
 
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-method suites")
     p.add_argument("--max-n", type=int, default=4,
-                   help="pattern length bound 2n (n between 1 and 6)")
+                   help=f"pattern length bound 2n (n between 1 and {MAX_N})")
     p.add_argument("--out", help="write report to this path")
     p.set_defaults(fn=cmd_verify)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (
-    Dot, Energy, MomentumDelta, PDot, PhaseArg, ScalarTerm, contraction_phases,
+    DOT, ENERGY, Atom, MomentumDelta, PhaseArg, ScalarTerm, contraction_phases,
     label_classes,
 )
 
@@ -101,16 +101,14 @@ def assignment_from_json_dict(data: dict) -> Assignment:
     return Assignment(momenta=momenta, p=_json_vec3(data["p"], "p"))
 
 
-def phase_value(atom, a: Assignment) -> float:
+def phase_value(atom: Atom, a: Assignment) -> float:
     """Numeric value of one phase atom under an assignment."""
-    if isinstance(atom, Energy):
-        k = a.vector(atom.k)
+    if atom.kind == ENERGY:
+        k = a.vector(atom.a)
         return float(a.dispersion(k)) + 0.5 * float(k @ k)
-    if isinstance(atom, Dot):
+    if atom.kind == DOT:
         return float(a.vector(atom.a) @ a.vector(atom.b))
-    if isinstance(atom, PDot):
-        return float(a.vector(atom.k) @ a.p)
-    raise TypeError(f"not a phase atom: {atom!r}")
+    return float(a.vector(atom.a) @ a.p)
 
 
 def arg_value(arg: PhaseArg, a: Assignment) -> float:
@@ -481,6 +479,7 @@ def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     Rebuilds the reduced integrand from the raw test functions on the
     surviving time variables, without the product-Gaussian rewrite.
     """
+    _require_no_deltas(term)
     weighted = contraction_phases(term)
     time_map, groups = _time_classes(term, sorted(tests))
     phase_data = [

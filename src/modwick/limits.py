@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .pairings import Pairing, enclosing_pairs
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
-    PhaseArg, PhaseDelta, PolDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
+    PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
     canonicalize, contraction_phases, label_classes, merged_exponent,
 )
 from .words import Word, contraction_arg
@@ -99,7 +99,7 @@ def correlator_wick_limit(w: Word) -> ScalarExpr:
     if match is None:
         return EXPR_ZERO
     if not w.gens:
-        return canonicalize(ScalarExpr((ScalarTerm(),)))
+        return EXPR_ONE
 
     gens = w.gens
     deltas = []
@@ -128,7 +128,7 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
     the vacuum.
     """
     if not w.gens:
-        return canonicalize(ScalarExpr((ScalarTerm(),)))
+        return EXPR_ONE
     gens = list(w.gens)
     acc = ScalarTerm()
     while True:
@@ -140,15 +140,15 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
         if site is None:
             break
         x, y = gens[site], gens[site + 1]
+        if x.pol != y.pol:
+            return EXPR_ZERO
         del gens[site:site + 2]
-        deltas = [
+        deltas = (
             MomentumDelta(x.k, y.k),
             TimeDelta(TimeComb.difference(x.t, y.t)),
             PhaseDelta(contraction_arg(x, gens[site:])),
-        ]
-        if x.pol is not None:
-            deltas.append(PolDelta(x.pol, y.pol))
-        acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), tuple(deltas)))
+        )
+        acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), deltas))
     if gens:
         return EXPR_ZERO
     return canonicalize(ScalarExpr((acc,)))

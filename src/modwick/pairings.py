@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, ScalarExpr, ScalarTerm, TimeComb, canonicalize,
+    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
+    MomentumDelta, PDot, PhaseArg, ScalarExpr, ScalarTerm, TimeComb,
+    canonicalize,
 )
 from .words import Word, WordError
 
@@ -126,7 +127,7 @@ def correlator_pairing_sum(w: Word) -> ScalarExpr:
     if w.annihilator_count() != w.creator_count():
         return EXPR_ZERO
     if not w.gens:
-        return canonicalize(ScalarExpr((ScalarTerm(),)))
+        return EXPR_ONE
     terms = [pairing_term(w, p) for p in enumerate_pairings(w)]
     terms = [t for t in terms if not t.coeff.is_zero()]
     if not terms:

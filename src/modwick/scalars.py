@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -70,86 +71,92 @@ C_ONE = RationalComplex.of(1)
 # ---------------------------------------------------------------------------
 # phase atoms
 
-@dataclass(frozen=True)
-class Energy:
-    """Shifted dispersion of a field mode: dispersion(k) + |k|^2 / 2."""
-
-    k: str
+ENERGY, DOT, PDOT = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Dot:
-    """Dot product of two field momenta, stored with a <= b."""
+class Atom(NamedTuple):
+    """One momentum atom of a phase argument.
 
+    ENERGY(a) is the shifted dispersion omega(k_a) + |k_a|^2 / 2, DOT(a, b)
+    the dot product k_a.k_b stored with a <= b, and PDOT(a) the dot
+    product k_a.p with the particle momentum.  The tuple order is the
+    order of atoms inside an argument, and str() is the stable text key.
+    """
+
+    kind: int
     a: str
-    b: str
+    b: str = ""
 
-    def __post_init__(self):
-        if self.b < self.a:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+    def __str__(self) -> str:
+        if self.kind == ENERGY:
+            return f"E({self.a})"
+        if self.kind == DOT:
+            return f"D({self.a},{self.b})"
+        return f"P({self.a})"
 
-
-@dataclass(frozen=True)
-class PDot:
-    """Dot product of a field momentum with the particle momentum p."""
-
-    k: str
-
-
-Atom = Energy | Dot | PDot
+    def renamed(self, mapping: dict) -> "Atom":
+        a = mapping.get(self.a, self.a)
+        if self.kind == DOT:
+            return Dot(a, mapping.get(self.b, self.b))
+        return Atom(self.kind, a)
 
 
-def atom_str(atom: Atom) -> str:
-    """Canonical string form, used for sorting and as a stable key."""
-    if isinstance(atom, Energy):
-        return f"E({atom.k})"
-    if isinstance(atom, Dot):
-        return f"D({atom.a},{atom.b})"
-    if isinstance(atom, PDot):
-        return f"P({atom.k})"
-    raise TypeError(f"not a phase atom: {atom!r}")
+def Energy(k: str) -> Atom:
+    return Atom(ENERGY, k)
 
 
-def _atom_rank(atom: Atom) -> tuple:
-    if isinstance(atom, Energy):
-        return (0, atom.k, "")
-    if isinstance(atom, Dot):
-        return (1, atom.a, atom.b)
-    return (2, atom.k, "")
+def Dot(a: str, b: str) -> Atom:
+    return Atom(DOT, a, b) if a <= b else Atom(DOT, b, a)
 
 
-def _substitute_atom(atom: Atom, mapping: dict) -> Atom:
-    if isinstance(atom, Energy):
-        return Energy(mapping.get(atom.k, atom.k))
-    if isinstance(atom, Dot):
-        return Dot(mapping.get(atom.a, atom.a), mapping.get(atom.b, atom.b))
-    return PDot(mapping.get(atom.k, atom.k))
+def PDot(k: str) -> Atom:
+    return Atom(PDOT, k)
 
 
 # ---------------------------------------------------------------------------
 # integer combinations
 
-def _norm_time_items(acc: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-
-
-def _norm_arg_items(acc: dict) -> tuple:
-    items = [(a, c) for a, c in acc.items() if c != 0]
-    items.sort(key=lambda it: _atom_rank(it[0]))
-    return tuple(items)
-
-
 @dataclass(frozen=True)
-class TimeComb:
-    """Integer combination of time labels, e.g. t1 - t2."""
+class _Comb:
+    """Integer combination of labels or atoms, sorted, zero entries dropped."""
 
     items: tuple = ()
 
     @staticmethod
-    def of(mapping: dict) -> "TimeComb":
-        return TimeComb(_norm_time_items(dict(mapping)))
+    def _norm_items(acc: dict) -> tuple:
+        return tuple(sorted((x, c) for x, c in acc.items() if c != 0))
+
+    @staticmethod
+    def _renamed(x, mapping: dict):
+        return mapping.get(x, x)
+
+    @classmethod
+    def of(cls, mapping: dict):
+        return cls(cls._norm_items(dict(mapping)))
+
+    def plus(self, other):
+        acc = dict(self.items)
+        for x, c in other.items:
+            acc[x] = acc.get(x, 0) + c
+        return type(self)(self._norm_items(acc))
+
+    def negated(self):
+        return type(self)(tuple((x, -c) for x, c in self.items))
+
+    def is_zero(self) -> bool:
+        return not self.items
+
+    def substituted(self, mapping: dict):
+        """Rename momentum or time labels, summing entries that coincide."""
+        acc: dict = {}
+        for x, c in self.items:
+            x = self._renamed(x, mapping)
+            acc[x] = acc.get(x, 0) + c
+        return type(self)(self._norm_items(acc))
+
+
+class TimeComb(_Comb):
+    """Integer combination of time labels, e.g. t1 - t2."""
 
     @staticmethod
     def difference(t_plus: str, t_minus: str) -> "TimeComb":
@@ -158,83 +165,14 @@ class TimeComb:
         acc[t_minus] = acc.get(t_minus, 0) - 1
         return TimeComb.of(acc)
 
-    def negated(self) -> "TimeComb":
-        return TimeComb(tuple((t, -c) for t, c in self.items))
-
-    def is_zero(self) -> bool:
-        return not self.items
-
     def labels(self) -> set:
         return {t for t, _ in self.items}
 
-    def substituted(self, mapping: dict) -> "TimeComb":
-        acc: dict = {}
-        for t, c in self.items:
-            key = mapping.get(t, t)
-            acc[key] = acc.get(key, 0) + c
-        return TimeComb.of(acc)
 
-    def key(self) -> tuple:
-        return self.items
-
-
-@dataclass(frozen=True)
-class PhaseArg:
+class PhaseArg(_Comb):
     """Integer combination of momentum atoms, e.g. E(k1) + P(k1) + D(k1,k2)."""
 
-    items: tuple = ()
-
-    @staticmethod
-    def of(mapping: dict) -> "PhaseArg":
-        acc: dict = {}
-        for a, c in dict(mapping).items():
-            acc[a] = acc.get(a, 0) + c
-        return PhaseArg(_norm_arg_items(acc))
-
-    def as_dict(self) -> dict:
-        return dict(self.items)
-
-    def plus(self, other: "PhaseArg") -> "PhaseArg":
-        acc = dict(self.items)
-        for a, c in other.items:
-            acc[a] = acc.get(a, 0) + c
-        return PhaseArg(_norm_arg_items(acc))
-
-    def negated(self) -> "PhaseArg":
-        return PhaseArg(tuple((a, -c) for a, c in self.items))
-
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def momentum_labels(self) -> set:
-        out = set()
-        for a, _ in self.items:
-            if isinstance(a, Energy):
-                out.add(a.k)
-            elif isinstance(a, Dot):
-                out.update((a.a, a.b))
-            else:
-                out.add(a.k)
-        return out
-
-    def substituted(self, mapping: dict) -> "PhaseArg":
-        acc: dict = {}
-        for a, c in self.items:
-            sub = _substitute_atom(a, mapping)
-            acc[sub] = acc.get(sub, 0) + c
-        return PhaseArg(_norm_arg_items(acc))
-
-    def shifted(self, momentum: str, sign: int) -> "PhaseArg":
-        """Shift every particle-momentum atom k.p by sign * k.momentum."""
-        acc: dict = dict(self.items)
-        for a, c in self.items:
-            if isinstance(a, PDot):
-                d = Dot(a.k, momentum)
-                acc[d] = acc.get(d, 0) + sign * c
-        return PhaseArg(_norm_arg_items(acc))
-
-    def key(self) -> tuple:
-        return tuple((atom_str(a), c) for a, c in self.items)
+    _renamed = staticmethod(Atom.renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +187,8 @@ class ContractionPhase:
     weighted: bool = False
 
     def key(self) -> tuple:
-        return (0 if self.weighted else 1, self.time.key(), self.arg.key())
+        return (0 if self.weighted else 1, self.time.items,
+                tuple((str(a), c) for a, c in self.arg.items))
 
 
 def oscillation(t_from: str, t_to: str, arg: PhaseArg, power: int = 1,
@@ -306,21 +245,7 @@ class PhaseDelta:
             object.__setattr__(self, "arg", self.arg.negated())
 
 
-@dataclass(frozen=True)
-class PolDelta:
-    """Kronecker delta on two concrete polarization indices."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.j < self.i:
-            i, j = self.i, self.j
-            object.__setattr__(self, "i", j)
-            object.__setattr__(self, "j", i)
-
-
-Delta = MomentumDelta | TimeDelta | PhaseDelta | PolDelta
+Delta = MomentumDelta | TimeDelta | PhaseDelta
 
 
 def delta_key(d: Delta) -> tuple:
@@ -328,9 +253,7 @@ def delta_key(d: Delta) -> tuple:
         return (0, d.a, d.b)
     if isinstance(d, TimeDelta):
         return (1, ";".join(f"{t}:{c}" for t, c in d.comb.items), "")
-    if isinstance(d, PhaseDelta):
-        return (2, ";".join(f"{atom_str(a)}:{c}" for a, c in d.arg.items), "")
-    return (3, str(d.i), str(d.j))
+    return (2, ";".join(f"{a}:{c}" for a, c in d.arg.items), "")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +325,7 @@ def merged_exponent(term: ScalarTerm) -> dict:
 
 
 def _merged_key(term: ScalarTerm) -> tuple:
-    items = [((t, atom_str(a)), c) for (t, a), c in merged_exponent(term).items()]
+    items = [((t, str(a)), c) for (t, a), c in merged_exponent(term).items()]
     items.sort()
     return tuple(items)
 
@@ -523,20 +446,14 @@ def _canonical_term(term: ScalarTerm):
     if term.coeff.is_zero():
         return None
 
-    deltas = []
-    for d in term.deltas:
-        if isinstance(d, PolDelta):
-            if d.i != d.j:
-                return None
-            continue  # equal concrete indices multiply by one
-        deltas.append(d)
-
-    momentum, others, subst = _canonical_deltas_and_subst(deltas)
-    if subst:
-        others = [
-            PhaseDelta(d.arg.substituted(subst)) if isinstance(d, PhaseDelta) else d
-            for d in others
-        ]
+    momentum, others, subst = _canonical_deltas_and_subst(term.deltas)
+    for i, d in enumerate(others if subst else ()):
+        if isinstance(d, PhaseDelta):
+            arg = d.arg.substituted(subst)
+            # an argument the identification cancels leaves delta(0), which
+            # has no value to normalize to: that factor is kept as written
+            if not arg.is_zero():
+                others[i] = PhaseDelta(arg)
     all_deltas = tuple(sorted(momentum + others, key=delta_key))
     phases = _clean_phases(term.phases, subst)
     return ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,

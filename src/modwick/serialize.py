@@ -12,9 +12,8 @@ import json
 from fractions import Fraction
 
 from .scalars import (
-    Atom, ContractionPhase, Delta, Dot, Energy, MomentumDelta, PDot, PhaseArg,
-    PhaseDelta, PolDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb,
-    TimeDelta,
+    DOT, ENERGY, Atom, ContractionPhase, Delta, Dot, MomentumDelta, PhaseArg,
+    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
 )
 
 
@@ -39,22 +38,21 @@ def _json_fraction(pair) -> Fraction:
     return Fraction(_json_int(num, "coefficient"), _json_int(den, "coefficient"))
 
 
+_ATOM_KINDS = ("energy", "dot", "pdot")  # JSON name of each Atom kind
+
+
 def _atom_to_json(atom: Atom) -> dict:
-    if isinstance(atom, Energy):
-        return {"kind": "energy", "k": atom.k}
-    if isinstance(atom, Dot):
+    if atom.kind == DOT:
         return {"kind": "dot", "a": atom.a, "b": atom.b}
-    return {"kind": "pdot", "k": atom.k}
+    return {"kind": _ATOM_KINDS[atom.kind], "k": atom.a}
 
 
 def _atom_from_json(d: dict) -> Atom:
     kind = d["kind"]
-    if kind == "energy":
-        return Energy(_json_label(d["k"]))
     if kind == "dot":
         return Dot(_json_label(d["a"]), _json_label(d["b"]))
-    if kind == "pdot":
-        return PDot(_json_label(d["k"]))
+    if kind in ("energy", "pdot"):
+        return Atom(_ATOM_KINDS.index(kind), _json_label(d["k"]))
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
@@ -87,9 +85,7 @@ def _delta_to_json(d: Delta) -> dict:
         return {"kind": "momentum", "a": d.a, "b": d.b}
     if isinstance(d, TimeDelta):
         return {"kind": "time", "comb": _time_to_json(d.comb)}
-    if isinstance(d, PhaseDelta):
-        return {"kind": "phase", "arg": _arg_to_json(d.arg)}
-    return {"kind": "pol", "i": d.i, "j": d.j}
+    return {"kind": "phase", "arg": _arg_to_json(d.arg)}
 
 
 def _delta_from_json(d: dict) -> Delta:
@@ -100,9 +96,6 @@ def _delta_from_json(d: dict) -> Delta:
         return TimeDelta(_time_from_json(d["comb"]))
     if kind == "phase":
         return PhaseDelta(_arg_from_json(d["arg"]))
-    if kind == "pol":
-        return PolDelta(_json_int(d["i"], "pol index"),
-                        _json_int(d["j"], "pol index"))
     raise ValueError(f"unknown delta kind: {kind!r}")
 
 
@@ -170,11 +163,11 @@ def _label_tex(label: str) -> str:
 
 
 def _atom_tex(atom: Atom) -> str:
-    if isinstance(atom, Energy):
-        return rf"\tilde{{\omega}}({_label_tex(atom.k)})"
-    if isinstance(atom, Dot):
+    if atom.kind == ENERGY:
+        return rf"\tilde{{\omega}}({_label_tex(atom.a)})"
+    if atom.kind == DOT:
         return rf"{_label_tex(atom.a)} \cdot {_label_tex(atom.b)}"
-    return rf"{_label_tex(atom.k)} \cdot p"
+    return rf"{_label_tex(atom.a)} \cdot p"
 
 
 def _signed_sum(parts: list) -> str:
@@ -214,9 +207,7 @@ def _delta_tex(d: Delta) -> str:
         return rf"\delta({_label_tex(d.a)} - {_label_tex(d.b)})"
     if isinstance(d, TimeDelta):
         return rf"\delta({_time_tex(d.comb)})"
-    if isinstance(d, PhaseDelta):
-        return rf"\delta\!\left({_arg_tex(d.arg)}\right)"
-    return rf"\delta_{{{d.i}{d.j}}}"
+    return rf"\delta\!\left({_arg_tex(d.arg)}\right)"
 
 
 def _coeff_tex(c: RationalComplex) -> str:

@@ -257,11 +257,13 @@ def suite_swap_consistency(max_n: int, recursive=None) -> SuiteResult:
     return SuiteResult("swap-consistency", cases, failures)
 
 
-def run_all(max_n: int, catalan_n: int = None) -> list:
+MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
+
+
+def run_all(max_n: int) -> list:
     """All suites at the given size bound, in fixed order."""
-    if not 1 <= max_n <= 6:
-        raise ValueError("max_n must be between 1 and 6")
-    cn = max_n if catalan_n is None else catalan_n
+    if not 1 <= max_n <= MAX_N:
+        raise ValueError(f"max_n must be between 1 and {MAX_N}")
     # one sub-word memo for every recursion of this run; the closed form
     # and the limit routes never see it
     memo: dict = {}
@@ -272,7 +274,7 @@ def run_all(max_n: int, catalan_n: int = None) -> list:
     return [
         suite_closed_form_vs_recursion(max_n, recursive=recursive),
         suite_limit_triple_agreement(max_n),
-        suite_catalan_count(cn),
+        suite_catalan_count(max_n),
         suite_noncrossing_uniqueness(max_n),
         suite_pairing_existence(max_n),
         suite_block_word_count(max_n),

@@ -10,12 +10,14 @@ configuration that does decay quadratically.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import modwick
 from modwick.kernels import (
     STANDARD_GAUSSIAN, delta_kernel, delta_kernel_target, fit_loglog_slope,
     term_convergence,
@@ -131,10 +133,13 @@ def test_criterion_7_cli_outputs_are_byte_identical_across_runs(tmp_path):
         '{"momenta": {"k1": [1.0, 0.0, 0.0], "k2": [1.0, 1.0, 0.0]},'
         ' "p": [0.0, 0.0, 0.0]}\n', encoding="utf-8")
 
+    src = os.path.dirname(os.path.dirname(modwick.__file__))
+
     def run(argv):
         proc = subprocess.run(
             [sys.executable, "-m", "modwick.cli", *argv],
-            capture_output=True, check=True)
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            check=True)
         return proc.stdout
 
     verify_runs = {run(["verify", "--max-n", "2"]) for _ in range(2)}

@@ -323,6 +323,16 @@ def test_render_rejects_zero_denominator(cli_run, write_json):
     assert "bad expression data" in err and err.count("\n") == 1
 
 
+def test_render_rejects_polarization_delta(cli_run, write_json):
+    # polarizations never reach an expression: a mismatch zeroes the term
+    path = write_json("pol.json", {"terms": [{
+        "coeff": [[1, 1], [0, 1]], "two_pi_power": 0, "lambda_power": 0,
+        "phases": [], "deltas": [{"kind": "pol", "i": 1, "j": 1}]}]})
+    code, out, err = cli_run(["render", path])
+    assert code == 2 and out == ""
+    assert "unknown delta kind" in err and err.count("\n") == 1
+
+
 def _expr_file(write_json, name, time=(("t1", 1), ("t2", -1)), arg=None,
                weighted=False, two_pi_power=0, lambda_power=0):
     energy = {"kind": "energy", "k": "k1"}

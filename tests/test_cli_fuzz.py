@@ -32,12 +32,13 @@ junk = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
 
-_pol_term = {"coeff": [[1, 1], [0, 1]], "two_pi_power": 1, "lambda_power": 0,
-             "phases": [], "deltas": [{"kind": "pol", "i": 1, "j": 1}]}
+_rational_term = {"coeff": [[-3, 7], [1, 2]], "two_pi_power": 1,
+                  "lambda_power": 0, "phases": [],
+                  "deltas": [{"kind": "time", "comb": [["t1", 1], ["t2", -1]]}]}
 EXPRESSIONS = [
     to_json_dict(correlator_recursive(word_from_pattern("aa++"))),
     to_json_dict(correlator_wick_limit(word_from_pattern("aa++"))),
-    {"terms": [_pol_term]},
+    {"terms": [_rational_term]},
 ]
 WORDS = [word_to_json_dict(word_from_pattern(p, pols))
          for p, pols in (("aa++", None), ("a+a+", None), ("aa+a++", None),

@@ -328,6 +328,12 @@ def test_term_convergence_validation(study_setup):
                                  weighted=True),))
     with pytest.raises(ValueError):
         term_convergence(bad_weight, {"t1": STD, "t2": STD}, a, [1.0])
+    # a term with deltas left: the grid companion smeared it anyway
+    (ann,) = annotated_pairing_terms(word_from_pattern("a+"))
+    with pytest.raises(ValueError, match="delta factors"):
+        term_convergence(ann.term, {"t1": STD, "t2": STD}, a, [1.0])
+    with pytest.raises(ValueError, match="delta factors"):
+        term_convergence_quadrature(ann.term, {"t1": STD, "t2": STD}, a, 1.0)
 
 
 def test_orthogonal_momenta_turn_off_the_crossing_suppression():

@@ -179,6 +179,15 @@ def test_polarization_mismatch_kills_limit():
         == correlator_wick_limit(word_from_pattern("aa++"))
 
 
+def test_rewrite_limit_kills_polarization_mismatch():
+    # the contracted pair itself mismatches: no Kronecker delta is kept
+    assert correlator_limit_rewrite(
+        word_from_pattern("a+", pols=[1, 2])) == EXPR_ZERO
+    matched = word_from_pattern("a+", pols=[2, 2])
+    assert correlator_limit_rewrite(matched) == correlator_wick_limit(matched)
+    assert correlator_limit_rewrite(matched) != EXPR_ZERO
+
+
 def test_empty_and_unbalanced_words():
     assert correlator_wick_limit(word()) == EXPR_ONE
     assert correlator_limit_rewrite(word()) == EXPR_ONE

@@ -9,8 +9,8 @@ import pytest
 
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
-    ContractionPhase, Dot, Energy, EXPR_ZERO, PDot, PhaseArg, PolDelta,
-    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, oscillation,
+    Dot, EXPR_ZERO, PhaseArg, RationalComplex, ScalarExpr, ScalarTerm,
+    TERM_ONE, TimeComb, TimeDelta, oscillation,
 )
 from modwick.serialize import (
     from_json_dict, from_json_str, term_to_latex, to_json_dict, to_json_str,
@@ -25,11 +25,11 @@ SAMPLE_EXPRS = [
     correlator_recursive(word_from_pattern("a+")),
     correlator_recursive(word_from_pattern("aa++")),
     correlator_wick_limit(word_from_pattern("aaa+++")),
-    # raw unnormalized content, including a polarization delta
+    # raw unnormalized content with a rational coefficient
     ScalarExpr((ScalarTerm(
         RationalComplex.of(Fraction(-3, 7), Fraction(1, 2)), 2, -4,
         (oscillation("t2", "t1", PhaseArg.of({Dot("k1", "k2"): 2}), power=-1),),
-        (PolDelta(1, 2),)),)),
+        (TimeDelta(TimeComb.difference("t1", "t3")),)),)),
 ]
 
 
@@ -89,8 +89,6 @@ def test_latex_edge_cases():
     assert to_latex(EXPR_ZERO) == "0"
     assert term_to_latex(TERM_ONE) == "1"
     assert term_to_latex(ScalarTerm(two_pi_power=1)) == r"2\pi"
-    assert term_to_latex(ScalarTerm(deltas=(PolDelta(1, 2),))) \
-        == r"\delta_{12}"
     coeff = RationalComplex.of(Fraction(1, 2), Fraction(-1, 3))
     rendered = term_to_latex(ScalarTerm(coeff=coeff))
     assert r"\tfrac{1}{2}" in rendered and r"\tfrac{-1}{3}i" in rendered

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
-    MomentumDelta, PDot, PhaseArg, PhaseDelta, PolDelta, ScalarExpr, ScalarTerm,
+    C_ONE, C_ZERO, PDOT, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
+    MomentumDelta, PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm,
     TERM_ONE, TimeComb, _canonical_term, _term_sort_key, canonically_equal,
     oscillation, term_signature,
 )
@@ -194,31 +194,39 @@ def test_recursion_respects_generator_identity():
 # ---------------------------------------------------------------------------
 # byte identity with the plain expansion-tree walk
 
+def _reference_shifted(arg: PhaseArg, momentum: str, sign: int) -> PhaseArg:
+    """Shift every particle-momentum atom k.p by sign * k.momentum."""
+    acc = dict(arg.items)
+    for a, c in arg.items:
+        if a.kind == PDOT:
+            d = Dot(a.a, momentum)
+            acc[d] = acc.get(d, 0) + sign * c
+    return PhaseArg.of(acc)
+
+
 def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
     """Move a p-dependent scalar rightward past one generator."""
     sign = 1 if g.dagger else -1
     phases = tuple(
-        ContractionPhase(ph.time, ph.arg.shifted(g.k, sign), ph.weighted)
+        ContractionPhase(ph.time, _reference_shifted(ph.arg, g.k, sign),
+                         ph.weighted)
         for ph in s.phases
     )
     deltas = tuple(
-        PhaseDelta(d.arg.shifted(g.k, sign)) if isinstance(d, PhaseDelta) else d
+        PhaseDelta(_reference_shifted(d.arg, g.k, sign))
+        if isinstance(d, PhaseDelta) else d
         for d in s.deltas
     )
     return ScalarTerm(s.coeff, s.two_pi_power, s.lambda_power, phases, deltas)
 
 
 def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
-    """Contract annihilator x against creator y, in place, through PolDelta."""
+    """Contract annihilator x against creator y, in place."""
+    if x.pol != y.pol:
+        return ScalarTerm(C_ZERO)
     arg = PhaseArg.of({Energy(x.k): 1, PDot(x.k): 1})
     phase = ContractionPhase(TimeComb.difference(x.t, y.t), arg, weighted=True)
-    deltas = (MomentumDelta(x.k, y.k),)
-    if x.pol is not None or y.pol is not None:
-        deltas += (PolDelta(x.pol, y.pol),)
-    if any(isinstance(d, PolDelta) and d.i != d.j for d in deltas):
-        return ScalarTerm(C_ZERO)
-    deltas = tuple(d for d in deltas if not isinstance(d, PolDelta))
-    return ScalarTerm(C_ONE, 0, -2, (phase,), deltas)
+    return ScalarTerm(C_ONE, 0, -2, (phase,), (MomentumDelta(x.k, y.k),))
 
 
 def _reference_expand(w: Word) -> list:
