@@ -38,8 +38,6 @@ from .words import (
     WordError, correlator_recursive, word_from_json_dict, word_from_pattern,
 )
 
-MAX_GENERATORS = 12
-
 EXIT_PARSE = 2
 EXIT_WORD = 3
 EXIT_NUMERIC = 4
@@ -73,10 +71,6 @@ def _load_word(path: str, expect_mode=None):
         w = word_from_json_dict(data)
     except WordError as e:
         raise CliError(EXIT_WORD, f"{path}: {e}") from None
-    if len(w.gens) > MAX_GENERATORS:
-        raise CliError(
-            EXIT_WORD,
-            f"{path}: word has {len(w.gens)} generators, limit is {MAX_GENERATORS}")
     if expect_mode is not None:
         actual = "polarized" if w.polarized() else "scalar"
         if actual != expect_mode:

@@ -56,6 +56,8 @@ def noncrossing_match(w: Word):
 def _limit_term(term: ScalarTerm):
     """Apply the singular-limit map to one canonicalized structural term."""
     weighted = contraction_phases(term)
+    if any(ph.arg.is_zero() for ph in weighted):
+        raise ValueError("weighted phase with zero argument has no limit")
     time_map = label_classes(ph.time.labels() for ph in weighted)
 
     # a residual oscillation with nonzero exponent kills the term

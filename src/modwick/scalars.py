@@ -21,7 +21,7 @@ layer assigns concrete vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -134,12 +134,6 @@ class _Comb:
     def of(cls, mapping: dict):
         return cls(cls._norm_items(dict(mapping)))
 
-    def plus(self, other):
-        acc = dict(self.items)
-        for x, c in other.items:
-            acc[x] = acc.get(x, 0) + c
-        return type(self)(self._norm_items(acc))
-
     def negated(self):
         return type(self)(tuple((x, -c) for x, c in self.items))
 
@@ -160,10 +154,10 @@ class TimeComb(_Comb):
 
     @staticmethod
     def difference(t_plus: str, t_minus: str) -> "TimeComb":
-        # not a dict literal: equal labels must cancel, not overwrite
-        acc = {t_plus: 1}
-        acc[t_minus] = acc.get(t_minus, 0) - 1
-        return TimeComb.of(acc)
+        if t_plus == t_minus:  # equal labels cancel
+            return TimeComb()
+        items = ((t_plus, 1), (t_minus, -1))
+        return TimeComb(items if t_plus < t_minus else items[::-1])
 
     def labels(self) -> set:
         return {t for t, _ in self.items}
@@ -352,13 +346,11 @@ def _term_sort_key(term: ScalarTerm) -> tuple:
 @dataclass(frozen=True)
 class ScalarExpr:
     terms: tuple = ()
+    # set by canonicalize alone, so no constructor can claim it
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-EXPR_ZERO = ScalarExpr(())
-EXPR_ONE = ScalarExpr((TERM_ONE,))
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +405,30 @@ def _clean_phases(phases, subst) -> tuple:
     """Apply momentum substitutions, drop trivial factors, merge oscillations.
 
     Unweighted phases over the same (sign-fixed) time combination multiply
-    into a single factor; weighted phases keep their produced shape since
-    the limit map reads them structurally.
+    into a single factor, summed atom by atom in one map; weighted phases
+    keep their produced shape, even when their argument cancels, since the
+    limit map reads them structurally and each carries a 1/lambda^2.
     """
     weighted = []
-    merged: dict = {}
+    merged: dict = {}  # sign-fixed time -> {renamed atom: coefficient}
     for ph in phases:
-        arg = ph.arg.substituted(subst) if subst else ph.arg
-        if ph.time.is_zero() or arg.is_zero():
-            continue
         if ph.weighted:
+            arg = ph.arg.substituted(subst) if subst else ph.arg
             weighted.append(ContractionPhase(ph.time, arg, True))
-            continue
-        time = ph.time
-        if time.items[0][1] < 0:
-            time = time.negated()
-            arg = arg.negated()
-        merged[time] = merged.get(time, PhaseArg()).plus(arg)
+        elif not ph.time.is_zero():
+            time, sign = ph.time, 1
+            if time.items[0][1] < 0:
+                time, sign = time.negated(), -1
+            acc = merged.setdefault(time, {})
+            for a, c in ph.arg.items:
+                a = a.renamed(subst) if subst else a
+                acc[a] = acc.get(a, 0) + sign * c
 
-    unweighted = [
-        ContractionPhase(time, arg, False)
-        for time, arg in merged.items()
-        if not arg.is_zero()
-    ]
-    out = weighted + unweighted
+    out = weighted
+    for time, acc in merged.items():
+        arg = PhaseArg.of(acc)
+        if not arg.is_zero():
+            out.append(ContractionPhase(time, arg, False))
     out.sort(key=lambda ph: ph.key())
     return tuple(out)
 
@@ -460,13 +452,17 @@ def _canonical_term(term: ScalarTerm):
                       phases, all_deltas)
 
 
-def _keyed_canonical(expr: ScalarExpr) -> list:
-    """Canonical terms, sorted and merged, each paired with its signature.
+def canonicalize(expr: ScalarExpr) -> ScalarExpr:
+    """Canonical form: substitutions applied, like terms combined, sorted.
 
-    Every term is keyed once: the sort key is computed per canonical term
-    and like terms merge by comparing the signature stored with the head
-    of their run, which a merge leaves unchanged.
+    Idempotent, and insensitive to the order in which momentum deltas were
+    recorded since label identification runs through a union-find with the
+    smallest label as representative.  Each term's sort key, signature
+    included, is computed once.  The result is marked canonical, and a
+    marked input is returned as it is.
     """
+    if expr.canonical:
+        return expr
     keyed = []
     for term in expr.terms:
         ct = _canonical_term(term)
@@ -484,18 +480,13 @@ def _keyed_canonical(expr: ScalarExpr) -> list:
                                             prev.phases, prev.deltas))
         else:
             combined.append((sig, term))
-    return [(sig, t) for sig, t in combined if not t.coeff.is_zero()]
+    out = ScalarExpr(tuple(t for _, t in combined if not t.coeff.is_zero()))
+    object.__setattr__(out, "canonical", True)
+    return out
 
 
-def canonicalize(expr: ScalarExpr) -> ScalarExpr:
-    """Canonical form: substitutions applied, like terms combined, sorted.
-
-    Idempotent, and insensitive to the order in which momentum deltas were
-    recorded since label identification runs through a union-find with the
-    smallest label as representative.  Each term's sort key, signature
-    included, is computed once.
-    """
-    return ScalarExpr(tuple(t for _, t in _keyed_canonical(expr)))
+EXPR_ZERO = canonicalize(ScalarExpr(()))
+EXPR_ONE = canonicalize(ScalarExpr((TERM_ONE,)))
 
 
 def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -515,10 +506,17 @@ def conjugate(e: ScalarExpr) -> ScalarExpr:
     return canonicalize(ScalarExpr(tuple(t.conjugated() for t in e.terms)))
 
 
+def _term_identity(term: ScalarTerm) -> tuple:
+    """term_signature of a canonical term, whose deltas are already in
+    delta_key order, with the merged exponent as a set: no str, no sort."""
+    return (term.lambda_power, term.two_pi_power, term.deltas,
+            frozenset(merged_exponent(term).items()))
+
+
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
     """Semantic equality: same canonical terms with the same coefficients."""
-    # canonical terms come out in signature order with distinct signatures
-    def keys(e):
-        return [(sig, t.coeff) for sig, t in _keyed_canonical(e)]
+    # canonical terms have distinct signatures, so no identity repeats
+    def coeffs(e):
+        return {_term_identity(t): t.coeff for t in canonicalize(e).terms}
 
-    return keys(a) == keys(b)
+    return coeffs(a) == coeffs(b)

@@ -67,6 +67,11 @@ def _build(pattern: str, mode: str) -> Word:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _words(max_n: int) -> dict:
+    """Every (pattern, mode) word a suite of this size bound reads."""
+    return {(p, m): _build(p, m) for p in patterns_up_to(2 * max_n) for m in MODES}
+
+
 def _dump(e: ScalarExpr) -> str:
     return json.dumps(to_json_dict(e), separators=(",", ":"))
 
@@ -78,17 +83,18 @@ def _mismatch(pattern: str, mode: str, left_name: str, left: ScalarExpr,
             f"  {right_name}: {_dump(right)}")
 
 
-def suite_closed_form_vs_recursion(max_n: int, recursive=None,
-                                   closed=None) -> SuiteResult:
+def suite_closed_form_vs_recursion(max_n: int, recursive=None, closed=None,
+                                   words=None) -> SuiteResult:
     """The pairing-sum closed form must reproduce the rewrite recursion."""
     recursive = recursive or correlator_recursive
     closed = closed or correlator_pairing_sum
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
         for mode in MODES:
             cases += 1
-            w = _build(pattern, mode)
+            w = words[pattern, mode]
             a = recursive(w)
             b = closed(w)
             if not canonically_equal(a, b):
@@ -98,18 +104,19 @@ def suite_closed_form_vs_recursion(max_n: int, recursive=None,
 
 
 def suite_limit_triple_agreement(max_n: int, closed=None, limit_map=None,
-                                 wick=None, rewrite=None) -> SuiteResult:
+                                 wick=None, rewrite=None, words=None) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
     closed = closed or correlator_pairing_sum
     limit_map = limit_map or limit_of_pairing_sum
     wick = wick or correlator_wick_limit
     rewrite = rewrite or correlator_limit_rewrite
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
         for mode in MODES:
             cases += 1
-            w = _build(pattern, mode)
+            w = words[pattern, mode]
             a = limit_map(closed(w))
             b = wick(w)
             c = rewrite(w)
@@ -125,15 +132,16 @@ def suite_limit_triple_agreement(max_n: int, closed=None, limit_map=None,
 CATALAN = (1, 2, 5, 14, 42, 132)
 
 
-def suite_catalan_count(max_n: int, wick=None) -> SuiteResult:
+def suite_catalan_count(max_n: int, wick=None, words=None) -> SuiteResult:
     """Counts of patterns with nonzero limit, against the Catalan numbers."""
     wick = wick or correlator_wick_limit
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for n in range(1, max_n + 1):
         cases += 1
         live = [p for p in patterns_up_to(2 * n)
-                if len(p) == 2 * n and not wick(_build(p, "scalar")).is_zero()]
+                if len(p) == 2 * n and not wick(words[p, "scalar"]).is_zero()]
         expect = CATALAN[n - 1]
         if len(live) != expect:
             failures.append(
@@ -141,17 +149,18 @@ def suite_catalan_count(max_n: int, wick=None) -> SuiteResult:
     return SuiteResult("catalan-count", cases, failures)
 
 
-def suite_noncrossing_uniqueness(max_n: int) -> SuiteResult:
+def suite_noncrossing_uniqueness(max_n: int, words=None) -> SuiteResult:
     """Each pattern admits at most one crossing-free pairing.
 
     The stack-scan match must agree with brute-force filtering, and a
     pairing set is nonempty exactly when a crossing-free pairing exists.
     """
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
         cases += 1
-        w = _build(pattern, "scalar")
+        w = words[pattern, "scalar"]
         all_pairings = enumerate_pairings(w)
         flat = [p for p in all_pairings if crossing_count(p) == 0]
         match = noncrossing_match(w)
@@ -179,13 +188,14 @@ def _bracket_balanced(w: Word) -> bool:
     return depth == 0
 
 
-def suite_pairing_existence(max_n: int) -> SuiteResult:
+def suite_pairing_existence(max_n: int, words=None) -> SuiteResult:
     """Pairings exist exactly for bracket-balanced reversed words."""
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
         cases += 1
-        w = _build(pattern, "scalar")
+        w = words[pattern, "scalar"]
         has = bool(enumerate_pairings(w))
         ok = _bracket_balanced(w)
         if has != ok:
@@ -195,28 +205,30 @@ def suite_pairing_existence(max_n: int) -> SuiteResult:
     return SuiteResult("pairing-existence", cases, failures)
 
 
-def suite_block_word_count(max_n: int) -> SuiteResult:
+def suite_block_word_count(max_n: int, words=None) -> SuiteResult:
     """The all-annihilators-then-all-creators word has n! pairings."""
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for n in range(1, max_n + 1):
         cases += 1
-        w = _build("a" * n + "+" * n, "scalar")
+        w = words["a" * n + "+" * n, "scalar"]
         got = len(enumerate_pairings(w))
         if got != math.factorial(n):
             failures.append(f"n={n}: {got} pairings, expected {math.factorial(n)}")
     return SuiteResult("block-word-count", cases, failures)
 
 
-def suite_adjoint_symmetry(max_n: int, recursive=None) -> SuiteResult:
+def suite_adjoint_symmetry(max_n: int, recursive=None, words=None) -> SuiteResult:
     """Vacuum expectation of the adjoint word = complex conjugate."""
     recursive = recursive or correlator_recursive
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
         for mode in ("scalar", "cyclic"):
             cases += 1
-            w = _build(pattern, mode)
+            w = words[pattern, mode]
             a = recursive(adjoint(w))
             b = conjugate(recursive(w))
             if not canonically_equal(a, b):
@@ -225,7 +237,7 @@ def suite_adjoint_symmetry(max_n: int, recursive=None) -> SuiteResult:
     return SuiteResult("adjoint-symmetry", cases, failures)
 
 
-def suite_swap_consistency(max_n: int, recursive=None) -> SuiteResult:
+def suite_swap_consistency(max_n: int, recursive=None, words=None) -> SuiteResult:
     """Swapping adjacent annihilators costs exactly one inverse oscillation.
 
     The state is only well defined on the quotient by the exchange
@@ -233,6 +245,7 @@ def suite_swap_consistency(max_n: int, recursive=None) -> SuiteResult:
     must differ by the explicit scalar factor and nothing else.
     """
     recursive = recursive or correlator_recursive
+    words = words or _words(max_n)
     cases = 0
     failures = []
     for pattern in patterns_up_to(2 * max_n):
@@ -240,7 +253,7 @@ def suite_swap_consistency(max_n: int, recursive=None) -> SuiteResult:
         if site < 0:
             continue
         cases += 1
-        w = _build(pattern, "scalar")
+        w = words[pattern, "scalar"]
         gens = list(w.gens)
         x, y = gens[site], gens[site + 1]
         gens[site], gens[site + 1] = y, x
@@ -267,19 +280,20 @@ def run_all(max_n: int) -> list:
     # one sub-word memo for every recursion of this run; the closed form
     # and the limit routes never see it
     memo: dict = {}
+    words = _words(max_n)
 
     def recursive(w: Word) -> ScalarExpr:
         return correlator_recursive(w, memo)
 
     return [
-        suite_closed_form_vs_recursion(max_n, recursive=recursive),
-        suite_limit_triple_agreement(max_n),
-        suite_catalan_count(max_n),
-        suite_noncrossing_uniqueness(max_n),
-        suite_pairing_existence(max_n),
-        suite_block_word_count(max_n),
-        suite_adjoint_symmetry(max_n, recursive=recursive),
-        suite_swap_consistency(max_n, recursive=recursive),
+        suite_closed_form_vs_recursion(max_n, recursive=recursive, words=words),
+        suite_limit_triple_agreement(max_n, words=words),
+        suite_catalan_count(max_n, words=words),
+        suite_noncrossing_uniqueness(max_n, words=words),
+        suite_pairing_existence(max_n, words=words),
+        suite_block_word_count(max_n, words=words),
+        suite_adjoint_symmetry(max_n, recursive=recursive, words=words),
+        suite_swap_consistency(max_n, recursive=recursive, words=words),
     ]
 
 

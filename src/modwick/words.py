@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from .scalars import (
     C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
     PDot, PhaseArg, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
-    oscillation,
 )
+
+MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
 
 
 class WordError(ValueError):
@@ -65,6 +66,9 @@ class Word:
         for p in pols:
             if p is not None and p not in (1, 2, 3):
                 raise WordError(f"polarization index out of range: {p}")
+        if len(self.gens) > MAX_GENERATORS:
+            raise WordError(f"word has {len(self.gens)} generators, "
+                            f"limit is {MAX_GENERATORS}")
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -77,6 +81,13 @@ class Word:
 
     def creator_count(self) -> int:
         return sum(1 for g in self.gens if g.dagger)
+
+
+def _subword(gens: tuple) -> Word:
+    """Unchecked Word of generators taken from a valid word, order kept."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "gens", gens)
+    return w
 
 
 def word(*gens: Generator) -> Word:
@@ -196,8 +207,8 @@ def expand_leading_annihilator(w: Word) -> list:
         return []
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
     swaps = tuple(
-        oscillation(lead.t, other.t, PhaseArg.of({Dot(lead.k, other.k): 1}),
-                    power=1 if other.dagger else -1)
+        ContractionPhase(TimeComb.difference(lead.t, other.t), PhaseArg(
+            ((Dot(lead.k, other.k), 1 if other.dagger else -1),)))
         for other in tail[:creators[-1]]
     )
     out = []
@@ -211,7 +222,7 @@ def expand_leading_annihilator(w: Word) -> list:
                                      weighted=True)
             scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
                                 (MomentumDelta(lead.k, y.k),))
-        out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
+        out.append(WeightedWord(scalar, _subword(tail[:j] + tail[j + 1:])))
     return out
 
 

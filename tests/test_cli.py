@@ -441,11 +441,14 @@ def test_invalid_word_payload(cli_run, write_json):
     assert code == 3
 
 
-def test_word_length_cap(cli_run, word_file):
-    path = word_file("a" * 6 + "+" * 7, name="long.json")
+def test_word_length_cap(cli_run, write_json):
+    # written by hand: the library refuses to build a 13-generator Word
+    gens = [{"op": "a" if i < 6 else "adag", "t": f"t{i + 1}", "k": f"k{i + 1}"}
+            for i in range(13)]
+    path = write_json("long.json", {"mode": "scalar", "word": gens})
     code, _, err = cli_run(["pairings", path])
     assert code == 3
-    assert "limit is 12" in err
+    assert err == f"error: {path}: word has 13 generators, limit is 12\n"
 
 
 def test_mode_mismatch(cli_run, word_file):

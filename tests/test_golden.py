@@ -1,0 +1,43 @@
+"""Golden bytes: one sha256 over the serialized output of every route.
+
+The digest covers JSON and LaTeX of the recursion, the pairing sum and
+the three limit routes for every pattern of length <= 6 in all modes and
+one 12-generator word, plus the `verify --max-n 3` report.  It was
+computed before canonical expressions were marked and compared without a
+second pass, so any later change to the term representation, the
+canonical order or a route's formula that moves one output byte fails
+here.  When a change is meant to move output, recompute the digest and
+say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from modwick.limits import (
+    correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
+)
+from modwick.pairings import correlator_pairing_sum
+from modwick.serialize import to_json_str, to_latex
+from modwick.verify import MODES, _build, patterns_up_to, report, run_all
+from modwick.words import correlator_recursive
+
+GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
+
+
+def _routes(w) -> list:
+    closed = correlator_pairing_sum(w)
+    return [correlator_recursive(w), closed, limit_of_pairing_sum(closed),
+            correlator_wick_limit(w), correlator_limit_rewrite(w)]
+
+
+def test_outputs_match_the_golden_digest():
+    h = hashlib.sha256()
+    # the 12-generator word brings labels t10-t12, which sort before t2
+    for pattern in [*patterns_up_to(6), "aa+a+a+a+a++"]:
+        for mode in MODES:
+            for e in _routes(_build(pattern, mode)):
+                h.update(f"{pattern} {mode}\n{to_json_str(e)}\n{to_latex(e)}\n"
+                         .encode())
+    h.update(report(run_all(3)).encode())
+    assert h.hexdigest() == GOLDEN_SHA256

@@ -18,7 +18,7 @@ from modwick.pairings import Pairing, correlator_pairing_sum, pairing_term
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
     PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
-    canonically_equal,
+    canonicalize, canonically_equal, contraction_phases,
 )
 from modwick.words import word, word_from_pattern
 
@@ -152,6 +152,22 @@ def test_limit_map_weight_mismatch_raises():
         ())
     with pytest.raises(ValueError):
         limit_of_pairing_sum(ScalarExpr((bad,)))
+
+
+def test_limit_map_rejects_a_weighted_phase_the_identification_cancels():
+    # delta(k1 - k4) cancels E(k1) - E(k4): canonicalize keeps the weighted
+    # factor with its 1/lambda^2, and lambda^-2 q(t, 0) has no limit
+    term = ScalarTerm(
+        C_ONE, 0, -2,
+        (ContractionPhase(TimeComb.difference("t1", "t2"),
+                          PhaseArg.of({Energy("k1"): 1, Energy("k4"): -1}),
+                          weighted=True),),
+        (MomentumDelta("k1", "k4"),))
+    (canon,) = canonicalize(ScalarExpr((term,))).terms
+    (ph,) = contraction_phases(canon)
+    assert ph.arg.is_zero() and ph.time == TimeComb.difference("t1", "t2")
+    with pytest.raises(ValueError, match="zero argument"):
+        limit_of_pairing_sum(ScalarExpr((term,)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modwick.scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm,
-    TimeComb, TimeDelta, add, canonicalize, canonically_equal, conjugate,
-    delta_key, label_classes, merged_exponent, multiply, negate, oscillation,
-    term_signature,
+    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
+    MomentumDelta, PDot, PhaseArg, PhaseDelta, RationalComplex, ScalarExpr,
+    ScalarTerm, TimeComb, TimeDelta, _term_identity, add, canonicalize,
+    canonically_equal, conjugate, delta_key, label_classes, merged_exponent,
+    multiply, negate, oscillation, term_signature,
 )
+from modwick.serialize import from_json_str, to_json_str
+from modwick.words import correlator_recursive, word_from_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +58,20 @@ def test_time_comb_normalization():
 
 
 def test_phase_arg_merging_and_shift():
+    # unweighted factors over one time combination merge atom by atom
+    t12 = TimeComb.difference("t1", "t2")
     arg = PhaseArg.of({Energy("k1"): 1, PDot("k1"): 1})
-    assert arg.plus(arg.negated()).is_zero()
     shift = PhaseArg.of({Dot("k3", "k1"): 1})
-    assert arg.plus(shift) == PhaseArg.of(
-        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1})
+
+    def merged(*factors):
+        term = ScalarTerm(phases=tuple(ContractionPhase(t12, a) for a in factors))
+        return canonicalize(ScalarExpr((term,))).terms[0].phases
+
+    assert merged(arg, arg.negated()) == ()
+    assert merged(arg, shift) == (ContractionPhase(t12, PhaseArg.of(
+        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1})),)
     # subtracting the shift again undoes it
-    assert arg.plus(shift).plus(shift.negated()) == arg
+    assert merged(arg, shift, shift.negated()) == (ContractionPhase(t12, arg),)
 
 
 def test_oscillation_power_negates():
@@ -100,7 +109,8 @@ def test_merged_exponent_accumulates_across_phases():
         ContractionPhase(TimeComb.difference("t1", "t2"), y),
     ))
     joint = ScalarTerm(phases=(
-        ContractionPhase(TimeComb.difference("t1", "t2"), x.plus(y)),
+        ContractionPhase(TimeComb.difference("t1", "t2"),
+                         PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1})),
     ))
     assert merged_exponent(split) == merged_exponent(joint)
     assert term_signature(split) == term_signature(joint)
@@ -168,6 +178,61 @@ def test_label_classes_map_to_the_smallest_label():
 
 
 # ---------------------------------------------------------------------------
+# the canonical mark
+
+def test_only_canonicalize_marks_an_expression():
+    term = ScalarTerm(C_ONE, 0, -2,
+                      (oscillation("t1", "t2", PhaseArg.of({Energy("k2"): 1})),),
+                      (MomentumDelta("k2", "k1"),))
+    raw = ScalarExpr((term, term))
+    assert not raw.canonical
+    with pytest.raises(TypeError):
+        ScalarExpr((term,), canonical=True)
+    canon = canonicalize(raw)
+    assert canon.canonical and canon.terms[0].coeff == RationalComplex.of(2)
+    assert canon == ScalarExpr(canon.terms)  # the mark takes no part in ==
+    assert canonicalize(canon) is canon
+    assert EXPR_ZERO.canonical and EXPR_ONE.canonical
+    # what did not come out of canonicalize is canonicalized again
+    for unmarked in (from_json_str(to_json_str(raw)), negate(negate(raw))):
+        assert not unmarked.canonical
+        assert canonicalize(unmarked) == canon
+        assert canonically_equal(unmarked, canon)
+
+
+def test_canonically_equal_sees_one_changed_coefficient():
+    e = correlator_recursive(word_from_pattern("aa++"))
+    assert e.canonical and len(e.terms) == 2
+    for i in range(len(e.terms)):
+        terms = list(e.terms)
+        terms[i] = terms[i].scaled(RationalComplex.of(1, 1))
+        bumped = canonicalize(ScalarExpr(tuple(terms)))
+        assert bumped.canonical
+        assert not canonically_equal(e, bumped)
+        assert not canonically_equal(bumped, e)
+    assert canonically_equal(e, canonicalize(ScalarExpr(e.terms[::-1])))
+
+
+def test_identity_equates_factorizations_the_signature_equates():
+    # two weighted factors against one with the same merged exponent and a
+    # weighted factor whose argument is zero
+    x = PhaseArg.of({Energy("k1"): 1})
+    y = PhaseArg.of({Dot("k1", "k2"): 1})
+    t12 = TimeComb.difference("t1", "t2")
+    split = ScalarTerm(C_ONE, 0, -4, (ContractionPhase(t12, x, True),
+                                      ContractionPhase(t12, y, True)))
+    joint = ScalarTerm(C_ONE, 0, -4, (
+        ContractionPhase(t12, PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1}),
+                         True),
+        ContractionPhase(TimeComb.difference("t3", "t4"), PhaseArg(), True)))
+    a, b = (canonicalize(ScalarExpr((t,))) for t in (split, joint))
+    assert a != b
+    assert term_signature(a.terms[0]) == term_signature(b.terms[0])
+    assert _term_identity(a.terms[0]) == _term_identity(b.terms[0])
+    assert canonically_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # property tests
 
 T_LABELS = ("t1", "t2", "t3", "t4")
@@ -224,7 +289,8 @@ def _scrambled(e: ScalarExpr) -> ScalarExpr:
 @example(COLLAPSING)
 def test_canonicalize_idempotent(e):
     once = canonicalize(e)
-    assert canonicalize(once) == once
+    # an unmarked copy takes the full second pass
+    assert canonicalize(ScalarExpr(once.terms)) == once
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,3 +335,19 @@ def test_merged_exponent_additive_under_times(t1, t2):
     for key, c in merged_exponent(t2).items():
         acc[key] = acc.get(key, 0) + c
     assert prod == {k: v for k, v in acc.items() if v != 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(terms, min_size=2, max_size=4))
+def test_identity_agrees_with_signature(ts):
+    # powers, phases and deltas taken from different terms give pairs that
+    # agree in some parts of the signature and differ in others
+    mixed = ScalarExpr(tuple(
+        ScalarTerm(a.coeff, a.two_pi_power, a.lambda_power, b.phases, c.deltas)
+        for a in ts for b in ts for c in ts))
+    keys = [(_term_identity(t), term_signature(t))
+            for term in mixed.terms
+            for t in canonicalize(ScalarExpr((term,))).terms]
+    for ident_s, sig_s in keys:
+        for ident_t, sig_t in keys:
+            assert (ident_s == ident_t) == (sig_s == sig_t)

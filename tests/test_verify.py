@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from modwick.scalars import EXPR_ZERO
+from modwick.pairings import crossing_count, enumerate_pairings, pairing_term
+from modwick.scalars import EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize
 from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
     suite_catalan_count, suite_closed_form_vs_recursion,
@@ -69,6 +70,27 @@ def test_equivalence_suite_detects_a_corrupted_route():
     assert "FAIL" in text
     assert "FAILURE" in text
     assert text.rstrip("\n").split("\n")[-1].startswith("RESULT fail")
+
+
+def test_equivalence_suite_detects_a_dropped_crossing_phase():
+    # a closed form one factor short on crossing pairings, still canonical:
+    # the comparison must not trust the mark, only the terms
+    def dropped(w):
+        terms = []
+        for p in enumerate_pairings(w):
+            t = pairing_term(w, p)
+            if crossing_count(p):
+                t = ScalarTerm(t.coeff, t.two_pi_power, t.lambda_power,
+                               t.phases[:-1], t.deltas)
+            terms.append(t)
+        e = canonicalize(ScalarExpr(tuple(terms)))
+        assert e.canonical
+        return e
+
+    res = suite_closed_form_vs_recursion(2, closed=dropped)
+    # aa++ has the only crossing pairing; cyclic polarizations kill it
+    assert [f.split(":")[0] for f in res.failures] == [
+        "pattern=aa++ mode=scalar", "pattern=aa++ mode=uniform"]
 
 
 def test_triple_agreement_suite_detects_a_corrupted_route():

@@ -38,6 +38,22 @@ def test_word_label_validation():
         word(annihilate("t1", "k1", 4), create("t2", "k2", 4))
 
 
+def test_word_generator_cap():
+    assert len(word_from_pattern("a" * 6 + "+" * 6)) == 12
+    with pytest.raises(WordError, match="^word has 13 generators, limit is 12$"):
+        word_from_pattern("a" * 6 + "+" * 7)
+    with pytest.raises(WordError, match="word has 14 generators"):
+        word(*(create(f"t{i}", f"k{i}") for i in range(14)))
+
+
+def test_expansion_sub_words_equal_checked_words():
+    w = word_from_pattern("aa+a++", pols=[1, 2, 1, 2, 2, 1])
+    for ww in expand_leading_annihilator(w):
+        checked = Word(ww.word.gens)
+        assert ww.word == checked and hash(ww.word) == hash(checked)
+        assert ww.word.polarized() and len(ww.word) == 4
+
+
 def test_pattern_round_trip():
     w = word_from_pattern("aa+a++")
     assert pattern_of(w) == "aa+a++"
