@@ -181,8 +181,9 @@ class ContractionPhase:
     weighted: bool = False
 
     def key(self) -> tuple:
+        # the atoms after their strings: labels whose strings collide never tie
         return (0 if self.weighted else 1, self.time.items,
-                tuple((str(a), c) for a, c in self.arg.items))
+                tuple((str(a), c) for a, c in self.arg.items), self.arg.items)
 
 
 def oscillation(t_from: str, t_to: str, arg: PhaseArg, power: int = 1,
@@ -243,11 +244,12 @@ Delta = MomentumDelta | TimeDelta | PhaseDelta
 
 
 def delta_key(d: Delta) -> tuple:
+    """Sort key of a delta: its text, then its items, so no two deltas tie."""
     if isinstance(d, MomentumDelta):
         return (0, d.a, d.b)
     if isinstance(d, TimeDelta):
-        return (1, ";".join(f"{t}:{c}" for t, c in d.comb.items), "")
-    return (2, ";".join(f"{a}:{c}" for a, c in d.arg.items), "")
+        return (1, ";".join(f"{t}:{c}" for t, c in d.comb.items), d.comb.items)
+    return (2, ";".join(f"{a}:{c}" for a, c in d.arg.items), d.arg.items)
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +321,32 @@ def merged_exponent(term: ScalarTerm) -> dict:
 
 
 def _merged_key(term: ScalarTerm) -> tuple:
-    items = [((t, str(a)), c) for (t, a), c in merged_exponent(term).items()]
+    items = [((t, str(a), a), c) for (t, a), c in merged_exponent(term).items()]
     items.sort()
     return tuple(items)
 
 
 def term_signature(term: ScalarTerm) -> tuple:
-    """Canonical identity of a term up to its coefficient.
+    """Output order of canonical terms, text first (so "t10" sorts before "t2").
 
     Structural phase lists that multiply to the same exponential share a
-    signature, which is what lets independently derived normal forms
-    compare equal term by term.
+    signature.  The structural value after each string keeps terms whose
+    label strings collide apart, so the order is total.  It only orders:
+    `_term_identity` decides which terms are alike.
     """
     dkeys = tuple(sorted(delta_key(d) for d in term.deltas))
     return (term.lambda_power, term.two_pi_power, dkeys, _merged_key(term))
 
 
-def _term_sort_key(term: ScalarTerm) -> tuple:
-    return (
-        term_signature(term),
-        tuple(ph.key() for ph in term.phases),
-        (str(term.coeff.re), str(term.coeff.im)),
-    )
+def _term_identity(term: ScalarTerm) -> tuple:
+    """Identity of a canonical term up to its coefficient.
+
+    `canonicalize` merges like terms on it and `canonically_equal` compares
+    it.  A canonical term's deltas are already in `delta_key` order and the
+    merged exponent is a set: no str, no sort.
+    """
+    return (term.lambda_power, term.two_pi_power, term.deltas,
+            frozenset(merged_exponent(term).items()))
 
 
 @dataclass(frozen=True)
@@ -455,32 +461,30 @@ def _canonical_term(term: ScalarTerm):
 def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     """Canonical form: substitutions applied, like terms combined, sorted.
 
-    Idempotent, and insensitive to the order in which momentum deltas were
-    recorded since label identification runs through a union-find with the
-    smallest label as representative.  Each term's sort key, signature
-    included, is computed once.  The result is marked canonical, and a
-    marked input is returned as it is.
+    Idempotent, and insensitive to the order in which terms and momentum
+    deltas were recorded: label identification runs through a union-find
+    with the smallest label as representative, like terms merge on
+    `_term_identity` and keep the phases that sort first, and the
+    survivors sort once by `term_signature`.  The result is marked
+    canonical, and a marked input is returned as it is.
     """
     if expr.canonical:
         return expr
-    keyed = []
+    merged: dict = {}
     for term in expr.terms:
         ct = _canonical_term(term)
-        if ct is not None:
-            keyed.append((_term_sort_key(ct), ct))
-    keyed.sort(key=lambda kt: kt[0])  # stable: ties keep their input order
-
-    combined: list = []
-    for key, term in keyed:
-        sig = key[0]
-        if combined and combined[-1][0] == sig:
-            prev = combined[-1][1]
-            combined[-1] = (sig, ScalarTerm(prev.coeff + term.coeff,
-                                            prev.two_pi_power, prev.lambda_power,
-                                            prev.phases, prev.deltas))
-        else:
-            combined.append((sig, term))
-    out = ScalarExpr(tuple(t for _, t in combined if not t.coeff.is_zero()))
+        if ct is None:
+            continue
+        ident = _term_identity(ct)
+        prev = merged.get(ident)
+        if prev is not None:
+            first = min(prev, ct, key=lambda t: [ph.key() for ph in t.phases])
+            ct = ScalarTerm(prev.coeff + ct.coeff, first.two_pi_power,
+                            first.lambda_power, first.phases, first.deltas)
+        merged[ident] = ct
+    out = ScalarExpr(tuple(sorted(
+        (t for t in merged.values() if not t.coeff.is_zero()),
+        key=term_signature)))
     object.__setattr__(out, "canonical", True)
     return out
 
@@ -506,16 +510,9 @@ def conjugate(e: ScalarExpr) -> ScalarExpr:
     return canonicalize(ScalarExpr(tuple(t.conjugated() for t in e.terms)))
 
 
-def _term_identity(term: ScalarTerm) -> tuple:
-    """term_signature of a canonical term, whose deltas are already in
-    delta_key order, with the merged exponent as a set: no str, no sort."""
-    return (term.lambda_power, term.two_pi_power, term.deltas,
-            frozenset(merged_exponent(term).items()))
-
-
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
     """Semantic equality: same canonical terms with the same coefficients."""
-    # canonical terms have distinct signatures, so no identity repeats
+    # canonicalize merged every identity, so none repeats within one side
     def coeffs(e):
         return {_term_identity(t): t.coeff for t in canonicalize(e).terms}
 

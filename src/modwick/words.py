@@ -20,6 +20,7 @@ the recursion for vacuum correlators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import (
     C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
@@ -33,8 +34,7 @@ class WordError(ValueError):
     """Structurally invalid operator word."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     dagger: bool
     t: str
     k: str

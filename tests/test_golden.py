@@ -6,8 +6,10 @@ one 12-generator word, plus the `verify --max-n 3` report.  It was
 computed before canonical expressions were marked and compared without a
 second pass, so any later change to the term representation, the
 canonical order or a route's formula that moves one output byte fails
-here.  When a change is meant to move output, recompute the digest and
-say why.
+here.  A second digest covers the same five routes on the 12-generator
+block word aaaaaa++++++ (720 pairings); it was computed before like terms
+merged on the structural identity.  When a change is meant to move
+output, recompute the digest and say why.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from modwick.verify import MODES, _build, patterns_up_to, report, run_all
 from modwick.words import correlator_recursive
 
 GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
+BLOCK_WORD_SHA256 = "6cec35b100310050d488edca57d121ea09baba87c892b4001fcc399a2e8980f3"
 
 
 def _routes(w) -> list:
@@ -41,3 +44,10 @@ def test_outputs_match_the_golden_digest():
                          .encode())
     h.update(report(run_all(3)).encode())
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+def test_block_word_matches_its_golden_digest():
+    h = hashlib.sha256()
+    for e in _routes(_build("aaaaaa++++++", "scalar")):
+        h.update(f"{to_json_str(e)}\n{to_latex(e)}\n".encode())
+    assert h.hexdigest() == BLOCK_WORD_SHA256

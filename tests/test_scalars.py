@@ -213,23 +213,57 @@ def test_canonically_equal_sees_one_changed_coefficient():
     assert canonically_equal(e, canonicalize(ScalarExpr(e.terms[::-1])))
 
 
-def test_identity_equates_factorizations_the_signature_equates():
-    # two weighted factors against one with the same merged exponent and a
-    # weighted factor whose argument is zero
-    x = PhaseArg.of({Energy("k1"): 1})
-    y = PhaseArg.of({Dot("k1", "k2"): 1})
-    t12 = TimeComb.difference("t1", "t2")
-    split = ScalarTerm(C_ONE, 0, -4, (ContractionPhase(t12, x, True),
-                                      ContractionPhase(t12, y, True)))
-    joint = ScalarTerm(C_ONE, 0, -4, (
-        ContractionPhase(t12, PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1}),
+# two weighted factors against one with the same merged exponent and a
+# weighted factor whose argument is zero: one identity, two phase lists
+T12 = TimeComb.difference("t1", "t2")
+FACTORINGS = (
+    ScalarTerm(C_ONE, 0, -4, (
+        ContractionPhase(T12, PhaseArg.of({Energy("k1"): 1}), True),
+        ContractionPhase(T12, PhaseArg.of({Dot("k1", "k2"): 1}), True))),
+    ScalarTerm(C_ONE, 0, -4, (
+        ContractionPhase(T12, PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1}),
                          True),
-        ContractionPhase(TimeComb.difference("t3", "t4"), PhaseArg(), True)))
-    a, b = (canonicalize(ScalarExpr((t,))) for t in (split, joint))
+        ContractionPhase(TimeComb.difference("t3", "t4"), PhaseArg(), True))),
+)
+
+
+def test_identity_equates_factorizations_the_signature_equates():
+    a, b = (canonicalize(ScalarExpr((t,))) for t in FACTORINGS)
     assert a != b
     assert term_signature(a.terms[0]) == term_signature(b.terms[0])
     assert _term_identity(a.terms[0]) == _term_identity(b.terms[0])
     assert canonically_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# labels whose strings collide
+
+# k_{x,y}.k_z and k_x.k_{y,z}: two distinct atoms that both print "D(x,y,z)"
+COLLIDING_ARGS = tuple(PhaseArg.of({Dot(a, b): 1})
+                       for a, b in (("x,y", "z"), ("x", "y,z")))
+COLLIDING = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
+                  for x in COLLIDING_ARGS)
+# both atoms in one term as weighted phases over one time and as phase
+# deltas, next to two time deltas that both print "x:1;y:1": only the
+# structural tail of the order keys sorts them
+COLLIDING_FACTORS = ScalarTerm(
+    C_ONE, 0, -4, tuple(ContractionPhase(T12, x, True) for x in COLLIDING_ARGS),
+    tuple(PhaseDelta(x) for x in COLLIDING_ARGS)
+    + (TimeDelta(TimeComb.of({"x": 1, "y": 1})),
+       TimeDelta(TimeComb.of({"x:1;y": 1}))))
+
+
+def test_colliding_label_strings_stay_two_terms():
+    a, b = COLLIDING
+    assert str(COLLIDING_ARGS[0].items[0][0]) == str(COLLIDING_ARGS[1].items[0][0])
+    out = canonicalize(ScalarExpr((a, b)))
+    assert [t.coeff for t in out.terms] == [C_ONE, C_ONE]
+    assert canonicalize(ScalarExpr((b, a))) == out
+
+
+def test_canonically_equal_tells_colliding_label_strings_apart():
+    a, b = COLLIDING
+    assert not canonically_equal(ScalarExpr((a, a)), ScalarExpr((a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +330,9 @@ def test_canonicalize_idempotent(e):
 @settings(max_examples=80, deadline=None)
 @given(exprs)
 @example(COLLAPSING)
+@example(ScalarExpr(COLLIDING))
+@example(ScalarExpr((COLLIDING_FACTORS,)))
+@example(ScalarExpr(FACTORINGS))
 def test_canonicalize_order_insensitive(e):
     assert canonicalize(_scrambled(e)) == canonicalize(e)
     assert canonically_equal(e, _scrambled(e))
@@ -339,6 +376,7 @@ def test_merged_exponent_additive_under_times(t1, t2):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(terms, min_size=2, max_size=4))
+@example(list(COLLIDING))
 def test_identity_agrees_with_signature(ts):
     # powers, phases and deltas taken from different terms give pairs that
     # agree in some parts of the signature and differ in others

@@ -7,7 +7,7 @@ import pytest
 from modwick.scalars import (
     C_ONE, C_ZERO, PDOT, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
     MomentumDelta, PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm,
-    TERM_ONE, TimeComb, _canonical_term, _term_sort_key, canonically_equal,
+    TERM_ONE, TimeComb, _canonical_term, canonically_equal,
     oscillation, term_signature,
 )
 from modwick.serialize import to_json_str
@@ -263,6 +263,15 @@ def _reference_expand(w: Word) -> list:
                 scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
         out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
     return out
+
+
+def _term_sort_key(term: ScalarTerm) -> tuple:
+    """The full sort key canonicalize used before it merged on the identity."""
+    return (
+        term_signature(term),
+        tuple(ph.key() for ph in term.phases),
+        (str(term.coeff.re), str(term.coeff.im)),
+    )
 
 
 def _reference_canonicalize(terms) -> ScalarExpr:
