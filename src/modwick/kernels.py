@@ -272,10 +272,21 @@ def strip_momentum_deltas(term: ScalarTerm) -> ScalarTerm:
                       term.phases, kept)
 
 
-def _require_no_deltas(term: ScalarTerm) -> None:
+def _require_smearable(term: ScalarTerm, tests: dict, a: Assignment) -> None:
+    """Entry check of every term evaluator, closed form and grid oracle alike.
+
+    The term carries no deltas, every time label has a test function and
+    every momentum label has a vector.
+    """
     if term.deltas:
         raise ValueError(
             "term still carries delta factors; apply them before smearing")
+    for ph in term.phases:
+        for t in ph.time.labels():
+            if t not in tests:
+                raise UnassignedLabelError(
+                    f"time label {t!r} has no test function")
+        arg_value(ph.arg, a)  # raises on an unassigned momentum label
 
 
 def _coeff_complex(term: ScalarTerm) -> complex:
@@ -316,16 +327,8 @@ def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
     value to zero as lambda -> 0.  The target is therefore the smeared
     kernel backbone with all surviving oscillations sent to their limit.
     """
-    _require_no_deltas(term)
+    _require_smearable(term, tests, a)
     weighted = contraction_phases(term)
-
-    for ph in term.phases:
-        for t in ph.time.labels():
-            if t not in tests:
-                raise UnassignedLabelError(
-                    f"time label {t!r} has no test function")
-        arg_value(ph.arg, a)  # fail fast on unassigned momentum labels
-
     time_map, groups = _time_classes(term, tests)
 
     freq: dict = {r: 0.0 for r in groups}
@@ -371,7 +374,7 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
     their full 1/lambda^2-weighted oscillatory integrals; for generic
     phase arguments this vanishes super-polynomially as lambda -> 0.
     """
-    _require_no_deltas(term)
+    _require_smearable(term, tests, a)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
 
@@ -379,9 +382,6 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
     for ph in term.phases:
         x = arg_value(ph.arg, a)
         for t, c in ph.time.items:
-            if t not in tests:
-                raise UnassignedLabelError(
-                    f"time label {t!r} has no test function")
             freq[t] += c * x
 
     value = (_coeff_complex(term) * TWO_PI ** term.two_pi_power
@@ -464,7 +464,7 @@ def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     lambda >= 0.5, where the oscillation frequencies stay resolvable on
     a moderate grid.
     """
-    _require_no_deltas(term)
+    _require_smearable(term, tests, a)
     phase_data = [(ph.time.items, arg_value(ph.arg, a)) for ph in term.phases]
     raw = _grid_integral({label: [label] for label in tests}, tests,
                          phase_data, lam, points)
@@ -479,7 +479,7 @@ def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     Rebuilds the reduced integrand from the raw test functions on the
     surviving time variables, without the product-Gaussian rewrite.
     """
-    _require_no_deltas(term)
+    _require_smearable(term, tests, a)
     weighted = contraction_phases(term)
     time_map, groups = _time_classes(term, sorted(tests))
     phase_data = [

@@ -320,10 +320,12 @@ def merged_exponent(term: ScalarTerm) -> dict:
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def _merged_key(term: ScalarTerm) -> tuple:
-    items = [((t, str(a), a), c) for (t, a), c in merged_exponent(term).items()]
-    items.sort()
-    return tuple(items)
+def _order_key(identity: tuple) -> tuple:
+    """Output order of the terms with this `_term_identity`."""
+    lambda_power, two_pi_power, deltas, exponent = identity
+    dkeys = tuple(sorted(delta_key(d) for d in deltas))
+    return (lambda_power, two_pi_power, dkeys,
+            tuple(sorted(((t, str(a), a), c) for (t, a), c in exponent)))
 
 
 def term_signature(term: ScalarTerm) -> tuple:
@@ -334,8 +336,7 @@ def term_signature(term: ScalarTerm) -> tuple:
     label strings collide apart, so the order is total.  It only orders:
     `_term_identity` decides which terms are alike.
     """
-    dkeys = tuple(sorted(delta_key(d) for d in term.deltas))
-    return (term.lambda_power, term.two_pi_power, dkeys, _merged_key(term))
+    return _order_key(_term_identity(term))
 
 
 def _term_identity(term: ScalarTerm) -> tuple:
@@ -465,8 +466,8 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     deltas were recorded: label identification runs through a union-find
     with the smallest label as representative, like terms merge on
     `_term_identity` and keep the phases that sort first, and the
-    survivors sort once by `term_signature`.  The result is marked
-    canonical, and a marked input is returned as it is.
+    survivors sort once by `term_signature`, computed from that identity.
+    The result is marked canonical, and a marked input is returned as it is.
     """
     if expr.canonical:
         return expr
@@ -482,9 +483,9 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
             ct = ScalarTerm(prev.coeff + ct.coeff, first.two_pi_power,
                             first.lambda_power, first.phases, first.deltas)
         merged[ident] = ct
-    out = ScalarExpr(tuple(sorted(
-        (t for t in merged.values() if not t.coeff.is_zero()),
-        key=term_signature)))
+    survivors = sorted(((i, t) for i, t in merged.items() if not t.coeff.is_zero()),
+                       key=lambda item: _order_key(item[0]))
+    out = ScalarExpr(tuple(t for _, t in survivors))
     object.__setattr__(out, "canonical", True)
     return out
 

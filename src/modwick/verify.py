@@ -57,6 +57,13 @@ def patterns_up_to(max_len: int):
 MODES = ("scalar", "uniform", "cyclic")
 
 
+def _keys(max_n: int, modes=MODES):
+    """Every (pattern, mode) of this size bound, patterns outermost."""
+    for pattern in patterns_up_to(2 * max_n):
+        for mode in modes:
+            yield pattern, mode
+
+
 def _build(pattern: str, mode: str) -> Word:
     if mode == "scalar":
         return word_from_pattern(pattern)
@@ -69,7 +76,7 @@ def _build(pattern: str, mode: str) -> Word:
 
 def _words(max_n: int) -> dict:
     """Every (pattern, mode) word a suite of this size bound reads."""
-    return {(p, m): _build(p, m) for p in patterns_up_to(2 * max_n) for m in MODES}
+    return {key: _build(*key) for key in _keys(max_n)}
 
 
 def _dump(e: ScalarExpr) -> str:
@@ -83,50 +90,54 @@ def _mismatch(pattern: str, mode: str, left_name: str, left: ScalarExpr,
             f"  {right_name}: {_dump(right)}")
 
 
+def _run(name: str, cases, check) -> SuiteResult:
+    """Count the cases; each message `check` returns for one is a failure."""
+    count = 0
+    failures = []
+    for case in cases:
+        count += 1
+        message = check(case)
+        if message:
+            failures.append(message)
+    return SuiteResult(name, count, failures)
+
+
+def _agree(name: str, cases, words: dict, routes) -> SuiteResult:
+    """Each (label, route) of the chain must canonically equal the one before.
+
+    A case fails on the first link that differs, reported by `_mismatch`.
+    """
+    def check(key):
+        w = words[key]
+        prev_label = prev = None
+        for label, route in routes:
+            value = route(w)
+            if prev_label is not None and not canonically_equal(prev, value):
+                return _mismatch(*key, prev_label, prev, label, value)
+            prev_label, prev = label, value
+
+    return _run(name, cases, check)
+
+
 def suite_closed_form_vs_recursion(max_n: int, recursive=None, closed=None,
                                    words=None) -> SuiteResult:
     """The pairing-sum closed form must reproduce the rewrite recursion."""
-    recursive = recursive or correlator_recursive
-    closed = closed or correlator_pairing_sum
-    words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        for mode in MODES:
-            cases += 1
-            w = words[pattern, mode]
-            a = recursive(w)
-            b = closed(w)
-            if not canonically_equal(a, b):
-                failures.append(_mismatch(pattern, mode, "recursion", a,
-                                          "closed-form", b))
-    return SuiteResult("closed-form-vs-recursion", cases, failures)
+    routes = (("recursion", recursive or correlator_recursive),
+              ("closed-form", closed or correlator_pairing_sum))
+    return _agree("closed-form-vs-recursion", _keys(max_n),
+                  words or _words(max_n), routes)
 
 
-def suite_limit_triple_agreement(max_n: int, closed=None, limit_map=None,
-                                 wick=None, rewrite=None, words=None) -> SuiteResult:
+def suite_limit_triple_agreement(max_n: int, wick=None, rewrite=None,
+                                 words=None) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
-    closed = closed or correlator_pairing_sum
-    limit_map = limit_map or limit_of_pairing_sum
-    wick = wick or correlator_wick_limit
-    rewrite = rewrite or correlator_limit_rewrite
-    words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        for mode in MODES:
-            cases += 1
-            w = words[pattern, mode]
-            a = limit_map(closed(w))
-            b = wick(w)
-            c = rewrite(w)
-            if not canonically_equal(a, b):
-                failures.append(_mismatch(pattern, mode, "mapped-limit", a,
-                                          "direct-wick", b))
-            elif not canonically_equal(b, c):
-                failures.append(_mismatch(pattern, mode, "direct-wick", b,
-                                          "rewrite", c))
-    return SuiteResult("limit-triple-agreement", cases, failures)
+    routes = (
+        ("mapped-limit", lambda w: limit_of_pairing_sum(correlator_pairing_sum(w))),
+        ("direct-wick", wick or correlator_wick_limit),
+        ("rewrite", rewrite or correlator_limit_rewrite),
+    )
+    return _agree("limit-triple-agreement", _keys(max_n),
+                  words or _words(max_n), routes)
 
 
 CATALAN = (1, 2, 5, 14, 42, 132)
@@ -136,17 +147,15 @@ def suite_catalan_count(max_n: int, wick=None, words=None) -> SuiteResult:
     """Counts of patterns with nonzero limit, against the Catalan numbers."""
     wick = wick or correlator_wick_limit
     words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        cases += 1
+
+    def check(n):
         live = [p for p in patterns_up_to(2 * n)
                 if len(p) == 2 * n and not wick(words[p, "scalar"]).is_zero()]
         expect = CATALAN[n - 1]
         if len(live) != expect:
-            failures.append(
-                f"n={n}: {len(live)} patterns with nonzero limit, expected {expect}")
-    return SuiteResult("catalan-count", cases, failures)
+            return f"n={n}: {len(live)} patterns with nonzero limit, expected {expect}"
+
+    return _run("catalan-count", range(1, max_n + 1), check)
 
 
 def suite_noncrossing_uniqueness(max_n: int, words=None) -> SuiteResult:
@@ -156,26 +165,23 @@ def suite_noncrossing_uniqueness(max_n: int, words=None) -> SuiteResult:
     pairing set is nonempty exactly when a crossing-free pairing exists.
     """
     words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        cases += 1
+
+    def check(pattern):
         w = words[pattern, "scalar"]
         all_pairings = enumerate_pairings(w)
         flat = [p for p in all_pairings if crossing_count(p) == 0]
         match = noncrossing_match(w)
         if len(flat) > 1:
-            failures.append(f"pattern={pattern}: {len(flat)} crossing-free pairings")
-        elif bool(all_pairings) != bool(flat):
-            failures.append(
-                f"pattern={pattern}: {len(all_pairings)} pairings but "
-                f"{len(flat)} crossing-free")
-        elif (match is not None) != bool(flat):
-            failures.append(f"pattern={pattern}: stack scan disagrees with filter")
-        elif flat and match.pairs != flat[0].pairs:
-            failures.append(
-                f"pattern={pattern}: stack scan {match.pairs}, filter {flat[0].pairs}")
-    return SuiteResult("noncrossing-uniqueness", cases, failures)
+            return f"pattern={pattern}: {len(flat)} crossing-free pairings"
+        if bool(all_pairings) != bool(flat):
+            return (f"pattern={pattern}: {len(all_pairings)} pairings but "
+                    f"{len(flat)} crossing-free")
+        if (match is not None) != bool(flat):
+            return f"pattern={pattern}: stack scan disagrees with filter"
+        if flat and match.pairs != flat[0].pairs:
+            return f"pattern={pattern}: stack scan {match.pairs}, filter {flat[0].pairs}"
+
+    return _run("noncrossing-uniqueness", patterns_up_to(2 * max_n), check)
 
 
 def _bracket_balanced(w: Word) -> bool:
@@ -191,50 +197,49 @@ def _bracket_balanced(w: Word) -> bool:
 def suite_pairing_existence(max_n: int, words=None) -> SuiteResult:
     """Pairings exist exactly for bracket-balanced reversed words."""
     words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        cases += 1
+
+    def check(pattern):
         w = words[pattern, "scalar"]
         has = bool(enumerate_pairings(w))
         ok = _bracket_balanced(w)
         if has != ok:
-            failures.append(
-                f"pattern={pattern}: pairings={'yes' if has else 'no'} "
-                f"balanced={'yes' if ok else 'no'}")
-    return SuiteResult("pairing-existence", cases, failures)
+            return (f"pattern={pattern}: pairings={'yes' if has else 'no'} "
+                    f"balanced={'yes' if ok else 'no'}")
+
+    return _run("pairing-existence", patterns_up_to(2 * max_n), check)
 
 
 def suite_block_word_count(max_n: int, words=None) -> SuiteResult:
     """The all-annihilators-then-all-creators word has n! pairings."""
     words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        cases += 1
-        w = words["a" * n + "+" * n, "scalar"]
-        got = len(enumerate_pairings(w))
+
+    def check(n):
+        got = len(enumerate_pairings(words["a" * n + "+" * n, "scalar"]))
         if got != math.factorial(n):
-            failures.append(f"n={n}: {got} pairings, expected {math.factorial(n)}")
-    return SuiteResult("block-word-count", cases, failures)
+            return f"n={n}: {got} pairings, expected {math.factorial(n)}"
+
+    return _run("block-word-count", range(1, max_n + 1), check)
 
 
 def suite_adjoint_symmetry(max_n: int, recursive=None, words=None) -> SuiteResult:
     """Vacuum expectation of the adjoint word = complex conjugate."""
     recursive = recursive or correlator_recursive
-    words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        for mode in ("scalar", "cyclic"):
-            cases += 1
-            w = words[pattern, mode]
-            a = recursive(adjoint(w))
-            b = conjugate(recursive(w))
-            if not canonically_equal(a, b):
-                failures.append(_mismatch(pattern, mode, "adjoint", a,
-                                          "conjugate", b))
-    return SuiteResult("adjoint-symmetry", cases, failures)
+    routes = (("adjoint", lambda w: recursive(adjoint(w))),
+              ("conjugate", lambda w: conjugate(recursive(w))))
+    return _agree("adjoint-symmetry", _keys(max_n, ("scalar", "cyclic")),
+                  words or _words(max_n), routes)
+
+
+def _swapped_times_factor(w: Word, recursive) -> ScalarExpr:
+    """q^-1 times the correlator of `w` with its first adjacent annihilators swapped."""
+    site = next(i for i in range(len(w.gens) - 1)
+                if not (w.gens[i].dagger or w.gens[i + 1].dagger))
+    gens = list(w.gens)
+    x, y = gens[site], gens[site + 1]
+    gens[site], gens[site + 1] = y, x
+    phase = oscillation(x.t, y.t, PhaseArg.of({Dot(x.k, y.k): 1}), power=-1)
+    factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
+    return multiply(factor, recursive(Word(tuple(gens))))
 
 
 def suite_swap_consistency(max_n: int, recursive=None, words=None) -> SuiteResult:
@@ -245,29 +250,10 @@ def suite_swap_consistency(max_n: int, recursive=None, words=None) -> SuiteResul
     must differ by the explicit scalar factor and nothing else.
     """
     recursive = recursive or correlator_recursive
-    words = words or _words(max_n)
-    cases = 0
-    failures = []
-    for pattern in patterns_up_to(2 * max_n):
-        site = pattern.find("aa")
-        if site < 0:
-            continue
-        cases += 1
-        w = words[pattern, "scalar"]
-        gens = list(w.gens)
-        x, y = gens[site], gens[site + 1]
-        gens[site], gens[site + 1] = y, x
-        swapped = Word(tuple(gens))
-        arg = PhaseArg.of({Dot(x.k, y.k): 1})
-        factor = ScalarExpr((ScalarTerm(
-            phases=(oscillation(x.t, y.t, arg, power=-1),)
-        ),))
-        left = recursive(w)
-        right = multiply(factor, recursive(swapped))
-        if not canonically_equal(left, right):
-            failures.append(_mismatch(pattern, "scalar", "direct", left,
-                                      "swapped*factor", right))
-    return SuiteResult("swap-consistency", cases, failures)
+    routes = (("direct", recursive),
+              ("swapped*factor", lambda w: _swapped_times_factor(w, recursive)))
+    cases = (key for key in _keys(max_n, ("scalar",)) if "aa" in key[0])
+    return _agree("swap-consistency", cases, words or _words(max_n), routes)
 
 
 MAX_N = 6  # largest size bound run_all accepts; the smallest is 1

@@ -336,6 +336,26 @@ def test_term_convergence_validation(study_setup):
         term_convergence_quadrature(ann.term, {"t1": STD, "t2": STD}, a, 1.0)
 
 
+def test_every_term_evaluator_rejects_unassigned_labels(study_setup):
+    # the grid oracles used to drop t4's Gaussian or fail on a bare KeyError
+    terms, tests, a = study_setup
+    term = terms["crossing"]
+    short = {k: v for k, v in tests.items() if k != "t4"}
+    evaluators = {
+        "term_convergence": lambda t, a: term_convergence(term, t, a, [1.0]),
+        "term_value": lambda t, a: term_value(term, t, a, 1.0),
+        "term_convergence_quadrature":
+            lambda t, a: term_convergence_quadrature(term, t, a, 1.0, points=8),
+        "term_value_quadrature":
+            lambda t, a: term_value_quadrature(term, t, a, 1.0, points=8),
+    }
+    for name, evaluate in evaluators.items():
+        with pytest.raises(UnassignedLabelError,
+                           match="time label 't4' has no test function"):
+            evaluate(short, a)
+        with pytest.raises(UnassignedLabelError, match="momentum label"):
+            evaluate(tests, Assignment({}, (0.0, 0.0, 0.0)))
+
 def test_orthogonal_momenta_turn_off_the_crossing_suppression():
     # k1.k2 = 0 makes the crossing oscillation exponent vanish, so the
     # crossing term converges to the same nonzero backbone instead

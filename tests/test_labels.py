@@ -4,7 +4,8 @@ Word files accept any distinct label strings, and the canonical order
 reads label text.  Labels holding `,;:()`, digits or a non-ASCII letter
 can print alike ("x,y" next to "z" and "x" next to "y,z" both give
 "D(x,y,z)"), so the route equalities and the canonical bytes must rest
-on the structural identity, not on those strings.
+on the structural identity, not on those strings.  Polarization values
+are labels too: permuting {1,2,3} must change no correlator byte.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from modwick.serialize import to_json_str
 from modwick.verify import MODES
 from modwick.words import (
     Generator, Word, _raw_correlator_terms, correlator_recursive,
+    word_from_pattern,
 )
 
 LABEL_CHARS = "tkxyz,;:()019é"
 
 
-@st.composite
-def words(draw) -> Word:
-    pairs = draw(st.integers(1, 4))
+def dyck(draw, pairs: int) -> str:
     # a Dyck word with 'a' opening, so pairings exist and the routes have
     # terms to compare; words of odd length or without pairings are zero
     pattern, depth = "", 0
@@ -36,6 +36,12 @@ def words(draw) -> Word:
             pattern, depth = pattern + "a", depth + 1
         else:
             pattern, depth = pattern + "+", depth - 1
+    return pattern
+
+
+@st.composite
+def words(draw) -> Word:
+    pattern = dyck(draw, draw(st.integers(1, 4)))
     n = len(pattern)
     labels = draw(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=4),
                            min_size=2 * n, max_size=2 * n, unique=True))
@@ -57,3 +63,28 @@ def test_routes_agree_on_arbitrary_labels(w):
     raw = _raw_correlator_terms(w, {})
     forward = to_json_str(canonicalize(ScalarExpr(raw)))
     assert to_json_str(canonicalize(ScalarExpr(raw[::-1]))) == forward
+
+
+@st.composite
+def relabelled_polarizations(draw) -> tuple:
+    pattern = dyck(draw, draw(st.integers(5, 6)))
+    # each '+' takes the polarization of the 'a' it closes, so at least the
+    # crossing-free pairing survives and the correlator is nonzero
+    pols, open_pols = [], []
+    for ch in pattern:
+        if ch == "a":
+            open_pols.append(draw(st.integers(1, 3)))
+            pols.append(open_pols[-1])
+        else:
+            pols.append(open_pols.pop())
+    sigma = draw(st.permutations((1, 2, 3)))
+    return (word_from_pattern(pattern, pols=pols),
+            word_from_pattern(pattern, pols=[sigma[p - 1] for p in pols]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_polarizations())
+def test_permuting_polarization_values_changes_no_correlator(pair):
+    w, v = pair
+    for route in (correlator_recursive, correlator_wick_limit):
+        assert to_json_str(route(v)) == to_json_str(route(w))

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from modwick.pairings import crossing_count, enumerate_pairings, pairing_term
-from modwick.scalars import EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize
+from modwick.scalars import (
+    EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm, canonicalize,
+)
 from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
-    suite_catalan_count, suite_closed_form_vs_recursion,
-    suite_limit_triple_agreement, _bracket_balanced,
+    suite_adjoint_symmetry, suite_catalan_count, suite_closed_form_vs_recursion,
+    suite_limit_triple_agreement, suite_swap_consistency, _bracket_balanced,
 )
-from modwick.words import word_from_pattern
+from modwick.words import Word, correlator_recursive, word_from_pattern
 
 import pytest
 
@@ -99,6 +101,40 @@ def test_triple_agreement_suite_detects_a_corrupted_route():
 
     res = suite_limit_triple_agreement(2, wick=corrupted)
     assert not res.passed()
+
+
+def _failed_links(res) -> set:
+    return {f.split("\n")[0].split(": ", 1)[1] for f in res.failures}
+
+
+def test_triple_agreement_suite_detects_a_corrupted_rewrite():
+    res = suite_limit_triple_agreement(2, rewrite=lambda w: EXPR_ONE)
+    assert _failed_links(res) == {"direct-wick != rewrite"}
+
+
+def test_catalan_suite_detects_a_limit_that_never_vanishes():
+    res = suite_catalan_count(2, wick=lambda w: EXPR_ONE)
+    assert res.failures == [
+        "n=1: 4 patterns with nonzero limit, expected 1",
+        "n=2: 16 patterns with nonzero limit, expected 2"]
+
+
+def test_adjoint_suite_detects_a_recursion_scaled_by_i():
+    def scaled(w):
+        i = RationalComplex.of(0, 1)
+        return ScalarExpr(tuple(t.scaled(i) for t in correlator_recursive(w).terms))
+
+    res = suite_adjoint_symmetry(2, recursive=scaled)
+    assert _failed_links(res) == {"adjoint != conjugate"}
+
+
+def test_swap_suite_detects_a_recursion_blind_to_the_swap():
+    # sorting the generators gives a word and its swapped copy one value
+    def blind(w):
+        return correlator_recursive(Word(tuple(sorted(w.gens))))
+
+    res = suite_swap_consistency(2, recursive=blind)
+    assert _failed_links(res) == {"direct != swapped*factor"}
 
 
 def test_suite_result_passed_flag():
