@@ -168,6 +168,12 @@ def _gauss_product(tests) -> tuple:
 # ---------------------------------------------------------------------------
 # the two kernel limits
 
+def _require_positive(lam: float) -> None:
+    """Entry check of every evaluator that takes a coupling."""
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+
+
 def vanishing_kernel(x: float, f: GaussianTest, lam: float) -> complex:
     """Smeared plain oscillation: integral of f(t) exp(-i t x / lambda^2) dt.
 
@@ -177,8 +183,7 @@ def vanishing_kernel(x: float, f: GaussianTest, lam: float) -> complex:
     """
     if x == 0:
         raise ValueError("x must be nonzero; at x = 0 the kernel does not vanish")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _require_positive(lam)
     return gauss_fourier(f, x / lam ** 2)
 
 
@@ -194,8 +199,7 @@ def delta_kernel(f: GaussianTest, g: GaussianTest, h: GaussianTest,
     with O the f-g cross-correlation, a Gaussian integral with a complex
     linear term.  The limit is 2 pi h(0) * integral of f g.
     """
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _require_positive(lam)
     var = f.width ** 2 + g.width ** 2
     d = f.center - g.center
     quad = 0.5 * (h.width ** 2 + lam ** 4 / var)
@@ -222,8 +226,7 @@ def delta_kernel_quadrature(f: GaussianTest, g: GaussianTest, h: GaussianTest,
     # command about half a second and 50 MB when imported with the module
     from scipy import integrate
 
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _require_positive(lam)
     tau_max = SIGMA_CUTOFF / h.width
     shift = lam ** 2 * tau_max
     t_lo = min(f.support()[0], g.support()[0] - shift)
@@ -293,14 +296,27 @@ def _coeff_complex(term: ScalarTerm) -> complex:
     return complex(float(term.coeff.re), float(term.coeff.im))
 
 
-def _time_classes(term: ScalarTerm, labels) -> tuple:
-    """Map time labels to their contraction representatives; group `labels`.
+# The two readings of a term.  Each builder returns the integrand as
+# (groups, phase_data, prefactor): the integration variables and the kept
+# oscillations in the shape both integrators take, and the constant in front.
 
-    Each weighted phase pins its two time labels together; the
-    representative is the smallest label of the class.  Returns the map
-    and the representatives' member lists, in the order of `labels`.
+def _literal(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
+    """The term as written: each time label its own variable, each phase kept."""
+    _require_smearable(term, tests, a)
+    phase_data = [(ph.time.items, arg_value(ph.arg, a)) for ph in term.phases]
+    return ({label: [label] for label in tests}, phase_data,
+            _coeff_complex(term) * TWO_PI ** term.two_pi_power)
+
+
+def _contracted(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
+    """The term read as its contraction.
+
+    Each weighted phase applies its time delta exactly: it pins its two
+    time labels to the smaller one and contributes a factor 2 pi.  Only
+    the unweighted phases remain.
     """
-    weighted = term.weighted_phases()
+    _require_smearable(term, tests, a)
+    weighted = contraction_phases(term)
     for ph in weighted:
         items = ph.time.items
         if len(items) != 2 or {c for _, c in items} != {1, -1}:
@@ -308,59 +324,59 @@ def _time_classes(term: ScalarTerm, labels) -> tuple:
                 "weighted phase time combination must be a simple difference")
     time_map = label_classes(ph.time.labels() for ph in weighted)
     groups: dict = {}
-    for label in labels:
+    for label in sorted(tests):
         groups.setdefault(time_map.get(label, label), []).append(label)
-    return time_map, groups
+    phase_data = [
+        (tuple((time_map.get(t, t), c) for t, c in ph.time.items),
+         arg_value(ph.arg, a))
+        for ph in term.unweighted_phases()
+    ]
+    return (groups, phase_data,
+            _coeff_complex(term) * TWO_PI ** (term.two_pi_power + len(weighted)))
+
+
+def _closed_integral(groups: dict, tests: dict, phase_data: list,
+                     lam: float | None, scale: complex) -> complex:
+    """Closed-form integral of a smeared product of oscillations, times `scale`.
+
+    Each variable's test functions merge into one product Gaussian, taken
+    at the variable's summed frequency over lambda^2; the factors multiply
+    into `scale` one by one, in variable order.  lam=None gives the
+    lambda -> 0 limit, where a factor with a nonzero frequency vanishes.
+    """
+    freq: dict = {v: 0.0 for v in groups}
+    for items, x in phase_data:
+        for t, c in items:
+            freq[t] += c * x
+    for v in sorted(groups):
+        amp, gauss = _gauss_product([tests[m] for m in groups[v]])
+        if lam is not None:
+            scale *= amp * gauss_fourier(gauss, freq[v] / lam ** 2)
+        elif abs(freq[v]) < 1e-12:
+            scale *= amp * gauss_fourier(gauss, 0.0)
+        else:
+            scale *= 0.0
+    return scale
 
 
 def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
                      lambdas) -> list:
     """Ladder of smeared values for one finite-coupling correlator term.
 
-    Each weighted phase is read as its own contraction: the time delta
-    is applied exactly (the paired test functions merge into a product
-    Gaussian) and contributes a factor 2 pi, while the accompanying
-    delta in the phase argument is a formal factor common to value and
-    target and is left out of both.  The unweighted oscillations are
-    what remains lambda-dependent: they evaluate on the surviving time
-    variables, and any with a nonzero evaluated argument drives the
-    value to zero as lambda -> 0.  The target is therefore the smeared
-    kernel backbone with all surviving oscillations sent to their limit.
+    The term is read as its contraction; the delta accompanying each
+    weighted phase in the phase argument is a formal factor common to
+    value and target and is left out of both.  The unweighted
+    oscillations are what remains lambda-dependent, and any with a
+    nonzero evaluated argument drives the value to zero as lambda -> 0.
+    The target is therefore the smeared kernel backbone with all
+    surviving oscillations sent to their limit.
     """
-    _require_smearable(term, tests, a)
-    weighted = contraction_phases(term)
-    time_map, groups = _time_classes(term, tests)
-
-    freq: dict = {r: 0.0 for r in groups}
-    for ph in term.unweighted_phases():
-        x = arg_value(ph.arg, a)
-        for t, c in ph.time.items:
-            freq[time_map.get(t, t)] += c * x
-
-    backbone = []
-    for r in sorted(groups):
-        amp, gauss = _gauss_product([tests[m] for m in groups[r]])
-        backbone.append((amp, gauss, freq[r]))
-
-    pi_pow = TWO_PI ** (term.two_pi_power + len(weighted))
-    coeff = _coeff_complex(term)
-
-    def limit_factor(amp, gauss, c):
-        if abs(c) < 1e-12:
-            return amp * gauss_fourier(gauss, 0.0)
-        return 0.0
-
-    target = coeff * pi_pow
-    for amp, gauss, c in backbone:
-        target *= limit_factor(amp, gauss, c)
-
+    groups, phase_data, prefactor = _contracted(term, tests, a)
+    target = _closed_integral(groups, tests, phase_data, None, prefactor)
     rows = []
     for lam in lambdas:
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        value = coeff * pi_pow
-        for amp, gauss, c in backbone:
-            value *= amp * gauss_fourier(gauss, c / lam ** 2)
+        _require_positive(lam)
+        value = _closed_integral(groups, tests, phase_data, lam, prefactor)
         rows.append(ConvergenceRow.of(float(lam), value, target))
     return rows
 
@@ -374,21 +390,10 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
     their full 1/lambda^2-weighted oscillatory integrals; for generic
     phase arguments this vanishes super-polynomially as lambda -> 0.
     """
-    _require_smearable(term, tests, a)
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-
-    freq: dict = {label: 0.0 for label in tests}
-    for ph in term.phases:
-        x = arg_value(ph.arg, a)
-        for t, c in ph.time.items:
-            freq[t] += c * x
-
-    value = (_coeff_complex(term) * TWO_PI ** term.two_pi_power
-             * lam ** term.lambda_power)
-    for label in sorted(tests):
-        value *= gauss_fourier(tests[label], freq[label] / lam ** 2)
-    return value
+    groups, phase_data, prefactor = _literal(term, tests, a)
+    _require_positive(lam)
+    return _closed_integral(groups, tests, phase_data, lam,
+                            prefactor * lam ** term.lambda_power)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +469,10 @@ def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     lambda >= 0.5, where the oscillation frequencies stay resolvable on
     a moderate grid.
     """
-    _require_smearable(term, tests, a)
-    phase_data = [(ph.time.items, arg_value(ph.arg, a)) for ph in term.phases]
-    raw = _grid_integral({label: [label] for label in tests}, tests,
-                         phase_data, lam, points)
-    return (_coeff_complex(term) * TWO_PI ** term.two_pi_power
-            * lam ** term.lambda_power * raw)
+    groups, phase_data, prefactor = _literal(term, tests, a)
+    _require_positive(lam)
+    return (prefactor * lam ** term.lambda_power
+            * _grid_integral(groups, tests, phase_data, lam, points))
 
 
 def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
@@ -479,17 +482,9 @@ def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     Rebuilds the reduced integrand from the raw test functions on the
     surviving time variables, without the product-Gaussian rewrite.
     """
-    _require_smearable(term, tests, a)
-    weighted = contraction_phases(term)
-    time_map, groups = _time_classes(term, sorted(tests))
-    phase_data = [
-        (tuple((time_map.get(t, t), c) for t, c in ph.time.items),
-         arg_value(ph.arg, a))
-        for ph in term.unweighted_phases()
-    ]
-    raw = _grid_integral(groups, tests, phase_data, lam, points)
-    return (_coeff_complex(term)
-            * TWO_PI ** (term.two_pi_power + len(weighted)) * raw)
+    groups, phase_data, prefactor = _contracted(term, tests, a)
+    _require_positive(lam)
+    return prefactor * _grid_integral(groups, tests, phase_data, lam, points)
 
 
 def fit_loglog_slope(lams, errs) -> float:

@@ -336,25 +336,39 @@ def test_term_convergence_validation(study_setup):
         term_convergence_quadrature(ann.term, {"t1": STD, "t2": STD}, a, 1.0)
 
 
+TERM_EVALUATORS = {
+    "term_convergence":
+        lambda term, t, a, lam: term_convergence(term, t, a, [lam]),
+    "term_value": term_value,
+    "term_convergence_quadrature": lambda term, t, a, lam:
+        term_convergence_quadrature(term, t, a, lam, points=8),
+    "term_value_quadrature": lambda term, t, a, lam:
+        term_value_quadrature(term, t, a, lam, points=8),
+}
+
+
 def test_every_term_evaluator_rejects_unassigned_labels(study_setup):
     # the grid oracles used to drop t4's Gaussian or fail on a bare KeyError
     terms, tests, a = study_setup
     term = terms["crossing"]
     short = {k: v for k, v in tests.items() if k != "t4"}
-    evaluators = {
-        "term_convergence": lambda t, a: term_convergence(term, t, a, [1.0]),
-        "term_value": lambda t, a: term_value(term, t, a, 1.0),
-        "term_convergence_quadrature":
-            lambda t, a: term_convergence_quadrature(term, t, a, 1.0, points=8),
-        "term_value_quadrature":
-            lambda t, a: term_value_quadrature(term, t, a, 1.0, points=8),
-    }
-    for name, evaluate in evaluators.items():
+    for evaluate in TERM_EVALUATORS.values():
         with pytest.raises(UnassignedLabelError,
                            match="time label 't4' has no test function"):
-            evaluate(short, a)
+            evaluate(term, short, a, 1.0)
         with pytest.raises(UnassignedLabelError, match="momentum label"):
-            evaluate(tests, Assignment({}, (0.0, 0.0, 0.0)))
+            evaluate(term, tests, Assignment({}, (0.0, 0.0, 0.0)), 1.0)
+
+
+@pytest.mark.parametrize("name", TERM_EVALUATORS)
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_every_term_evaluator_rejects_a_nonpositive_lambda(lam, name):
+    # the grid oracles used to return the lambda = 1 value at lambda = -1
+    # and nan or a ZeroDivisionError at lambda = 0
+    term, a = two_point_term_and_assignment()
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        TERM_EVALUATORS[name](term, {"t1": STD, "t2": STD}, a, lam)
+
 
 def test_orthogonal_momenta_turn_off_the_crossing_suppression():
     # k1.k2 = 0 makes the crossing oscillation exponent vanish, so the

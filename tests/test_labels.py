@@ -5,7 +5,8 @@ reads label text.  Labels holding `,;:()`, digits or a non-ASCII letter
 can print alike ("x,y" next to "z" and "x" next to "y,z" both give
 "D(x,y,z)"), so the route equalities and the canonical bytes must rest
 on the structural identity, not on those strings.  Polarization values
-are labels too: permuting {1,2,3} must change no correlator byte.
+are labels too: permuting {1,2,3} must change no correlator byte.  The
+adjoint word's correlator is the conjugate one on such labels too.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
 from modwick.pairings import correlator_pairing_sum
-from modwick.scalars import ScalarExpr, canonicalize, canonically_equal
+from modwick.scalars import (
+    ScalarExpr, canonicalize, canonically_equal, conjugate,
+)
 from modwick.serialize import to_json_str
 from modwick.verify import MODES
 from modwick.words import (
-    Generator, Word, _raw_correlator_terms, correlator_recursive,
+    Generator, Word, _raw_correlator_terms, adjoint, correlator_recursive,
     word_from_pattern,
 )
 
@@ -40,13 +43,13 @@ def dyck(draw, pairs: int) -> str:
 
 
 @st.composite
-def words(draw) -> Word:
-    pattern = dyck(draw, draw(st.integers(1, 4)))
+def words(draw, pairs=(1, 4), modes=MODES) -> Word:
+    pattern = dyck(draw, draw(st.integers(*pairs)))
     n = len(pattern)
     labels = draw(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=4),
                            min_size=2 * n, max_size=2 * n, unique=True))
     pols = {"scalar": [None] * n, "uniform": [1] * n,
-            "cyclic": [i % 3 + 1 for i in range(n)]}[draw(st.sampled_from(MODES))]
+            "cyclic": [i % 3 + 1 for i in range(n)]}[draw(st.sampled_from(modes))]
     return Word(tuple(Generator(ch == "+", t, k, p) for ch, t, k, p
                       in zip(pattern, labels[:n], labels[n:], pols)))
 
@@ -63,6 +66,13 @@ def test_routes_agree_on_arbitrary_labels(w):
     raw = _raw_correlator_terms(w, {})
     forward = to_json_str(canonicalize(ScalarExpr(raw)))
     assert to_json_str(canonicalize(ScalarExpr(raw[::-1]))) == forward
+
+
+@settings(max_examples=30, deadline=None)
+@given(words(pairs=(5, 6), modes=("scalar", "cyclic")))
+def test_adjoint_equals_conjugate_on_arbitrary_labels(w):
+    assert canonically_equal(correlator_recursive(adjoint(w)),
+                             conjugate(correlator_recursive(w)))
 
 
 @st.composite
