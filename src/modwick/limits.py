@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .pairings import Pairing, enclosing_pairs
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
     PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
     canonicalize, contraction_phases, label_classes, merged_exponent,
 )
@@ -88,26 +88,20 @@ def limit_of_pairing_sum(e: ScalarExpr) -> ScalarExpr:
         lt = _limit_term(term)
         if lt is not None:
             out.append(lt)
-    if not out:
-        return EXPR_ZERO
     return canonicalize(ScalarExpr(tuple(out)))
 
 
 def correlator_wick_limit(w: Word) -> ScalarExpr:
     """Limit correlator built directly on the non-crossing pairing."""
-    if w.annihilator_count() != w.creator_count():
-        return EXPR_ZERO
     match = noncrossing_match(w)
     if match is None:
         return EXPR_ZERO
-    if not w.gens:
-        return EXPR_ONE
 
     gens = w.gens
     deltas = []
     for m, m2 in match.pairs:
         x, y = gens[m - 1], gens[m2 - 1]
-        if x.pol is not None and x.pol != y.pol:
+        if x.pol != y.pol:
             return EXPR_ZERO
         arg = {Energy(x.k): 1, PDot(x.k): 1}
         for a, _ in enclosing_pairs(match, (m, m2)):
@@ -129,8 +123,6 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
     the remaining generators; whatever generators survive are killed by
     the vacuum.
     """
-    if not w.gens:
-        return EXPR_ONE
     gens = list(w.gens)
     acc = ScalarTerm()
     while True:

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
-    MomentumDelta, PDot, PhaseArg, ScalarExpr, ScalarTerm, TimeComb,
-    canonicalize,
+    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, MomentumDelta, PDot,
+    PhaseArg, ScalarExpr, ScalarTerm, TimeComb, canonicalize,
 )
 from .words import Word, WordError
 
@@ -63,8 +62,8 @@ def enumerate_pairings(w: Word) -> list:
                 acc.pop()
                 taken.remove(c)
 
+    # annihilators in order, creators ascending: `out` is sorted by pairs
     assign(0, set(), [])
-    out.sort(key=lambda p: p.pairs)
     return out
 
 
@@ -103,7 +102,7 @@ def pairing_term(w: Word, pairing: Pairing) -> ScalarTerm:
     deltas = []
     for m, m2 in pairing.pairs:
         x, y = gens[m - 1], gens[m2 - 1]
-        if x.pol is not None and x.pol != y.pol:
+        if x.pol != y.pol:
             return ScalarTerm(C_ZERO)
         arg = {Energy(x.k): 1, PDot(x.k): 1}
         for a, _ in enclosing_pairs(pairing, (m, m2)):
@@ -124,15 +123,8 @@ def pairing_term(w: Word, pairing: Pairing) -> ScalarTerm:
 
 def correlator_pairing_sum(w: Word) -> ScalarExpr:
     """Vacuum correlator as the sum of closed-form pairing terms."""
-    if w.annihilator_count() != w.creator_count():
-        return EXPR_ZERO
-    if not w.gens:
-        return EXPR_ONE
-    terms = [pairing_term(w, p) for p in enumerate_pairings(w)]
-    terms = [t for t in terms if not t.coeff.is_zero()]
-    if not terms:
-        return EXPR_ZERO
-    return canonicalize(ScalarExpr(tuple(terms)))
+    return canonicalize(ScalarExpr(tuple(
+        pairing_term(w, p) for p in enumerate_pairings(w))))
 
 
 @dataclass(frozen=True)
@@ -146,10 +138,7 @@ def annotated_pairing_terms(w: Word) -> list:
     """Per-pairing terms with crossing counts, canonicalized one by one."""
     out = []
     for p in enumerate_pairings(w):
-        raw = pairing_term(w, p)
-        if raw.coeff.is_zero():
-            continue
-        canon = canonicalize(ScalarExpr((raw,)))
+        canon = canonicalize(ScalarExpr((pairing_term(w, p),)))
         if canon.terms:
             out.append(AnnotatedTerm(p, crossing_count(p), canon.terms[0]))
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
+    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, MomentumDelta,
     PDot, PhaseArg, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
 )
 
@@ -75,12 +75,6 @@ class Word:
 
     def polarized(self) -> bool:
         return bool(self.gens) and self.gens[0].pol is not None
-
-    def annihilator_count(self) -> int:
-        return sum(1 for g in self.gens if not g.dagger)
-
-    def creator_count(self) -> int:
-        return sum(1 for g in self.gens if g.dagger)
 
 
 def _subword(gens: tuple) -> Word:
@@ -263,6 +257,4 @@ def correlator_recursive(w: Word, memo: dict | None = None) -> ScalarExpr:
     but it grows with every distinct sub-word it sees.
     """
     terms = _raw_correlator_terms(w, {} if memo is None else memo)
-    if not terms:
-        return EXPR_ZERO
     return canonicalize(ScalarExpr(terms))

@@ -11,18 +11,23 @@ block word aaaaaa++++++ (720 pairings); it was computed before like terms
 merged on the structural identity.  A third digest covers `converge`
 stdout, the numeric CSV, on two assignments and two ladders each; it was
 computed before the four smeared-term evaluators shared their integrand
-builders and integrators.  When a change is meant to move output,
-recompute the digest and say why.
+builders and integrators.  A fourth digest covers the annotated pairing
+entries, which pin the enumeration order and the pairings a polarization
+mismatch drops; it was computed before the symbolic routes lost their
+early returns and the enumeration its sort.  When a change is meant to
+move output, recompute the digest and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
-from modwick.pairings import correlator_pairing_sum
+from modwick.cli import _pairing_entry
+from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
 from modwick.serialize import to_json_str, to_latex
 from modwick.verify import MODES, _build, patterns_up_to, report, run_all
 from modwick.words import correlator_recursive
@@ -30,6 +35,7 @@ from modwick.words import correlator_recursive
 GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
 BLOCK_WORD_SHA256 = "6cec35b100310050d488edca57d121ea09baba87c892b4001fcc399a2e8980f3"
 CONVERGE_SHA256 = "42019040a0e1a6fe09bdaa5ab85853d28f4c0f41b1d6ba77a22b96dd17cdad38"
+ANNOTATED_SHA256 = "275e83dbabb265b2cf10afa91072f160374d20e7a9dd82e7cce4ad9830243189"
 
 # the README assignment, and one with every vector off the axes, a nonzero
 # p and its own vanishing_x, so every phase atom kind evaluates nonzero
@@ -63,6 +69,17 @@ def test_block_word_matches_its_golden_digest():
     for e in _routes(_build("aaaaaa++++++", "scalar")):
         h.update(f"{to_json_str(e)}\n{to_latex(e)}\n".encode())
     assert h.hexdigest() == BLOCK_WORD_SHA256
+
+
+def test_annotated_pairings_match_their_golden_digest():
+    h = hashlib.sha256()
+    for pattern in [*patterns_up_to(6), "aa+a+a+a+a++", "aaaaaa++++++"]:
+        for mode in MODES:
+            h.update(f"{pattern} {mode}\n".encode())
+            for at in annotated_pairing_terms(_build(pattern, mode)):
+                entry = _pairing_entry(at, True)
+                h.update(json.dumps(entry, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == ANNOTATED_SHA256
 
 
 def test_converge_matches_its_golden_digest(cli_run, write_json):

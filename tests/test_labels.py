@@ -7,6 +7,9 @@ can print alike ("x,y" next to "z" and "x" next to "y,z" both give
 on the structural identity, not on those strings.  Polarization values
 are labels too: permuting {1,2,3} must change no correlator byte.  The
 adjoint word's correlator is the conjugate one on such labels too.
+At 10-12 generators the routes still agree, and over any pattern, not
+only Dyck words, the limit is nonzero exactly on the bracket-balanced
+ones.
 """
 
 from __future__ import annotations
@@ -21,18 +24,19 @@ from modwick.scalars import (
     ScalarExpr, canonicalize, canonically_equal, conjugate,
 )
 from modwick.serialize import to_json_str
-from modwick.verify import MODES
+from modwick.verify import MODES, _bracket_balanced
 from modwick.words import (
-    Generator, Word, _raw_correlator_terms, adjoint, correlator_recursive,
-    word_from_pattern,
+    Generator, Word, adjoint, correlator_recursive, word_from_pattern,
 )
 
 LABEL_CHARS = "tkxyz,;:()019é"
 
 
-def dyck(draw, pairs: int) -> str:
+@st.composite
+def dyck_patterns(draw, pairs=(1, 4)) -> str:
     # a Dyck word with 'a' opening, so pairings exist and the routes have
     # terms to compare; words of odd length or without pairings are zero
+    pairs = draw(st.integers(*pairs))
     pattern, depth = "", 0
     for _ in range(2 * pairs):
         if pattern.count("a") < pairs and (depth == 0 or draw(st.booleans())):
@@ -43,8 +47,8 @@ def dyck(draw, pairs: int) -> str:
 
 
 @st.composite
-def words(draw, pairs=(1, 4), modes=MODES) -> Word:
-    pattern = dyck(draw, draw(st.integers(*pairs)))
+def words(draw, patterns=dyck_patterns(), modes=MODES) -> Word:
+    pattern = draw(patterns)
     n = len(pattern)
     labels = draw(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=4),
                            min_size=2 * n, max_size=2 * n, unique=True))
@@ -54,22 +58,48 @@ def words(draw, pairs=(1, 4), modes=MODES) -> Word:
                       in zip(pattern, labels[:n], labels[n:], pols)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(words())
-def test_routes_agree_on_arbitrary_labels(w):
+def assert_routes_agree(w):
+    memo = {}
+    recursive = correlator_recursive(w, memo)
     closed = correlator_pairing_sum(w)
-    assert canonically_equal(correlator_recursive(w), closed)
+    assert canonically_equal(recursive, closed)
     wick = correlator_wick_limit(w)
     assert canonically_equal(limit_of_pairing_sum(closed), wick)
     assert canonically_equal(wick, correlator_limit_rewrite(w))
 
-    raw = _raw_correlator_terms(w, {})
-    forward = to_json_str(canonicalize(ScalarExpr(raw)))
-    assert to_json_str(canonicalize(ScalarExpr(raw[::-1]))) == forward
+    # the raw terms in reverse give the same terms, so the same bytes
+    raw = memo[w.gens]
+    assert canonicalize(ScalarExpr(raw[::-1])) == recursive
+
+
+@settings(max_examples=200, deadline=None)
+@given(words())
+def test_routes_agree_on_arbitrary_labels(w):
+    assert_routes_agree(w)
 
 
 @settings(max_examples=30, deadline=None)
-@given(words(pairs=(5, 6), modes=("scalar", "cyclic")))
+@given(words(dyck_patterns((5, 6))))
+def test_routes_agree_on_long_words(w):
+    assert_routes_agree(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words(st.one_of(st.text("a+", min_size=10, max_size=12),
+                       dyck_patterns((5, 6))),
+             modes=("scalar", "uniform")))
+def test_only_dyck_words_have_a_limit(w):
+    # few patterns drawn as text are balanced, so Dyck words are mixed in;
+    # without a polarization mismatch, a word with any pairing keeps the
+    # non-crossing one, and only that one survives the limit
+    wick = correlator_wick_limit(w)
+    assert len(wick.terms) == (1 if _bracket_balanced(w) else 0)
+    assert correlator_pairing_sum(w).is_zero() == wick.is_zero()
+    assert correlator_limit_rewrite(w).is_zero() == wick.is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(words(dyck_patterns((5, 6)), modes=("scalar", "cyclic")))
 def test_adjoint_equals_conjugate_on_arbitrary_labels(w):
     assert canonically_equal(correlator_recursive(adjoint(w)),
                              conjugate(correlator_recursive(w)))
@@ -77,7 +107,7 @@ def test_adjoint_equals_conjugate_on_arbitrary_labels(w):
 
 @st.composite
 def relabelled_polarizations(draw) -> tuple:
-    pattern = dyck(draw, draw(st.integers(5, 6)))
+    pattern = draw(dyck_patterns((5, 6)))
     # each '+' takes the polarization of the 'a' it closes, so at least the
     # crossing-free pairing survives and the correlator is nonzero
     pols, open_pols = [], []

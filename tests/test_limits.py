@@ -211,6 +211,17 @@ def test_empty_and_unbalanced_words():
     assert correlator_limit_rewrite(word_from_pattern("a+a")) == EXPR_ZERO
     assert correlator_wick_limit(word_from_pattern("+a")) == EXPR_ZERO
 
+    routes = (lambda w: limit_of_pairing_sum(correlator_pairing_sum(w)),
+              correlator_wick_limit, correlator_limit_rewrite)
+    edge = {word(): EXPR_ONE}
+    for w in (word_from_pattern("aaa+"), word_from_pattern("+a"),
+              word_from_pattern("a++a"), word_from_pattern("a+", pols=[1, 2])):
+        edge[w] = EXPR_ZERO
+    for w, expected in edge.items():
+        for route in routes:
+            got = route(w)
+            assert got == expected and got.canonical, (w, route)
+
 
 def test_catalan_counts_small():
     catalan = (1, 2, 5, 14)

@@ -17,10 +17,14 @@ from modwick.pairings import (
     crossing_patterns, enclosing_pairs, enumerate_pairings, pairing_term,
 )
 from modwick.scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
-    ScalarTerm, TimeComb, canonicalize, canonically_equal, term_signature,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
+    PDot, PhaseArg, ScalarTerm, TimeComb, canonicalize, canonically_equal,
+    term_signature,
 )
-from modwick.words import WordError, correlator_recursive, word_from_pattern
+from modwick.verify import patterns_up_to
+from modwick.words import (
+    WordError, correlator_recursive, word, word_from_pattern,
+)
 
 
 def weighted_phase(t_from, t_to, arg_dict):
@@ -50,6 +54,10 @@ def test_pairing_sorted_and_deterministic():
     assert p.pairs == ((1, 4), (2, 3))
     ps = enumerate_pairings(word_from_pattern("aa++"))
     assert [q.pairs for q in ps] == [((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    # the enumeration comes out strictly increasing without a sort
+    for pattern in [*patterns_up_to(8), "aaaaaa++++++"]:
+        pairs = [q.pairs for q in enumerate_pairings(word_from_pattern(pattern))]
+        assert all(a < b for a, b in zip(pairs, pairs[1:])), pattern
 
 
 def test_crossing_predicates():
@@ -157,5 +165,11 @@ def test_annotated_terms_tags():
 
 
 def test_unbalanced_word_is_zero():
-    assert correlator_pairing_sum(word_from_pattern("aaa+")).is_zero()
-    assert correlator_pairing_sum(word_from_pattern("+a")).is_zero()
+    # the empty word is the empty product; a word without a surviving
+    # pairing sums to zero
+    empty = correlator_pairing_sum(word())
+    assert empty == EXPR_ONE and empty.canonical
+    for w in (word_from_pattern("aaa+"), word_from_pattern("+a"),
+              word_from_pattern("a++a"), word_from_pattern("a+", pols=[1, 2])):
+        got = correlator_pairing_sum(w)
+        assert got == EXPR_ZERO and got.canonical

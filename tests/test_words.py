@@ -59,7 +59,6 @@ def test_pattern_round_trip():
     assert pattern_of(w) == "aa+a++"
     assert [g.t for g in w.gens] == [f"t{i}" for i in range(1, 7)]
     assert [g.k for g in w.gens] == [f"k{i}" for i in range(1, 7)]
-    assert w.annihilator_count() == 3 and w.creator_count() == 3
     with pytest.raises(WordError):
         word_from_pattern("ab+")
 
@@ -167,6 +166,12 @@ def test_recursion_base_cases():
     assert correlator_recursive(word_from_pattern("+")) == EXPR_ZERO
     assert correlator_recursive(word_from_pattern("+a")) == EXPR_ZERO
     assert correlator_recursive(word_from_pattern("aa+")) == EXPR_ZERO
+    assert correlator_recursive(word()).canonical
+    # no pairing, or none that survives a polarization mismatch
+    for w in (word_from_pattern("aaa+"), word_from_pattern("+a"),
+              word_from_pattern("a++a"), word_from_pattern("a+", pols=[1, 2])):
+        got = correlator_recursive(w)
+        assert got == EXPR_ZERO and got.canonical
 
 
 def test_recursion_two_point():
