@@ -8,9 +8,9 @@ Subcommands:
     converge   numeric convergence ladders as CSV
     render     re-render a serialized expression (JSON or LaTeX)
 
-Exit codes: 0 success, 2 parse error, 3 invalid word, 4 numeric
-configuration error, 5 verification failure.  All output is fully
-deterministic: the same invocation produces the same bytes.
+Exit codes: 0 success, 2 parse error or unwritable --out, 3 invalid word,
+4 numeric configuration error, 5 verification failure.  All output is
+fully deterministic: the same invocation produces the same bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .limits import (
 )
 from .pairings import annotated_pairing_terms, correlator_pairing_sum
 from .scalars import canonically_equal
-from .serialize import from_json_dict, term_to_json_dict, to_json_str, to_latex
+from .serialize import from_json_dict, indented_json, to_json_str, to_latex
 from .verify import MAX_N, all_passed, report, run_all
 from .words import (
     WordError, correlator_recursive, word_from_json_dict, word_from_pattern,
@@ -98,20 +98,17 @@ def _check_max_n(n: int) -> int:
 
 
 def _render_expr(e, fmt: str) -> str:
-    if fmt == "latex":
-        return to_latex(e) + "\n"
-    return to_json_str(e) + "\n"
+    return (to_latex(e) if fmt == "latex" else to_json_str(e)) + "\n"
 
 
 def _pairing_entry(at, with_term: bool) -> dict:
-    entry = {
+    term = {"term": at.term} if with_term else {}
+    return {
         "pairs": [list(p) for p in at.pairing.pairs],
         "crossings": at.crossings,
         "tag": "crossing" if at.crossings else "noncrossing",
+        **term,
     }
-    if with_term:
-        entry["term"] = term_to_json_dict(at.term)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def cmd_correlate(args) -> tuple:
     w = _load_word(args.word, args.mode)
     if args.annotate:
         out = [_pairing_entry(at, True) for at in annotated_pairing_terms(w)]
-        return json.dumps({"terms": out}, indent=2) + "\n", 0
+        return indented_json({"terms": out}) + "\n", 0
     if args.method == "recursion":
         e = correlator_recursive(w)
     else:
@@ -138,9 +135,8 @@ def cmd_limit(args) -> tuple:
     }
     e = routes[args.method](w)
     if args.check_all:
-        others = {name: fn(w) for name, fn in routes.items() if name != args.method}
-        for name, other in others.items():
-            if not canonically_equal(e, other):
+        for name, fn in routes.items():
+            if name != args.method and not canonically_equal(e, fn(w)):
                 raise CliError(
                     EXIT_VERIFY,
                     f"limit routes disagree: {args.method} vs {name}")
@@ -151,7 +147,7 @@ def cmd_limit(args) -> tuple:
 def cmd_pairings(args) -> tuple:
     w = _load_word(args.word, args.mode)
     out = [_pairing_entry(at, args.annotate) for at in annotated_pairing_terms(w)]
-    return json.dumps({"count": len(out), "pairings": out}, indent=2) + "\n", 0
+    return indented_json({"count": len(out), "pairings": out}) + "\n", 0
 
 
 def cmd_verify(args) -> tuple:
@@ -303,11 +299,15 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    if getattr(args, "out", None):
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

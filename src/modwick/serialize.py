@@ -2,6 +2,7 @@
 
 The JSON AST is a plain dictionary tree mirroring the structural term
 representation; `from_json_dict(to_json_dict(e))` reproduces `e` exactly.
+`indented_json` writes the text of `json.dumps(x, indent=2)` from the terms.
 LaTeX output renders phases as q_{\\lambda}(.., ..) and delta factors as
 \\delta(..) for side-by-side reading against handwritten normal forms.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .scalars import (
     DOT, ENERGY, Atom, ContractionPhase, Delta, Dot, MomentumDelta, PhaseArg,
@@ -103,21 +105,20 @@ def _frac_pair(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
+def _phase_to_json(ph: ContractionPhase) -> dict:
+    return {"time": _time_to_json(ph.time), "arg": _arg_to_json(ph.arg),
+            "weighted": ph.weighted}
+
+
+def _term_fields(term: ScalarTerm, phases: list, deltas: list) -> dict:
+    return {"coeff": [_frac_pair(term.coeff.re), _frac_pair(term.coeff.im)],
+            "two_pi_power": term.two_pi_power, "lambda_power": term.lambda_power,
+            "phases": phases, "deltas": deltas}
+
+
 def term_to_json_dict(term: ScalarTerm) -> dict:
-    return {
-        "coeff": [_frac_pair(term.coeff.re), _frac_pair(term.coeff.im)],
-        "two_pi_power": term.two_pi_power,
-        "lambda_power": term.lambda_power,
-        "phases": [
-            {
-                "time": _time_to_json(ph.time),
-                "arg": _arg_to_json(ph.arg),
-                "weighted": ph.weighted,
-            }
-            for ph in term.phases
-        ],
-        "deltas": [_delta_to_json(d) for d in term.deltas],
-    }
+    return _term_fields(term, [_phase_to_json(ph) for ph in term.phases],
+                        [_delta_to_json(d) for d in term.deltas])
 
 
 def term_from_json_dict(d: dict) -> ScalarTerm:
@@ -143,8 +144,45 @@ def from_json_dict(d: dict) -> ScalarExpr:
     return ScalarExpr(tuple(term_from_json_dict(t) for t in d["terms"]))
 
 
+def _indented(x, pad: str, memo: dict) -> str:
+    # a phase or delta under one pad always prints the same lines
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, ScalarTerm):
+        x = _term_fields(x, list(x.phases), list(x.deltas))
+    elif isinstance(x, ContractionPhase | Delta):
+        text = memo.get((x, pad))
+        if text is None:
+            dump = _phase_to_json if isinstance(x, ContractionPhase) else _delta_to_json
+            text = memo[x, pad] = _indented(dump(x), pad, memo)
+        return text
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: "
+                          f"{_indented(v, inner, memo)}" for k, v in x.items())
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        body = ",\n".join(inner + _indented(v, inner, memo) for v in x)
+        return f"[\n{body}\n{pad}]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def indented_json(x) -> str:
+    """`json.dumps(x, indent=2)`, a ScalarTerm at any depth standing for its
+    `term_to_json_dict`; each distinct phase and delta is rendered once."""
+    return _indented(x, "", {})
+
+
 def to_json_str(expr: ScalarExpr) -> str:
-    return json.dumps(to_json_dict(expr), indent=2)
+    return indented_json({"terms": list(expr.terms)})
 
 
 def from_json_str(s: str) -> ScalarExpr:

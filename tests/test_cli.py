@@ -470,6 +470,18 @@ def test_out_writes_file_and_keeps_stdout_quiet(cli_run, word_file, tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
+def test_unwritable_out_is_a_one_line_error(cli_run, word_file, tmp_path):
+    # a missing parent directory, and a directory in place of the file
+    path = word_file("a+")
+    missing = tmp_path / "absent" / "x.json"
+    for target, reason in (
+            (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+            (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'")):
+        code, out, err = cli_run(["correlate", path, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_correlate_methods_agree_canonically(cli_run, word_file):
     # crossing terms are factored differently by the two routes, so the
     # comparison is canonical equivalence rather than byte equality

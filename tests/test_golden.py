@@ -14,28 +14,37 @@ computed before the four smeared-term evaluators shared their integrand
 builders and integrators.  A fourth digest covers the annotated pairing
 entries, which pin the enumeration order and the pairings a polarization
 mismatch drops; it was computed before the symbolic routes lost their
-early returns and the enumeration its sort.  When a change is meant to
-move output, recompute the digest and say why.
+early returns and the enumeration its sort.  A fifth digest covers the
+indented documents of `pairings`, `pairings --annotate` and `correlate
+--annotate` as the CLI prints them; it was computed before those
+documents and `to_json_str` shared one JSON writer.  When a change is
+meant to move output, recompute the digest and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
 from modwick.cli import _pairing_entry
 from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
-from modwick.serialize import to_json_str, to_latex
+from modwick.serialize import term_to_json_dict, to_json_str, to_latex
 from modwick.verify import MODES, _build, patterns_up_to, report, run_all
-from modwick.words import correlator_recursive
+from modwick.words import correlator_recursive, word_to_json_dict
 
 GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
 BLOCK_WORD_SHA256 = "6cec35b100310050d488edca57d121ea09baba87c892b4001fcc399a2e8980f3"
 CONVERGE_SHA256 = "42019040a0e1a6fe09bdaa5ab85853d28f4c0f41b1d6ba77a22b96dd17cdad38"
 ANNOTATED_SHA256 = "275e83dbabb265b2cf10afa91072f160374d20e7a9dd82e7cce4ad9830243189"
+CLI_DOCUMENTS_SHA256 = "80c7215db499e47e5ec0e450e482e0ca34aa7ba3ab67fc3bf94bf6778200a05a"
 
 # the README assignment, and one with every vector off the axes, a nonzero
 # p and its own vanishing_x, so every phase atom kind evaluates nonzero
@@ -77,9 +86,23 @@ def test_annotated_pairings_match_their_golden_digest():
         for mode in MODES:
             h.update(f"{pattern} {mode}\n".encode())
             for at in annotated_pairing_terms(_build(pattern, mode)):
-                entry = _pairing_entry(at, True)
-                h.update(json.dumps(entry, separators=(",", ":")).encode() + b"\n")
+                entry = json.dumps(_pairing_entry(at, True), separators=(",", ":"),
+                                   default=term_to_json_dict)
+                h.update(entry.encode() + b"\n")
     assert h.hexdigest() == ANNOTATED_SHA256
+
+
+def test_cli_documents_match_their_golden_digest(cli_run, write_json):
+    h = hashlib.sha256()
+    cases = [(p, m) for p in [*patterns_up_to(6), "aa+a+a+a+a++"] for m in MODES]
+    for pattern, mode in [*cases, ("aaaaaa++++++", "scalar")]:
+        path = write_json("word.json", word_to_json_dict(_build(pattern, mode)))
+        for request in (["pairings"], ["pairings", "--annotate"],
+                        ["correlate", "--annotate"]):
+            code, out, err = cli_run([*request, path])
+            assert (code, err) == (0, ""), (pattern, mode, request)
+            h.update(f"{pattern} {mode} {' '.join(request)}\n{out}".encode())
+    assert h.hexdigest() == CLI_DOCUMENTS_SHA256
 
 
 def test_converge_matches_its_golden_digest(cli_run, write_json):
@@ -91,3 +114,16 @@ def test_converge_matches_its_golden_digest(cli_run, write_json):
             assert (code, err) == (0, "")
             h.update(out.encode())
     assert h.hexdigest() == CONVERGE_SHA256
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_digests_hold_under_other_hash_seeds(seed):
+    # the JSON writer memoizes fragments in a dict keyed by value, and
+    # canonicalize merges terms in one; neither may leak hash order
+    tests = [f"{__file__}::test_outputs_match_the_golden_digest",
+             f"{__file__}::test_cli_documents_match_their_golden_digest"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout

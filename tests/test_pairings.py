@@ -8,6 +8,7 @@ unweighted oscillation.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -72,6 +73,38 @@ def test_crossing_predicates():
     assert crossing_patterns(twisted) == [((1, 4), (2, 6)), ((1, 4), (3, 5))]
     # (1,4) straddles position 3 but crosses (3,5) instead of enclosing it
     assert enclosing_pairs(twisted, (3, 5)) == [(2, 6)]
+
+
+def _touchard_riordan(n: int) -> list:
+    """Coefficients of sum over perfect matchings of [2n] of q^crossings.
+
+    (1-q)^-n sum_k (-1)^k q^(k(k+1)/2) [C(2n, n-k) - C(2n, n-k-1)], in
+    integers: each division by 1-q is a prefix sum.
+    """
+    def binom(j):
+        return math.comb(2 * n, j) if j >= 0 else 0
+
+    poly = [0] * (n * (n + 1) // 2 + 1)
+    for k in range(n + 1):
+        poly[k * (k + 1) // 2] += (-1) ** k * (binom(n - k) - binom(n - k - 1))
+    for _ in range(n):
+        poly = list(itertools.accumulate(poly))
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def test_crossing_histogram_is_touchard_riordan():
+    # over every pattern of length 2n each perfect matching of [2n] shows
+    # up once, its left ends annihilators and its right ends creators
+    for n in range(1, 7):
+        hist = [0] * (n * (n - 1) // 2 + 1)
+        for pattern in patterns_up_to(2 * n):
+            if len(pattern) == 2 * n:
+                for p in enumerate_pairings(word_from_pattern(pattern)):
+                    hist[crossing_count(p)] += 1
+        assert sum(hist) == math.prod(range(1, 2 * n, 2)), n
+        assert hist == _touchard_riordan(n), n
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
-    Dot, EXPR_ZERO, PhaseArg, RationalComplex, ScalarExpr, ScalarTerm,
-    TERM_ONE, TimeComb, TimeDelta, oscillation,
+    ContractionPhase, Dot, EXPR_ZERO, Energy, MomentumDelta, PDot, PhaseArg,
+    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb,
+    TimeDelta, oscillation,
 )
 from modwick.serialize import (
-    from_json_dict, from_json_str, term_to_latex, to_json_dict, to_json_str,
-    to_latex,
+    from_json_dict, from_json_str, indented_json, term_to_json_dict,
+    term_to_latex, to_json_dict, to_json_str, to_latex,
 )
 from modwick.words import correlator_recursive, word_from_pattern
 
@@ -48,6 +50,54 @@ def test_json_is_plain_data():
     term = data["terms"][0]
     assert set(term) == {"coeff", "two_pi_power", "lambda_power",
                          "phases", "deltas"}
+
+
+# labels with quotes, backslashes, control characters and non-ASCII
+labels = st.text(
+    st.sampled_from('ak1"\\/\n\t\x00\x1f\x7fé€\U0001d70b') | st.characters(),
+    max_size=4)
+big = st.integers(-10**30, 10**30)
+nonzero = big.filter(bool)
+atoms = st.one_of(st.builds(Energy, labels), st.builds(Dot, labels, labels),
+                  st.builds(PDot, labels))
+args = st.dictionaries(atoms, nonzero, max_size=3).map(PhaseArg.of)
+times = st.dictionaries(labels, nonzero, max_size=3).map(TimeComb.of)
+phases = st.builds(ContractionPhase, times, args, st.booleans())
+deltas = st.one_of(
+    st.tuples(labels, labels).filter(lambda ab: ab[0] != ab[1])
+    .map(lambda ab: MomentumDelta(*ab)),
+    times.filter(lambda c: not c.is_zero()).map(TimeDelta),
+    args.filter(lambda a: not a.is_zero()).map(PhaseDelta))
+fractions = st.builds(Fraction, big, nonzero)
+
+
+@st.composite
+def exprs(draw):
+    # terms draw from small pools, so one phase or delta recurs across terms
+    phase_pool = draw(st.lists(phases, min_size=1, max_size=3))
+    delta_pool = draw(st.lists(deltas, min_size=1, max_size=3))
+    term = st.builds(
+        ScalarTerm, st.builds(RationalComplex, fractions, fractions), big, big,
+        st.lists(st.sampled_from(phase_pool), max_size=4).map(tuple),
+        st.lists(st.sampled_from(delta_pool), max_size=3).map(tuple))
+    return ScalarExpr(tuple(draw(st.lists(term, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=exprs(), with_term=st.booleans())
+def test_indented_writer_matches_json_dumps(e, with_term):
+    assert to_json_str(e) == json.dumps(to_json_dict(e), indent=2)
+    entries = [{"pairs": [[1, 2 + i]], "crossings": i, "tag": "crossing",
+                **({"term": t} if with_term else {})}
+               for i, t in enumerate(e.terms)]
+    doc = {"count": len(entries), "pairings": entries}
+    assert indented_json(doc) == json.dumps(doc, indent=2, default=term_to_json_dict)
+
+
+def test_indented_writer_refuses_other_types():
+    for bad in (1.5, None, (1, 2), {1: 2}):
+        with pytest.raises(TypeError):
+            indented_json({"x": [bad]})
 
 
 def test_json_rejects_unknown_kinds():
