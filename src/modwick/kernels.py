@@ -133,6 +133,11 @@ class GaussianTest:
         u = (np.asarray(t, dtype=float) - self.center) / self.width
         return np.exp(-0.5 * u * u)
 
+    def at(self, t: float) -> float:
+        """The value at one point, in scalar math arithmetic."""
+        u = (t - self.center) / self.width
+        return math.exp(-0.5 * u * u)
+
     def support(self) -> tuple:
         r = SIGMA_CUTOFF * self.width
         return (self.center - r, self.center + r)
@@ -233,7 +238,7 @@ def delta_kernel_quadrature(f: GaussianTest, g: GaussianTest, h: GaussianTest,
     t_hi = max(f.support()[1], g.support()[1] + shift)
 
     def integrand(tau, t, part):
-        val = f(t) * g(t - lam ** 2 * tau) * gauss_fourier(h, tau)
+        val = f.at(t) * g.at(t - lam ** 2 * tau) * gauss_fourier(h, tau)
         return val.real if part == "re" else val.imag
 
     out = {}
@@ -402,31 +407,36 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
 def _tensor_quadrature(bounds, integrand, points: int) -> complex:
     """Tensor-grid Gauss-Legendre quadrature over a box.
 
-    `integrand` receives one broadcastable array per variable and must
-    return the full integrand values; no factorized shortcut is taken,
-    so this is a genuinely independent check of the closed forms.
+    `integrand` receives one node array per variable, along its own axis,
+    and returns the integrand's factors, each over the axes it depends on
+    (0-d for none).  The weights and the factors constant along the first
+    axis multiply into one tail block once; per first-axis node, the other
+    factors' slices multiply in and the block is summed.  So each node's
+    value is the product of all its factors, summed node by node: no
+    factorized shortcut is taken, and this is a genuinely independent
+    check of the closed forms.
     """
-    nodes, weights = [], []
     base_x, base_w = np.polynomial.legendre.leggauss(points)
-    for lo, hi in bounds:
+    dim = len(bounds)
+    axes, weights = [], []
+    for i, (lo, hi) in enumerate(bounds):
+        shape = (1,) * i + (-1,) + (1,) * (dim - 1 - i)
         half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * base_x)
-        weights.append(half * base_w)
+        axes.append((0.5 * (lo + hi) + half * base_x).reshape(shape))
+        weights.append((half * base_w).reshape(shape))
 
-    dim = len(nodes)
-    if dim == 1:
-        return complex(np.sum(weights[0] * integrand(nodes[0])))
-
-    # block over the first axis to bound memory
-    tail_axes = [n.reshape((1,) * i + (-1,) + (1,) * (dim - 2 - i))
-                 for i, n in enumerate(nodes[1:])]
-    tail_w = weights[1]
-    for w in weights[2:]:
-        tail_w = np.multiply.outer(tail_w, w)
+    tail, first = 1.0, []
+    for factor in weights + list(integrand(*axes)):
+        if np.ndim(factor) and np.shape(factor)[0] > 1:
+            first.append(factor)
+        else:
+            tail = tail * factor
     acc = 0.0 + 0.0j
-    for i, t0 in enumerate(nodes[0]):
-        vals = integrand(t0, *tail_axes)
-        acc += weights[0][i] * np.sum(tail_w * vals)
+    for i in range(len(axes[0])):
+        node = 1.0
+        for factor in first:
+            node = node * factor[i]
+        acc += np.sum(tail * node)
     return complex(acc)
 
 
@@ -437,22 +447,18 @@ def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,
     `groups` maps each integration variable to the time labels whose
     test functions it carries; `phase_data` holds, per oscillation, its
     time items over those variables and its evaluated argument.  The
-    integrand is evaluated structurally, factor by factor, at every node.
+    integrand returns its factors, each test function and oscillation on
+    its own variables' axes (0-d when a time combination cancels).
     """
     reps = sorted(groups)
     index = {r: i for i, r in enumerate(reps)}
 
     def integrand(*ts):
-        shape = np.broadcast_shapes(*(np.shape(t) for t in ts))
-        mag = np.ones(shape)
-        for r, t in zip(reps, ts):
-            for member in groups[r]:
-                mag = mag * tests[member](t)
-        expo = np.zeros(shape)
+        factors = [tests[m](t) for r, t in zip(reps, ts) for m in groups[r]]
         for items, x in phase_data:
             delta = sum(c * ts[index[t]] for t, c in items)
-            expo = expo + x * delta
-        return mag * np.exp(-1j * expo / lam ** 2)
+            factors.append(np.exp(-1j * x / lam ** 2 * delta))
+        return factors
 
     bounds = []
     for r in reps:
@@ -488,7 +494,14 @@ def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
 
 
 def fit_loglog_slope(lams, errs) -> float:
-    """Least-squares slope of log(err) against log(lambda)."""
-    x = np.log(np.asarray(lams, dtype=float))
-    y = np.log(np.asarray(errs, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    """Least-squares slope of log(err) against log(lambda).
+
+    ValueError, never nan, unless all are finite and positive and two lambdas differ.
+    """
+    x, y = np.asarray(lams, dtype=float), np.asarray(errs, dtype=float)
+    for name, v in (("lambda", x), ("error", y)):
+        if not np.all(np.isfinite(v) & (v > 0)):
+            raise ValueError(f"every {name} must be finite and positive")
+    if np.unique(x).size < 2:
+        raise ValueError("a slope needs at least two distinct lambdas")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -77,6 +77,9 @@ def test_gaussian_test_shape():
     assert f(0.3) == pytest.approx(1.0)
     lo, hi = f.support()
     assert lo < 0.3 < hi
+    # the scalar reader of the adaptive oracle is the same function
+    for t in (-4.1, -0.5, 0.0, 0.3, 1.75, 6.0):
+        assert f.at(t) == pytest.approx(float(f(t)), rel=1e-15)
     with pytest.raises(ValueError):
         GaussianTest(0.0, 0.0)
 
@@ -220,6 +223,21 @@ def test_fit_loglog_slope_on_synthetic_data():
     assert fit_loglog_slope(lams, errs) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("lams, errs, message", [
+    ([0.5, 0.25], [0.1, 0.0], "every error must be finite and positive"),
+    ([0.5, 0.25], [0.1, -0.02], "every error must be finite and positive"),
+    ([0.5, 0.25], [0.1, math.nan], "every error must be finite and positive"),
+    ([0.5, 0.0], [0.1, 0.02], "every lambda must be finite and positive"),
+    ([0.5, math.inf], [0.1, 0.02], "every lambda must be finite and positive"),
+    ([0.5, 0.5], [0.1, 0.02], "at least two distinct lambdas"),
+    ([0.5], [0.1], "at least two distinct lambdas"),
+])
+def test_fit_loglog_slope_rejects_what_has_no_slope(lams, errs, message):
+    # each used to give nan, a meaningless slope or a bare LinAlgError
+    with pytest.raises(ValueError, match=message):
+        fit_loglog_slope(lams, errs)
+
+
 # ---------------------------------------------------------------------------
 # smeared correlator terms
 
@@ -269,6 +287,30 @@ def test_term_value_two_point_against_grid(lam):
     closed = term_value(term, tests, a, lam)
     grid = term_value_quadrature(term, tests, a, lam)
     assert rel_err(closed, grid) < 1e-10
+
+
+def test_term_value_grid_with_a_cancelled_time_combination():
+    # t1 - t1 cancels, so its oscillation is a constant, a 0-d grid factor
+    term = ScalarTerm(phases=(
+        ContractionPhase(TimeComb.difference("t1", "t1"),
+                         PhaseArg.of({Energy("k1"): 1})),
+        ContractionPhase(TimeComb.difference("t1", "t2"),
+                         PhaseArg.of({Dot("k1", "k1"): 1}))))
+    a = Assignment({"k1": (0.6, 0.0, 0.0)}, (0.0, 0.0, 0.0))
+    tests = {"t1": STD, "t2": GaussianTest(0.3, 0.8)}
+    for lam in (1.0, 0.7):
+        closed = term_value(term, tests, a, lam)
+        assert rel_err(closed, term_value_quadrature(term, tests, a, lam)) <= 1e-9
+
+
+def test_term_convergence_grid_on_one_variable():
+    # the a+ term's one weighted phase pins t1 and t2 together: a 1-D grid
+    term, a = two_point_term_and_assignment()
+    tests = {"t1": STD, "t2": GaussianTest(0.3, 0.8)}
+    for lam in (1.0, 0.5):
+        (row,) = term_convergence(term, tests, a, [lam])
+        grid = term_convergence_quadrature(term, tests, a, lam)
+        assert rel_err(row.value, grid) <= 1e-9
 
 
 def test_term_value_four_point_against_grid(study_setup):

@@ -9,7 +9,7 @@ are labels too: permuting {1,2,3} must change no correlator byte.  The
 adjoint word's correlator is the conjugate one on such labels too.
 At 10-12 generators the routes still agree, and over any pattern, not
 only Dyck words, the limit is nonzero exactly on the bracket-balanced
-ones.
+ones, and renaming the labels of a word renames its correlators.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from modwick.limits import (
 )
 from modwick.pairings import correlator_pairing_sum
 from modwick.scalars import (
-    ScalarExpr, canonicalize, canonically_equal, conjugate,
+    ContractionPhase, MomentumDelta, PhaseDelta, ScalarExpr, ScalarTerm,
+    TimeDelta, canonicalize, canonically_equal, conjugate,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _bracket_balanced
@@ -128,3 +129,44 @@ def test_permuting_polarization_values_changes_no_correlator(pair):
     w, v = pair
     for route in (correlator_recursive, correlator_wick_limit):
         assert to_json_str(route(v)) == to_json_str(route(w))
+
+
+def renamed(e: ScalarExpr, sigma: dict) -> ScalarExpr:
+    """Rename every time and momentum label in the phases and deltas."""
+    def delta(d):
+        if isinstance(d, MomentumDelta):
+            return MomentumDelta(sigma[d.a], sigma[d.b])
+        if isinstance(d, TimeDelta):
+            return TimeDelta(d.comb.substituted(sigma))
+        return PhaseDelta(d.arg.substituted(sigma))
+
+    return ScalarExpr(tuple(ScalarTerm(
+        t.coeff, t.two_pi_power, t.lambda_power,
+        tuple(ContractionPhase(ph.time.substituted(sigma),
+                               ph.arg.substituted(sigma), ph.weighted)
+              for ph in t.phases),
+        tuple(delta(d) for d in t.deltas)) for t in e.terms))
+
+
+@st.composite
+def relabelled_words(draw) -> tuple:
+    w = draw(words(dyck_patterns((5, 6))))
+    labels = [x for g in w.gens for x in (g.t, g.k)]
+    sigma = dict(zip(labels, draw(st.permutations(labels))))
+    return w, sigma, Word(tuple(Generator(g.dagger, sigma[g.t], sigma[g.k], g.pol)
+                                for g in w.gens))
+
+
+@settings(max_examples=12, deadline=None)
+@given(relabelled_words())
+def test_renaming_the_labels_renames_every_route(case):
+    # sigma may send a time label to a former momentum label and back
+    w, sigma, v = case
+
+    def routes(u):
+        closed = correlator_pairing_sum(u)
+        return (correlator_recursive(u), closed, limit_of_pairing_sum(closed),
+                correlator_wick_limit(u), correlator_limit_rewrite(u))
+
+    for got, expect in zip(routes(v), routes(w)):
+        assert canonically_equal(got, renamed(expect, sigma))
