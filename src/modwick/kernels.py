@@ -432,7 +432,7 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
         else:
             tail = tail * factor
     acc = 0.0 + 0.0j
-    for i in range(len(axes[0])):
+    for i in range(points if bounds else 1):  # a box of no axes is one node
         node = 1.0
         for factor in first:
             node = node * factor[i]

@@ -313,6 +313,14 @@ def test_term_convergence_grid_on_one_variable():
         assert rel_err(row.value, grid) <= 1e-9
 
 
+def test_grid_oracles_on_a_term_without_time_variables():
+    # the bare term 1, the empty word's correlator, used to raise IndexError
+    a = Assignment({}, (0.0, 0.0, 0.0))
+    assert term_value_quadrature(ScalarTerm(), {}, a, 1.0) \
+        == term_value(ScalarTerm(), {}, a, 1.0) == 1.0
+    assert term_convergence_quadrature(ScalarTerm(), {}, a, 0.5) == 1.0
+
+
 def test_term_value_four_point_against_grid(study_setup):
     terms, tests, a = study_setup
     for tag in ("crossing", "noncrossing"):
