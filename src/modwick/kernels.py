@@ -426,7 +426,7 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
         weights.append((half * base_w).reshape(shape))
 
     tail, first = 1.0, []
-    for factor in weights + list(integrand(*axes)):
+    for factor in weights + integrand(*axes):
         if np.ndim(factor) and np.shape(factor)[0] > 1:
             first.append(factor)
         else:
