@@ -416,7 +416,8 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
     factorized shortcut is taken, and this is a genuinely independent
     check of the closed forms.
     """
-    base_x, base_w = np.polynomial.legendre.leggauss(points)
+    from scipy.special import roots_legendre  # no threads, unlike leggauss
+    base_x, base_w = roots_legendre(points)
     dim = len(bounds)
     axes, weights = [], []
     for i, (lo, hi) in enumerate(bounds):
