@@ -10,8 +10,8 @@ and checks the limit numerically with Gaussian-smeared kernels.
 from .scalars import (
     Atom, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
     PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
-    add, canonicalize, canonically_equal, conjugate, merged_exponent,
-    multiply, negate, oscillation, term_signature,
+    canonicalize, canonically_equal, conjugate, merged_exponent, multiply,
+    oscillation, term_signature,
 )
 from .serialize import (
     from_json_dict, from_json_str, to_json_dict, to_json_str, to_latex,

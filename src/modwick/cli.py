@@ -30,7 +30,10 @@ from .kernels import (
 from .limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
-from .pairings import annotated_pairing_terms, correlator_pairing_sum
+from .pairings import (
+    annotated_pairing_terms, correlator_pairing_sum, crossing_count,
+    enumerate_pairings,
+)
 from .scalars import canonically_equal
 from .serialize import from_json_dict, indented_json, to_json_str, to_latex
 from .verify import MAX_N, all_passed, report, run_all
@@ -101,24 +104,32 @@ def _render_expr(e, fmt: str) -> str:
     return (to_latex(e) if fmt == "latex" else to_json_str(e)) + "\n"
 
 
-def _pairing_entry(at, with_term: bool) -> dict:
-    term = {"term": at.term} if with_term else {}
+def _pairing_entry(pairing, crossings: int, term=None) -> dict:
     return {
-        "pairs": [list(p) for p in at.pairing.pairs],
-        "crossings": at.crossings,
-        "tag": "crossing" if at.crossings else "noncrossing",
-        **term,
+        "pairs": [list(p) for p in pairing.pairs],
+        "crossings": crossings,
+        "tag": "crossing" if crossings else "noncrossing",
+        **({} if term is None else {"term": term}),
     }
+
+
+def _pairing_entries(w, annotate: bool) -> list:
+    """One entry per pairing; only `annotate` builds the pairing's term."""
+    if annotate:
+        return [_pairing_entry(at.pairing, at.crossings, at.term)
+                for at in annotated_pairing_terms(w)]
+    return [_pairing_entry(p, crossing_count(p)) for p in enumerate_pairings(w)]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_correlate(args) -> tuple:
+    if args.annotate and args.format == "latex":
+        raise CliError(EXIT_PARSE, "--annotate writes JSON only, not latex")
     w = _load_word(args.word, args.mode)
     if args.annotate:
-        out = [_pairing_entry(at, True) for at in annotated_pairing_terms(w)]
-        return indented_json({"terms": out}) + "\n", 0
+        return indented_json({"terms": _pairing_entries(w, True)}) + "\n", 0
     if args.method == "recursion":
         e = correlator_recursive(w)
     else:
@@ -146,7 +157,7 @@ def cmd_limit(args) -> tuple:
 
 def cmd_pairings(args) -> tuple:
     w = _load_word(args.word, args.mode)
-    out = [_pairing_entry(at, args.annotate) for at in annotated_pairing_terms(w)]
+    out = _pairing_entries(w, args.annotate)
     return indented_json({"count": len(out), "pairings": out}) + "\n", 0
 
 

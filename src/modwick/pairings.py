@@ -1,8 +1,9 @@
 """Pair partitions and the closed-form finite-coupling correlator.
 
 A 2n-point vacuum correlator is a sum over pairings that match every
-annihilator with a creator standing to its right.  Each pairing
-contributes one term:
+annihilator with a creator of its polarization standing to its right
+(a contraction carries a polarization delta).  Each pairing contributes
+one term:
 
   * per pair (m, m'): a momentum delta, a 1/lambda^2 weight, and a
     weighted phase q(t_m - t_m', E(k_m) + k_m.p + sum of k_a.k_m over
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, MomentumDelta, PDot,
-    PhaseArg, ScalarExpr, ScalarTerm, TimeComb, canonicalize,
+    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
+    ScalarExpr, ScalarTerm, TimeComb, canonicalize,
 )
 from .words import Word, WordError
 
@@ -41,9 +42,9 @@ class Pairing:
 
 
 def enumerate_pairings(w: Word) -> list:
-    """All pairings matching each annihilator to a creator on its right."""
-    anns = [i + 1 for i, g in enumerate(w.gens) if not g.dagger]
-    cres = [i + 1 for i, g in enumerate(w.gens) if g.dagger]
+    """All pairings of each annihilator to a later creator of its polarization."""
+    anns = [(i, g.pol) for i, g in enumerate(w.gens, 1) if not g.dagger]
+    cres = [(i, g.pol) for i, g in enumerate(w.gens, 1) if g.dagger]
     if len(anns) != len(cres):
         return []
 
@@ -53,9 +54,9 @@ def enumerate_pairings(w: Word) -> list:
         if idx == len(anns):
             out.append(Pairing(tuple(acc)))
             return
-        m = anns[idx]
-        for c in cres:
-            if c > m and c not in taken:
+        m, pol = anns[idx]
+        for c, c_pol in cres:
+            if c > m and c_pol == pol and c not in taken:
                 taken.add(c)
                 acc.append((m, c))
                 assign(idx + 1, taken, acc)
@@ -92,18 +93,17 @@ def pairing_term(w: Word, pairing: Pairing) -> ScalarTerm:
     """Closed-form term of one pairing, built without running the recursion."""
     gens = w.gens
     n = len(pairing)
-    if 2 * n != len(gens):
-        raise WordError("pairing does not cover the word")
-    for m, m2 in pairing.pairs:
-        if gens[m - 1].dagger or not gens[m2 - 1].dagger:
-            raise WordError("pairing must match annihilators to later creators")
+    if sorted(i for p in pairing.pairs for i in p) != list(range(1, len(gens) + 1)):
+        raise WordError("pairing must use every position of the word once")
 
     phases = []
     deltas = []
     for m, m2 in pairing.pairs:
         x, y = gens[m - 1], gens[m2 - 1]
+        if m > m2 or x.dagger or not y.dagger:
+            raise WordError(f"pair {(m, m2)} is not an annihilator before a creator")
         if x.pol != y.pol:
-            return ScalarTerm(C_ZERO)
+            raise WordError(f"pair {(m, m2)} joins two polarizations")
         arg = {Energy(x.k): 1, PDot(x.k): 1}
         for a, _ in enclosing_pairs(pairing, (m, m2)):
             d = Dot(gens[a - 1].k, x.k)
@@ -138,7 +138,6 @@ def annotated_pairing_terms(w: Word) -> list:
     """Per-pairing terms with crossing counts, canonicalized one by one."""
     out = []
     for p in enumerate_pairings(w):
-        canon = canonicalize(ScalarExpr((pairing_term(w, p),)))
-        if canon.terms:
-            out.append(AnnotatedTerm(p, crossing_count(p), canon.terms[0]))
+        (term,) = canonicalize(ScalarExpr((pairing_term(w, p),))).terms
+        out.append(AnnotatedTerm(p, crossing_count(p), term))
     return out

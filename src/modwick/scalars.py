@@ -54,9 +54,6 @@ class RationalComplex:
             self.re * other.im + self.im * other.re,
         )
 
-    def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
-
     def conjugate(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
 
@@ -494,17 +491,9 @@ EXPR_ZERO = canonicalize(ScalarExpr(()))
 EXPR_ONE = canonicalize(ScalarExpr((TERM_ONE,)))
 
 
-def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return canonicalize(ScalarExpr(a.terms + b.terms))
-
-
 def multiply(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     terms = tuple(ta.times(tb) for ta in a.terms for tb in b.terms)
     return canonicalize(ScalarExpr(terms))
-
-
-def negate(e: ScalarExpr) -> ScalarExpr:
-    return ScalarExpr(tuple(t.scaled(RationalComplex.of(-1)) for t in e.terms))
 
 
 def conjugate(e: ScalarExpr) -> ScalarExpr:

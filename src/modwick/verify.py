@@ -5,7 +5,7 @@ object by two routes that share no code path and demand canonical
 equality.  The suites enumerate every creator/annihilator pattern up to
 a length bound, in scalar mode and in two polarized modes (uniform
 polarizations, which must reproduce the scalar structure, and cycling
-polarizations, which exercise the mismatch-kill paths).
+polarizations, which leave each route fewer contractions to form).
 
 All iteration orders are fixed, so the text report is byte-identical
 across runs.

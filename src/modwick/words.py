@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, MomentumDelta,
-    PDot, PhaseArg, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
+    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
+    ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
 )
 
 MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
@@ -187,16 +187,18 @@ def contraction_arg(x: Generator, right) -> PhaseArg:
 def expand_leading_annihilator(w: Word) -> list:
     """Commute the leading annihilator through the tail, one term per creator.
 
-    Term j contracts the leading annihilator with the j-th creator of the
-    tail.  Its scalar collects the swap phase of every tail generator left
-    of that creator, and the contraction phase itself is shifted by the
-    tail generators to its right because the p-dependent scalar migrates
-    to the far end of the word.  The remaining word keeps its order.
+    Only creators of the annihilator's polarization get a term, since the
+    contraction carries a polarization delta.  Term j contracts it with
+    the creator tail[j].  Its scalar collects the swap phase of every tail
+    generator left of that creator, and the contraction phase itself is
+    shifted by the tail generators to its right because the p-dependent
+    scalar migrates to the far end of the word.  The remaining word keeps
+    its order.
     """
     if not w.gens or w.gens[0].dagger:
         raise WordError("word must start with an annihilator")
     lead, tail = w.gens[0], w.gens[1:]
-    creators = [j for j, g in enumerate(tail) if g.dagger]
+    creators = [j for j, g in enumerate(tail) if g.dagger and g.pol == lead.pol]
     if not creators:
         return []
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
@@ -208,14 +210,11 @@ def expand_leading_annihilator(w: Word) -> list:
     out = []
     for j in creators:
         y = tail[j]
-        if lead.pol != y.pol:
-            scalar = ScalarTerm(C_ZERO)
-        else:
-            phase = ContractionPhase(TimeComb.difference(lead.t, y.t),
-                                     contraction_arg(lead, tail[j + 1:]),
-                                     weighted=True)
-            scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
-                                (MomentumDelta(lead.k, y.k),))
+        phase = ContractionPhase(TimeComb.difference(lead.t, y.t),
+                                 contraction_arg(lead, tail[j + 1:]),
+                                 weighted=True)
+        scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
+                            (MomentumDelta(lead.k, y.k),))
         out.append(WeightedWord(scalar, _subword(tail[:j] + tail[j + 1:])))
     return out
 
@@ -232,7 +231,6 @@ def _raw_correlator_terms(rest: Word, memo: dict) -> tuple:
             terms = tuple(
                 ww.scalar.times(t)
                 for ww in expand_leading_annihilator(rest)
-                if not ww.scalar.coeff.is_zero()
                 for t in _raw_correlator_terms(ww.word, memo)
             )
         memo[rest.gens] = terms

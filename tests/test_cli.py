@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import modwick.cli
 from modwick.scalars import EXPR_ZERO, canonically_equal
 from modwick.serialize import from_json_dict
@@ -57,6 +59,14 @@ def test_correlate_annotate(cli_run, word_file):
     assert data["terms"][0]["pairs"] == [[1, 3], [2, 4]]
     assert data["terms"][0]["crossings"] == 1
     assert "term" in data["terms"][0]
+
+
+def test_correlate_annotate_rejects_latex(cli_run, word_file):
+    # the annotated document is JSON only
+    code, out, err = cli_run(
+        ["correlate", word_file("aa++"), "--annotate", "--format", "latex"])
+    assert (code, out) == (2, "")
+    assert err == "error: --annotate writes JSON only, not latex\n"
 
 
 def test_polarized_word_file(cli_run, word_file):
@@ -116,6 +126,21 @@ def test_pairings_listing(cli_run, word_file):
     assert data["pairings"][0]["pairs"] == [[1, 3], [2, 4]]
     assert data["pairings"][1]["tag"] == "noncrossing"
     assert "term" not in data["pairings"][0]
+
+
+def test_bare_pairings_builds_no_term(cli_run, word_file, monkeypatch):
+    paths = [word_file("aa++", name="scalar.json"),
+             word_file("aa+a++", pols=[1, 2, 3, 1, 2, 3], name="cyclic.json")]
+    before = [cli_run(["pairings", path]) for path in paths]
+    assert all(code == 0 for code, _, _ in before)
+
+    def refuse(w, pairing):
+        raise AssertionError("pairing_term called")
+
+    monkeypatch.setattr("modwick.pairings.pairing_term", refuse)
+    assert [cli_run(["pairings", path]) for path in paths] == before
+    with pytest.raises(AssertionError, match="pairing_term called"):
+        cli_run(["pairings", paths[0], "--annotate"])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +349,7 @@ def test_render_rejects_zero_denominator(cli_run, write_json):
 
 
 def test_render_rejects_polarization_delta(cli_run, write_json):
-    # polarizations never reach an expression: a mismatch zeroes the term
+    # polarizations never reach an expression: a mismatched pair is never formed
     path = write_json("pol.json", {"terms": [{
         "coeff": [[1, 1], [0, 1]], "two_pi_power": 0, "lambda_power": 0,
         "phases": [], "deltas": [{"kind": "pol", "i": 1, "j": 1}]}]})

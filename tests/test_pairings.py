@@ -22,7 +22,7 @@ from modwick.scalars import (
     PDot, PhaseArg, ScalarTerm, TimeComb, canonicalize, canonically_equal,
     term_signature,
 )
-from modwick.verify import patterns_up_to
+from modwick.verify import _build, patterns_up_to
 from modwick.words import (
     WordError, correlator_recursive, word, word_from_pattern,
 )
@@ -59,6 +59,19 @@ def test_pairing_sorted_and_deterministic():
     for pattern in [*patterns_up_to(8), "aaaaaa++++++"]:
         pairs = [q.pairs for q in enumerate_pairings(word_from_pattern(pattern))]
         assert all(a < b for a, b in zip(pairs, pairs[1:])), pattern
+
+
+def test_enumeration_forms_only_polarization_matched_pairs():
+    # the scalar word's pairings, filtered to pairs of one polarization,
+    # in the same order: the polarized enumeration skips the rest unformed
+    for pattern in patterns_up_to(8):
+        every = enumerate_pairings(_build(pattern, "scalar"))
+        for mode in ("uniform", "cyclic"):
+            w = _build(pattern, mode)
+            matched = [p for p in every
+                       if all(w.gens[m - 1].pol == w.gens[m2 - 1].pol
+                              for m, m2 in p.pairs)]
+            assert enumerate_pairings(w) == matched, (pattern, mode)
 
 
 def test_crossing_predicates():
@@ -142,19 +155,33 @@ def test_crossing_four_point_term():
 
 
 def test_pairing_term_polarization():
+    # a pair of two polarizations is not a pairing of the word
     w = word_from_pattern("aa++", pols=[1, 2, 2, 1])
     nested = pairing_term(w, Pairing(((1, 4), (2, 3))))
-    assert not nested.coeff.is_zero()
-    crossing = pairing_term(w, Pairing(((1, 3), (2, 4))))
-    assert crossing.coeff.is_zero()
+    assert nested.coeff == C_ONE
+    with pytest.raises(WordError, match=r"^pair \(1, 3\) joins two polarizations$"):
+        pairing_term(w, Pairing(((1, 3), (2, 4))))
 
 
 def test_pairing_term_validation():
-    w = word_from_pattern("aa++")
-    with pytest.raises(WordError):
-        pairing_term(w, Pairing(((1, 4),)))
-    with pytest.raises(WordError):
-        pairing_term(w, Pairing(((3, 1), (2, 4))))
+    positions = "pairing must use every position of the word once"
+    for pattern, pairs, message in [
+        ("aa++", ((1, 4),), positions),
+        ("aa++", ((3, 1), (2, 4)),
+         r"pair \(3, 1\) is not an annihilator before a creator"),
+        # a creator standing before its annihilator
+        ("a+a+", ((3, 2), (1, 4)),
+         r"pair \(3, 2\) is not an annihilator before a creator"),
+        ("a+a+", ((1, 3), (2, 4)),
+         r"pair \(1, 3\) is not an annihilator before a creator"),
+        # out of range, and positions 1 and 2 used twice, 3 and 4 never
+        ("a+a+", ((0, 2), (3, 4)), positions),
+        ("a+a+", ((1, 2), (3, 5)), positions),
+        ("a+a+", ((1, 2), (1, 2)), positions),
+        ("a+a+", ((1, 2), (1, 4)), positions),
+    ]:
+        with pytest.raises(WordError, match=f"^{message}$"):
+            pairing_term(word_from_pattern(pattern), Pairing(pairs))
 
 
 # ---------------------------------------------------------------------------

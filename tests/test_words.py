@@ -140,21 +140,24 @@ def test_expand_leading_annihilator_two_creators():
 
 
 def test_rewrite_a_adag_polarization():
-    # the a a^dag exchange: a polarization mismatch gives a zero scalar,
+    # the a a^dag exchange: a polarization mismatch gives no term at all,
     # a match only the momentum delta
-    (mismatched,) = expand_leading_annihilator(
-        word(annihilate("t1", "k1", 1), create("t2", "k2", 2)))
-    assert mismatched.scalar.coeff.is_zero()
+    assert expand_leading_annihilator(
+        word(annihilate("t1", "k1", 1), create("t2", "k2", 2))) == []
     (kept,) = expand_leading_annihilator(
         word(annihilate("t1", "k1", 2), create("t2", "k2", 2)))
     assert kept.scalar.coeff == C_ONE
     assert kept.scalar.deltas == (MomentumDelta("k1", "k2"),)
 
-    mismatched, matched = expand_leading_annihilator(
+    # the mismatched creator forms no term but still passes by: it stays
+    # in the remaining word and its swap phase reaches the matched term
+    (matched,) = expand_leading_annihilator(
         word_from_pattern("a++", pols=[2, 1, 2]))
-    assert mismatched.scalar.coeff.is_zero()
     assert matched.scalar.coeff == C_ONE
     assert matched.scalar.deltas == (MomentumDelta("k1", "k3"),)
+    assert matched.word == Word((create("t2", "k2", 1),))
+    assert matched.scalar.phases[1] == ContractionPhase(
+        TimeComb.difference("t1", "t2"), PhaseArg.of({Dot("k1", "k2"): 1}))
 
 
 # ---------------------------------------------------------------------------
