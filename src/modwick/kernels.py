@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (
-    DOT, ENERGY, Atom, MomentumDelta, PhaseArg, ScalarTerm, contraction_phases,
+    DOT, ENERGY, Atom, MomentumDelta, ScalarTerm, contraction_phases,
     label_classes,
 )
 
@@ -111,8 +111,8 @@ def phase_value(atom: Atom, a: Assignment) -> float:
     return float(a.vector(atom.a) @ a.p)
 
 
-def arg_value(arg: PhaseArg, a: Assignment) -> float:
-    return sum(c * phase_value(atom, a) for atom, c in arg.items)
+def arg_value(arg: tuple, a: Assignment) -> float:
+    return sum(c * phase_value(atom, a) for atom, c in arg)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _require_smearable(term: ScalarTerm, tests: dict, a: Assignment) -> None:
         raise ValueError(
             "term still carries delta factors; apply them before smearing")
     for ph in term.phases:
-        for t in ph.time.labels():
+        for t, _ in ph.time:
             if t not in tests:
                 raise UnassignedLabelError(
                     f"time label {t!r} has no test function")
@@ -308,7 +308,7 @@ def _coeff_complex(term: ScalarTerm) -> complex:
 def _literal(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
     """The term as written: each time label its own variable, each phase kept."""
     _require_smearable(term, tests, a)
-    phase_data = [(ph.time.items, arg_value(ph.arg, a)) for ph in term.phases]
+    phase_data = [(ph.time, arg_value(ph.arg, a)) for ph in term.phases]
     return ({label: [label] for label in tests}, phase_data,
             _coeff_complex(term) * TWO_PI ** term.two_pi_power)
 
@@ -323,16 +323,15 @@ def _contracted(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
     _require_smearable(term, tests, a)
     weighted = contraction_phases(term)
     for ph in weighted:
-        items = ph.time.items
-        if len(items) != 2 or {c for _, c in items} != {1, -1}:
+        if len(ph.time) != 2 or {c for _, c in ph.time} != {1, -1}:
             raise ValueError(
                 "weighted phase time combination must be a simple difference")
-    time_map = label_classes(ph.time.labels() for ph in weighted)
+    time_map = label_classes({t for t, _ in ph.time} for ph in weighted)
     groups: dict = {}
     for label in sorted(tests):
         groups.setdefault(time_map.get(label, label), []).append(label)
     phase_data = [
-        (tuple((time_map.get(t, t), c) for t, c in ph.time.items),
+        (tuple((time_map.get(t, t), c) for t, c in ph.time),
          arg_value(ph.arg, a))
         for ph in term.unweighted_phases()
     ]

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from .pairings import Pairing, enclosing_pairs
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
-    canonicalize, contraction_phases, label_classes, merged_exponent,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
+    PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize, comb,
+    contraction_phases, label_classes, merged_exponent, substituted,
+    time_difference,
 )
 from .words import Word, contraction_arg
 
@@ -56,13 +57,13 @@ def noncrossing_match(w: Word):
 def _limit_term(term: ScalarTerm):
     """Apply the singular-limit map to one canonicalized structural term."""
     weighted = contraction_phases(term)
-    if any(ph.arg.is_zero() for ph in weighted):
+    if any(not ph.arg for ph in weighted):
         raise ValueError("weighted phase with zero argument has no limit")
-    time_map = label_classes(ph.time.labels() for ph in weighted)
+    time_map = label_classes({t for t, _ in ph.time} for ph in weighted)
 
     # a residual oscillation with nonzero exponent kills the term
     residual = ScalarTerm(phases=tuple(
-        ContractionPhase(ph.time.substituted(time_map), ph.arg)
+        ContractionPhase(substituted(ph.time, time_map), ph.arg)
         for ph in term.unweighted_phases()))
     if merged_exponent(residual):
         return None
@@ -108,8 +109,8 @@ def correlator_wick_limit(w: Word) -> ScalarExpr:
             d = Dot(gens[a - 1].k, x.k)
             arg[d] = arg.get(d, 0) + 1
         deltas.append(MomentumDelta(x.k, y.k))
-        deltas.append(TimeDelta(TimeComb.difference(x.t, y.t)))
-        deltas.append(PhaseDelta(PhaseArg.of(arg)))
+        deltas.append(TimeDelta(time_difference(x.t, y.t)))
+        deltas.append(PhaseDelta(comb(arg)))
 
     term = ScalarTerm(C_ONE, len(match), 0, (), tuple(deltas))
     return canonicalize(ScalarExpr((term,)))
@@ -139,7 +140,7 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
         del gens[site:site + 2]
         deltas = (
             MomentumDelta(x.k, y.k),
-            TimeDelta(TimeComb.difference(x.t, y.t)),
+            TimeDelta(time_difference(x.t, y.t)),
             PhaseDelta(contraction_arg(x, gens[site:])),
         )
         acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), deltas))

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
-    ScalarExpr, ScalarTerm, TimeComb, canonicalize,
+    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, ScalarExpr,
+    ScalarTerm, canonicalize, comb, time_difference,
 )
 from .words import Word, WordError
 
@@ -108,15 +108,15 @@ def pairing_term(w: Word, pairing: Pairing) -> ScalarTerm:
         for a, _ in enclosing_pairs(pairing, (m, m2)):
             d = Dot(gens[a - 1].k, x.k)
             arg[d] = arg.get(d, 0) + 1
-        phases.append(ContractionPhase(TimeComb.difference(x.t, y.t),
-                                       PhaseArg.of(arg), weighted=True))
+        phases.append(ContractionPhase(time_difference(x.t, y.t),
+                                       comb(arg), weighted=True))
         deltas.append(MomentumDelta(x.k, y.k))
 
     for (a, a2), (b, _b2) in crossing_patterns(pairing):
         ka, kb = gens[a - 1].k, gens[b - 1].k
         phases.append(ContractionPhase(
-            TimeComb.difference(gens[b - 1].t, gens[a2 - 1].t),
-            PhaseArg.of({Dot(ka, kb): 1}), weighted=False))
+            time_difference(gens[b - 1].t, gens[a2 - 1].t),
+            ((Dot(ka, kb), 1),), weighted=False))
 
     return ScalarTerm(C_ONE, 0, -2 * n, tuple(phases), tuple(deltas))
 

@@ -10,10 +10,12 @@ A phase factor
 is stored structurally as a :class:`ContractionPhase`: an integer
 combination of time labels paired with an integer combination of momentum
 atoms, plus a flag marking the 1/lambda^2 weight that accompanies a
-contraction.  Equality of terms is decided through the merged exponent, a
-sparse bilinear form over (time label, atom) pairs, so that two phase
-lists multiplying to the same exponential compare equal even when they
-factor differently.
+contraction.  A combination is a plain tuple of (label or atom,
+coefficient) pairs, sorted, with zero entries dropped; `comb` builds one
+from a mapping.  Equality of terms is decided through the merged
+exponent, a sparse bilinear form over (time label, atom) pairs, so that
+two phase lists multiplying to the same exponential compare equal even
+when they factor differently.
 
 Momentum atoms never evaluate here; they stay symbolic until the numeric
 layer assigns concrete vectors.
@@ -61,7 +63,6 @@ class RationalComplex:
         return self.re == 0 and self.im == 0
 
 
-C_ZERO = RationalComplex.of(0)
 C_ONE = RationalComplex.of(1)
 
 
@@ -111,59 +112,32 @@ def PDot(k: str) -> Atom:
 
 
 # ---------------------------------------------------------------------------
-# integer combinations
+# integer combinations: sorted tuples of (label or atom, coefficient)
 
-@dataclass(frozen=True)
-class _Comb:
-    """Integer combination of labels or atoms, sorted, zero entries dropped."""
-
-    items: tuple = ()
-
-    @staticmethod
-    def _norm_items(acc: dict) -> tuple:
-        return tuple(sorted((x, c) for x, c in acc.items() if c != 0))
-
-    @staticmethod
-    def _renamed(x, mapping: dict):
-        return mapping.get(x, x)
-
-    @classmethod
-    def of(cls, mapping: dict):
-        return cls(cls._norm_items(dict(mapping)))
-
-    def negated(self):
-        return type(self)(tuple((x, -c) for x, c in self.items))
-
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def substituted(self, mapping: dict):
-        """Rename momentum or time labels, summing entries that coincide."""
-        acc: dict = {}
-        for x, c in self.items:
-            x = self._renamed(x, mapping)
-            acc[x] = acc.get(x, 0) + c
-        return type(self)(self._norm_items(acc))
+def comb(mapping: dict) -> tuple:
+    """The combination with these coefficients, sorted, zero entries dropped."""
+    return tuple(sorted((x, c) for x, c in mapping.items() if c != 0))
 
 
-class TimeComb(_Comb):
-    """Integer combination of time labels, e.g. t1 - t2."""
-
-    @staticmethod
-    def difference(t_plus: str, t_minus: str) -> "TimeComb":
-        if t_plus == t_minus:  # equal labels cancel
-            return TimeComb()
-        items = ((t_plus, 1), (t_minus, -1))
-        return TimeComb(items if t_plus < t_minus else items[::-1])
-
-    def labels(self) -> set:
-        return {t for t, _ in self.items}
+def negated(items: tuple) -> tuple:
+    return tuple((x, -c) for x, c in items)
 
 
-class PhaseArg(_Comb):
-    """Integer combination of momentum atoms, e.g. E(k1) + P(k1) + D(k1,k2)."""
+def substituted(items: tuple, mapping: dict) -> tuple:
+    """Rename momentum or time labels, summing entries that coincide."""
+    acc: dict = {}
+    for x, c in items:
+        x = x.renamed(mapping) if isinstance(x, Atom) else mapping.get(x, x)
+        acc[x] = acc.get(x, 0) + c
+    return comb(acc)
 
-    _renamed = staticmethod(Atom.renamed)
+
+def time_difference(t_plus: str, t_minus: str) -> tuple:
+    """The time combination t_plus - t_minus; equal labels cancel."""
+    if t_plus == t_minus:
+        return ()
+    items = ((t_plus, 1), (t_minus, -1))
+    return items if t_plus < t_minus else items[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +147,23 @@ class PhaseArg(_Comb):
 class ContractionPhase:
     """One oscillating factor q(time, arg), weighted when it carries 1/lambda^2."""
 
-    time: TimeComb
-    arg: PhaseArg
+    time: tuple
+    arg: tuple
     weighted: bool = False
 
     def key(self) -> tuple:
         # the atoms after their strings: labels whose strings collide never tie
-        return (0 if self.weighted else 1, self.time.items,
-                tuple((str(a), c) for a, c in self.arg.items), self.arg.items)
+        return (0 if self.weighted else 1, self.time,
+                tuple((str(a), c) for a, c in self.arg), self.arg)
 
 
-def oscillation(t_from: str, t_to: str, arg: PhaseArg, power: int = 1,
+def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1,
                 weighted: bool = False) -> ContractionPhase:
     """Build q(t_from - t_to, arg)^power; power -1 negates the argument."""
     if power not in (1, -1):
         raise ValueError("oscillation power must be +1 or -1")
-    a = arg if power == 1 else arg.negated()
-    return ContractionPhase(TimeComb.difference(t_from, t_to), a, weighted)
+    a = arg if power == 1 else negated(arg)
+    return ContractionPhase(time_difference(t_from, t_to), a, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +189,38 @@ class MomentumDelta:
 class TimeDelta:
     """delta(time combination), sign-fixed so its first coefficient is positive."""
 
-    comb: TimeComb
+    comb: tuple
 
     def __post_init__(self):
-        if self.comb.is_zero():
+        if not self.comb:
             raise ValueError("degenerate time delta")
-        if self.comb.items[0][1] < 0:
-            object.__setattr__(self, "comb", self.comb.negated())
+        if self.comb[0][1] < 0:
+            object.__setattr__(self, "comb", negated(self.comb))
 
 
 @dataclass(frozen=True)
 class PhaseDelta:
     """delta(phase argument), sign-fixed so its first coefficient is positive."""
 
-    arg: PhaseArg
+    arg: tuple
 
     def __post_init__(self):
-        if self.arg.is_zero():
+        if not self.arg:
             raise ValueError("degenerate phase delta")
-        if self.arg.items[0][1] < 0:
-            object.__setattr__(self, "arg", self.arg.negated())
+        if self.arg[0][1] < 0:
+            object.__setattr__(self, "arg", negated(self.arg))
 
 
 Delta = MomentumDelta | TimeDelta | PhaseDelta
 
 
 def delta_key(d: Delta) -> tuple:
-    """Sort key of a delta: its text, then its items, so no two deltas tie."""
+    """Sort key of a delta: its text, then its entries, so no two deltas tie."""
     if isinstance(d, MomentumDelta):
         return (0, d.a, d.b)
     if isinstance(d, TimeDelta):
-        return (1, ";".join(f"{t}:{c}" for t, c in d.comb.items), d.comb.items)
-    return (2, ";".join(f"{a}:{c}" for a, c in d.arg.items), d.arg.items)
+        return (1, ";".join(f"{t}:{c}" for t, c in d.comb), d.comb)
+    return (2, ";".join(f"{a}:{c}" for a, c in d.arg), d.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +243,9 @@ class ScalarTerm:
             self.deltas + other.deltas,
         )
 
-    def scaled(self, coeff: RationalComplex) -> "ScalarTerm":
-        return ScalarTerm(self.coeff * coeff, self.two_pi_power,
-                          self.lambda_power, self.phases, self.deltas)
-
     def conjugated(self) -> "ScalarTerm":
         phases = tuple(
-            ContractionPhase(ph.time, ph.arg.negated(), ph.weighted)
+            ContractionPhase(ph.time, negated(ph.arg), ph.weighted)
             for ph in self.phases
         )
         return ScalarTerm(self.coeff.conjugate(), self.two_pi_power,
@@ -310,8 +280,8 @@ def merged_exponent(term: ScalarTerm) -> dict:
     """
     acc: dict = {}
     for ph in term.phases:
-        for t, ct in ph.time.items:
-            for a, ca in ph.arg.items:
+        for t, ct in ph.time:
+            for a, ca in ph.arg:
                 key = (t, a)
                 acc[key] = acc.get(key, 0) + ct * ca
     return {k: v for k, v in acc.items() if v != 0}
@@ -417,21 +387,21 @@ def _clean_phases(phases, subst) -> tuple:
     merged: dict = {}  # sign-fixed time -> {renamed atom: coefficient}
     for ph in phases:
         if ph.weighted:
-            arg = ph.arg.substituted(subst) if subst else ph.arg
+            arg = substituted(ph.arg, subst) if subst else ph.arg
             weighted.append(ContractionPhase(ph.time, arg, True))
-        elif not ph.time.is_zero():
+        elif ph.time:
             time, sign = ph.time, 1
-            if time.items[0][1] < 0:
-                time, sign = time.negated(), -1
+            if time[0][1] < 0:
+                time, sign = negated(time), -1
             acc = merged.setdefault(time, {})
-            for a, c in ph.arg.items:
+            for a, c in ph.arg:
                 a = a.renamed(subst) if subst else a
                 acc[a] = acc.get(a, 0) + sign * c
 
     out = weighted
     for time, acc in merged.items():
-        arg = PhaseArg.of(acc)
-        if not arg.is_zero():
+        arg = comb(acc)
+        if arg:
             out.append(ContractionPhase(time, arg, False))
     out.sort(key=lambda ph: ph.key())
     return tuple(out)
@@ -445,10 +415,10 @@ def _canonical_term(term: ScalarTerm):
     momentum, others, subst = _canonical_deltas_and_subst(term.deltas)
     for i, d in enumerate(others if subst else ()):
         if isinstance(d, PhaseDelta):
-            arg = d.arg.substituted(subst)
+            arg = substituted(d.arg, subst)
             # an argument the identification cancels leaves delta(0), which
             # has no value to normalize to: that factor is kept as written
-            if not arg.is_zero():
+            if arg:
                 others[i] = PhaseDelta(arg)
     all_deltas = tuple(sorted(momentum + others, key=delta_key))
     phases = _clean_phases(term.phases, subst)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .scalars import (
-    DOT, ENERGY, Atom, ContractionPhase, Delta, Dot, MomentumDelta, PhaseArg,
-    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
+    DOT, ENERGY, Atom, ContractionPhase, Delta, Dot, MomentumDelta, PhaseDelta,
+    RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, comb, negated,
 )
 
 
@@ -58,28 +58,28 @@ def _atom_from_json(d: dict) -> Atom:
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
-def _arg_to_json(arg: PhaseArg) -> list:
-    return [[_atom_to_json(a), c] for a, c in arg.items]
+def _arg_to_json(arg: tuple) -> list:
+    return [[_atom_to_json(a), c] for a, c in arg]
 
 
-def _arg_from_json(items: list) -> PhaseArg:
+def _arg_from_json(items: list) -> tuple:
     acc: dict = {}
     for atom_d, c in items:
         atom = _atom_from_json(atom_d)
         acc[atom] = acc.get(atom, 0) + _json_int(c, "phase coefficient")
-    return PhaseArg.of(acc)
+    return comb(acc)
 
 
-def _time_to_json(comb: TimeComb) -> list:
-    return [[t, c] for t, c in comb.items]
+def _time_to_json(time: tuple) -> list:
+    return [[t, c] for t, c in time]
 
 
-def _time_from_json(items: list) -> TimeComb:
+def _time_from_json(items: list) -> tuple:
     acc: dict = {}
     for t, c in items:
         t = _json_label(t)
         acc[t] = acc.get(t, 0) + _json_int(c, "time coefficient")
-    return TimeComb.of(acc)
+    return comb(acc)
 
 
 def _delta_to_json(d: Delta) -> dict:
@@ -220,19 +220,19 @@ def _signed_sum(parts: list) -> str:
     return out or "0"
 
 
-def _time_tex(comb: TimeComb) -> str:
-    return _signed_sum([(_label_tex(t), c) for t, c in comb.items])
+def _time_tex(time: tuple) -> str:
+    return _signed_sum([(_label_tex(t), c) for t, c in time])
 
 
-def _arg_tex(arg: PhaseArg) -> str:
-    return _signed_sum([(_atom_tex(a), c) for a, c in arg.items])
+def _arg_tex(arg: tuple) -> str:
+    return _signed_sum([(_atom_tex(a), c) for a, c in arg])
 
 
 def _phase_tex(ph: ContractionPhase) -> str:
     arg = ph.arg
     power = ""
-    if arg.items and all(c < 0 for _, c in arg.items):
-        arg = arg.negated()
+    if arg and all(c < 0 for _, c in arg):
+        arg = negated(arg)
         power = "^{-1}"
     body = rf"q_{{\lambda}}{power}\left({_time_tex(ph.time)},\, {_arg_tex(arg)}\right)"
     if ph.weighted:

@@ -23,7 +23,7 @@ from .limits import (
 )
 from .pairings import correlator_pairing_sum, crossing_count, enumerate_pairings
 from .scalars import (
-    Dot, PhaseArg, ScalarExpr, ScalarTerm, canonically_equal, multiply,
+    Dot, ScalarExpr, ScalarTerm, canonically_equal, comb, multiply,
     conjugate, oscillation,
 )
 from .serialize import to_json_dict
@@ -237,7 +237,7 @@ def _swapped_times_factor(w: Word, recursive) -> ScalarExpr:
     gens = list(w.gens)
     x, y = gens[site], gens[site + 1]
     gens[site], gens[site + 1] = y, x
-    phase = oscillation(x.t, y.t, PhaseArg.of({Dot(x.k, y.k): 1}), power=-1)
+    phase = oscillation(x.t, y.t, comb({Dot(x.k, y.k): 1}), power=-1)
     factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
     return multiply(factor, recursive(Word(tuple(gens))))
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg,
-    ScalarExpr, ScalarTerm, TERM_ONE, TimeComb, canonicalize,
+    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, ScalarExpr,
+    ScalarTerm, TERM_ONE, canonicalize, comb, time_difference,
 )
 
 MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
@@ -54,6 +54,9 @@ class Word:
     gens: tuple = ()
 
     def __post_init__(self):
+        for g in self.gens:
+            if not (isinstance(g.t, str) and isinstance(g.k, str)):
+                raise WordError(f"labels must be strings, got {g.t!r} and {g.k!r}")
         times = [g.t for g in self.gens]
         if len(set(times)) != len(times):
             raise WordError("repeated time label in word")
@@ -64,7 +67,12 @@ class Word:
         if any(p is not None for p in pols) and any(p is None for p in pols):
             raise WordError("mixed polarized and unpolarized generators")
         for p in pols:
-            if p is not None and p not in (1, 2, 3):
+            if p is None:
+                continue
+            # bool is an int subclass, and True == 1.0 == 1
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise WordError(f"polarization index must be an integer, got {p!r}")
+            if p not in (1, 2, 3):
                 raise WordError(f"polarization index out of range: {p}")
         if len(self.gens) > MAX_GENERATORS:
             raise WordError(f"word has {len(self.gens)} generators, "
@@ -99,8 +107,11 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
     """Build a word from a pattern string, 'a' annihilator, '+' creator.
 
     Labels run t1.., k1.. left to right; `pols` optionally assigns
-    polarization indices positionally.
+    polarization indices positionally, one per character.
     """
+    if pols is not None and len(pols) != len(pattern):
+        raise WordError(f"pattern has {len(pattern)} generators "
+                        f"but {len(pols)} polarizations")
     gens = []
     for i, ch in enumerate(pattern):
         if ch not in "a+":
@@ -167,7 +178,7 @@ class WeightedWord:
     word: Word
 
 
-def contraction_arg(x: Generator, right) -> PhaseArg:
+def contraction_arg(x: Generator, right) -> tuple:
     """Phase argument E(k) + k.p of annihilator x, moved past `right`.
 
     The contraction scalar depends on p and migrates to the far end of
@@ -178,7 +189,7 @@ def contraction_arg(x: Generator, right) -> PhaseArg:
     for g in right:
         d = Dot(x.k, g.k)
         acc[d] = acc.get(d, 0) + (1 if g.dagger else -1)
-    return PhaseArg.of(acc)
+    return comb(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +214,14 @@ def expand_leading_annihilator(w: Word) -> list:
         return []
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
     swaps = tuple(
-        ContractionPhase(TimeComb.difference(lead.t, other.t), PhaseArg(
-            ((Dot(lead.k, other.k), 1 if other.dagger else -1),)))
+        ContractionPhase(time_difference(lead.t, other.t),
+                         ((Dot(lead.k, other.k), 1 if other.dagger else -1),))
         for other in tail[:creators[-1]]
     )
     out = []
     for j in creators:
         y = tail[j]
-        phase = ContractionPhase(TimeComb.difference(lead.t, y.t),
+        phase = ContractionPhase(time_difference(lead.t, y.t),
                                  contraction_arg(lead, tail[j + 1:]),
                                  weighted=True)
         scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],

@@ -26,7 +26,7 @@ from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, noncrossing_match,
 )
 from modwick.pairings import crossing_count, enumerate_pairings
-from modwick.scalars import Dot, Energy, PDot, PhaseArg, PhaseDelta
+from modwick.scalars import Dot, Energy, PDot, PhaseDelta, comb
 from modwick.verify import (
     CATALAN, suite_closed_form_vs_recursion, suite_limit_triple_agreement,
 )
@@ -73,15 +73,15 @@ def test_criterion_4_straddle_phase_shifts_are_exact():
         (term,) = e.terms
         return {d.arg for d in term.deltas if isinstance(d, PhaseDelta)}
 
-    nested_inner = PhaseArg.of(
+    nested_inner = comb(
         {Energy("k2"): 1, PDot("k2"): 1, Dot("k1", "k2"): 1})
     w4 = word_from_pattern("aa++")
     assert nested_inner in frequency_args(correlator_wick_limit(w4))
     assert nested_inner in frequency_args(correlator_limit_rewrite(w4))
 
-    shift_2 = PhaseArg.of({Energy("k2"): 1, PDot("k2"): 1, Dot("k1", "k2"): 1})
-    shift_3 = PhaseArg.of({Energy("k3"): 1, PDot("k3"): 1,
-                           Dot("k1", "k3"): 1, Dot("k2", "k3"): 1})
+    shift_2 = comb({Energy("k2"): 1, PDot("k2"): 1, Dot("k1", "k2"): 1})
+    shift_3 = comb({Energy("k3"): 1, PDot("k3"): 1,
+                    Dot("k1", "k3"): 1, Dot("k2", "k3"): 1})
     w6 = word_from_pattern("aaa+++")
     for route in (correlator_wick_limit, correlator_limit_rewrite):
         args = frequency_args(route(w6))

@@ -22,8 +22,8 @@ from modwick.kernels import (
 )
 from modwick.pairings import annotated_pairing_terms
 from modwick.scalars import (
-    ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseArg, ScalarTerm,
-    TimeComb, TimeDelta,
+    ContractionPhase, Dot, Energy, MomentumDelta, PDot, ScalarTerm, TimeDelta,
+    comb, time_difference,
 )
 from modwick.words import word_from_pattern
 
@@ -59,7 +59,7 @@ def test_phase_values():
     assert phase_value(Energy("k1"), a) == pytest.approx(math.sqrt(2.0) + 1.0)
     assert phase_value(Dot("k1", "k2"), a) == pytest.approx(2.0)
     assert phase_value(PDot("k2"), a) == pytest.approx(2.0)
-    arg = PhaseArg.of({Energy("k1"): 1, PDot("k2"): -2})
+    arg = comb({Energy("k1"): 1, PDot("k2"): -2})
     assert arg_value(arg, a) == pytest.approx(math.sqrt(2.0) + 1.0 - 4.0)
 
 
@@ -251,9 +251,9 @@ def two_point_term_and_assignment():
 def test_strip_momentum_deltas_only_touches_momenta():
     term = ScalarTerm(deltas=(
         MomentumDelta("k1", "k2"),
-        TimeDelta(TimeComb.difference("t1", "t2"))))
+        TimeDelta(time_difference("t1", "t2"))))
     assert strip_momentum_deltas(term).deltas \
-        == (TimeDelta(TimeComb.difference("t1", "t2")),)
+        == (TimeDelta(time_difference("t1", "t2")),)
 
 
 def test_term_value_two_point_closed_form():
@@ -292,10 +292,10 @@ def test_term_value_two_point_against_grid(lam):
 def test_term_value_grid_with_a_cancelled_time_combination():
     # t1 - t1 cancels, so its oscillation is a constant, a 0-d grid factor
     term = ScalarTerm(phases=(
-        ContractionPhase(TimeComb.difference("t1", "t1"),
-                         PhaseArg.of({Energy("k1"): 1})),
-        ContractionPhase(TimeComb.difference("t1", "t2"),
-                         PhaseArg.of({Dot("k1", "k1"): 1}))))
+        ContractionPhase(time_difference("t1", "t1"),
+                         comb({Energy("k1"): 1})),
+        ContractionPhase(time_difference("t1", "t2"),
+                         comb({Dot("k1", "k1"): 1}))))
     a = Assignment({"k1": (0.6, 0.0, 0.0)}, (0.0, 0.0, 0.0))
     tests = {"t1": STD, "t2": GaussianTest(0.3, 0.8)}
     for lam in (1.0, 0.7):
@@ -373,8 +373,8 @@ def test_term_convergence_validation(study_setup):
     with pytest.raises(UnassignedLabelError):
         term_convergence(term, tests, Assignment({}, (0.0, 0.0, 0.0)), [1.0])
     bad_weight = ScalarTerm(
-        phases=(ContractionPhase(TimeComb.difference("t1", "t2"),
-                                 PhaseArg.of({Energy("k1"): 1}),
+        phases=(ContractionPhase(time_difference("t1", "t2"),
+                                 comb({Energy("k1"): 1}),
                                  weighted=True),))
     with pytest.raises(ValueError):
         term_convergence(bad_weight, {"t1": STD, "t2": STD}, a, [1.0])

@@ -22,7 +22,7 @@ from modwick.limits import (
 from modwick.pairings import correlator_pairing_sum
 from modwick.scalars import (
     ContractionPhase, MomentumDelta, PhaseDelta, ScalarExpr, ScalarTerm,
-    TimeDelta, canonicalize, canonically_equal, conjugate,
+    TimeDelta, canonicalize, canonically_equal, conjugate, substituted,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _bracket_balanced
@@ -137,13 +137,13 @@ def renamed(e: ScalarExpr, sigma: dict) -> ScalarExpr:
         if isinstance(d, MomentumDelta):
             return MomentumDelta(sigma[d.a], sigma[d.b])
         if isinstance(d, TimeDelta):
-            return TimeDelta(d.comb.substituted(sigma))
-        return PhaseDelta(d.arg.substituted(sigma))
+            return TimeDelta(substituted(d.comb, sigma))
+        return PhaseDelta(substituted(d.arg, sigma))
 
     return ScalarExpr(tuple(ScalarTerm(
         t.coeff, t.two_pi_power, t.lambda_power,
-        tuple(ContractionPhase(ph.time.substituted(sigma),
-                               ph.arg.substituted(sigma), ph.weighted)
+        tuple(ContractionPhase(substituted(ph.time, sigma),
+                               substituted(ph.arg, sigma), ph.weighted)
               for ph in t.phases),
         tuple(delta(d) for d in t.deltas)) for t in e.terms))
 

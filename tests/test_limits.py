@@ -17,18 +17,18 @@ from modwick.limits import (
 from modwick.pairings import Pairing, correlator_pairing_sum, pairing_term
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm, TimeComb, TimeDelta,
-    canonicalize, canonically_equal, contraction_phases,
+    PDot, PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize,
+    canonically_equal, comb, contraction_phases, time_difference,
 )
 from modwick.words import word, word_from_pattern
 
 
 def phase_delta(arg_dict):
-    return PhaseDelta(PhaseArg.of(arg_dict))
+    return PhaseDelta(comb(arg_dict))
 
 
 def time_delta(t_from, t_to):
-    return TimeDelta(TimeComb.difference(t_from, t_to))
+    return TimeDelta(time_difference(t_from, t_to))
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +128,11 @@ def test_limit_map_keeps_cancelled_oscillations():
     term = ScalarTerm(
         C_ONE, 0, -2,
         (
-            ContractionPhase(TimeComb.difference("t1", "t2"),
-                             PhaseArg.of({Energy("k1"): 1, PDot("k1"): 1}),
+            ContractionPhase(time_difference("t1", "t2"),
+                             comb({Energy("k1"): 1, PDot("k1"): 1}),
                              weighted=True),
-            ContractionPhase(TimeComb.difference("t1", "t2"),
-                             PhaseArg.of({Dot("k1", "k2"): 1})),
+            ContractionPhase(time_difference("t1", "t2"),
+                             comb({Dot("k1", "k2"): 1})),
         ),
         (MomentumDelta("k1", "k2"),))
     out = limit_of_pairing_sum(ScalarExpr((term,)))
@@ -147,8 +147,8 @@ def test_limit_map_keeps_cancelled_oscillations():
 def test_limit_map_weight_mismatch_raises():
     bad = ScalarTerm(
         C_ONE, 0, 0,
-        (ContractionPhase(TimeComb.difference("t1", "t2"),
-                          PhaseArg.of({Energy("k1"): 1}), weighted=True),),
+        (ContractionPhase(time_difference("t1", "t2"),
+                          comb({Energy("k1"): 1}), weighted=True),),
         ())
     with pytest.raises(ValueError):
         limit_of_pairing_sum(ScalarExpr((bad,)))
@@ -159,13 +159,13 @@ def test_limit_map_rejects_a_weighted_phase_the_identification_cancels():
     # factor with its 1/lambda^2, and lambda^-2 q(t, 0) has no limit
     term = ScalarTerm(
         C_ONE, 0, -2,
-        (ContractionPhase(TimeComb.difference("t1", "t2"),
-                          PhaseArg.of({Energy("k1"): 1, Energy("k4"): -1}),
+        (ContractionPhase(time_difference("t1", "t2"),
+                          comb({Energy("k1"): 1, Energy("k4"): -1}),
                           weighted=True),),
         (MomentumDelta("k1", "k4"),))
     (canon,) = canonicalize(ScalarExpr((term,))).terms
     (ph,) = contraction_phases(canon)
-    assert ph.arg.is_zero() and ph.time == TimeComb.difference("t1", "t2")
+    assert ph.arg == () and ph.time == time_difference("t1", "t2")
     with pytest.raises(ValueError, match="zero argument"):
         limit_of_pairing_sum(ScalarExpr((term,)))
 

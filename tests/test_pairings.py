@@ -19,8 +19,8 @@ from modwick.pairings import (
 )
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseArg, ScalarTerm, TimeComb, canonicalize, canonically_equal,
-    term_signature,
+    PDot, ScalarTerm, canonicalize, canonically_equal, comb, term_signature,
+    time_difference,
 )
 from modwick.verify import _build, patterns_up_to
 from modwick.words import (
@@ -29,8 +29,8 @@ from modwick.words import (
 
 
 def weighted_phase(t_from, t_to, arg_dict):
-    return ContractionPhase(TimeComb.difference(t_from, t_to),
-                            PhaseArg.of(arg_dict), weighted=True)
+    return ContractionPhase(time_difference(t_from, t_to),
+                            comb(arg_dict), weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ def test_crossing_four_point_term():
         (
             weighted_phase("t1", "t3", {Energy("k1"): 1, PDot("k1"): 1}),
             weighted_phase("t2", "t4", {Energy("k2"): 1, PDot("k2"): 1}),
-            ContractionPhase(TimeComb.difference("t2", "t3"),
-                             PhaseArg.of({Dot("k1", "k2"): 1})),
+            ContractionPhase(time_difference("t2", "t3"),
+                             comb({Dot("k1", "k2"): 1})),
         ),
         (MomentumDelta("k1", "k3"), MomentumDelta("k2", "k4")),
     )

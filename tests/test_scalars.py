@@ -14,13 +14,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modwick.scalars import (
-    C_ONE, C_ZERO, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
-    MomentumDelta, PDot, PhaseArg, PhaseDelta, RationalComplex, ScalarExpr,
-    ScalarTerm, TimeComb, TimeDelta, _term_identity, canonicalize,
-    canonically_equal, conjugate, delta_key, label_classes, merged_exponent,
-    multiply, oscillation, term_signature,
+    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
+    PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta,
+    _term_identity, canonicalize, canonically_equal, comb, conjugate,
+    delta_key, label_classes, merged_exponent, multiply, negated,
+    oscillation, substituted, term_signature, time_difference,
 )
+from modwick.limits import (
+    correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
+)
+from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
 from modwick.serialize import from_json_str, to_json_str
+from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import correlator_recursive, word_from_pattern
 
 
@@ -35,7 +40,7 @@ def test_rational_complex_arithmetic():
     assert a * b == RationalComplex.of(2, Fraction(35, 6))
     assert a * RationalComplex.of(-1) == RationalComplex.of(Fraction(-1, 2), -3)
     assert a.conjugate() == RationalComplex.of(Fraction(1, 2), -3)
-    assert C_ZERO.is_zero() and not C_ONE.is_zero()
+    assert RationalComplex.of(0).is_zero() and not C_ONE.is_zero()
 
 
 def test_dot_orders_labels():
@@ -49,36 +54,76 @@ def test_dot_orders_labels():
 
 
 def test_time_comb_normalization():
-    assert TimeComb.of({"t1": 1, "t2": 0}).items == (("t1", 1),)
-    assert TimeComb.difference("t1", "t1").is_zero()
-    d = TimeComb.difference("t2", "t1")
-    assert d.negated() == TimeComb.of({"t2": -1, "t1": 1})
-    assert d.substituted({"t2": "t1"}).is_zero()
-    assert d.labels() == {"t1", "t2"}
+    assert comb({"t1": 1, "t2": 0}) == (("t1", 1),)
+    assert comb({"t2": 1, "t1": -1}) == (("t1", -1), ("t2", 1))
+    assert time_difference("t1", "t1") == ()
+    d = time_difference("t2", "t1")
+    assert d == comb({"t2": 1, "t1": -1})
+    assert negated(d) == comb({"t2": -1, "t1": 1})
+    assert substituted(d, {"t2": "t1"}) == ()
+    assert substituted(d, {"t2": "t0"}) == (("t0", 1), ("t1", -1))
+    assert {t for t, _ in d} == {"t1", "t2"}
 
 
 def test_phase_arg_merging_and_shift():
     # unweighted factors over one time combination merge atom by atom
-    t12 = TimeComb.difference("t1", "t2")
-    arg = PhaseArg.of({Energy("k1"): 1, PDot("k1"): 1})
-    shift = PhaseArg.of({Dot("k3", "k1"): 1})
+    t12 = time_difference("t1", "t2")
+    arg = comb({Energy("k1"): 1, PDot("k1"): 1})
+    shift = comb({Dot("k3", "k1"): 1})
 
     def merged(*factors):
         term = ScalarTerm(phases=tuple(ContractionPhase(t12, a) for a in factors))
         return canonicalize(ScalarExpr((term,))).terms[0].phases
 
-    assert merged(arg, arg.negated()) == ()
-    assert merged(arg, shift) == (ContractionPhase(t12, PhaseArg.of(
+    assert merged(arg, negated(arg)) == ()
+    assert merged(arg, shift) == (ContractionPhase(t12, comb(
         {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1})),)
     # subtracting the shift again undoes it
-    assert merged(arg, shift, shift.negated()) == (ContractionPhase(t12, arg),)
+    assert merged(arg, shift, negated(shift)) == (ContractionPhase(t12, arg),)
+    # renaming an atom's labels sums the entries that coincide
+    assert substituted(comb({Dot("k1", "k3"): 1, Dot("k1", "k2"): 2}),
+                       {"k3": "k2"}) == comb({Dot("k1", "k2"): 3})
+    assert substituted(shift, {"k1": "k3"}) == comb({Dot("k3", "k3"): 1})
+
+
+def _combinations(e: ScalarExpr):
+    for term in e.terms:
+        for ph in term.phases:
+            yield ph.time
+            yield ph.arg
+        for d in term.deltas:
+            if isinstance(d, TimeDelta):
+                yield d.comb
+            elif isinstance(d, PhaseDelta):
+                yield d.arg
+
+
+def test_every_route_holds_combinations_as_sorted_tuples():
+    seen = 0
+    for pattern in patterns_up_to(6):
+        for mode in MODES:
+            w = _build(pattern, mode)
+            recursion = correlator_recursive(w)
+            routes = (
+                recursion, correlator_pairing_sum(w),
+                ScalarExpr(tuple(at.term for at in annotated_pairing_terms(w))),
+                limit_of_pairing_sum(recursion), correlator_wick_limit(w),
+                correlator_limit_rewrite(w),
+            )
+            for e in routes:
+                for read in (e, from_json_str(to_json_str(e))):
+                    for it in _combinations(read):
+                        assert type(it) is tuple and it == comb(dict(it)), \
+                            (pattern, mode, it)
+                        seen += 1
+    assert seen > 0
 
 
 def test_oscillation_power_negates():
-    arg = PhaseArg.of({Dot("k1", "k2"): 1})
+    arg = comb({Dot("k1", "k2"): 1})
     ph = oscillation("t1", "t2", arg, power=-1)
-    assert ph.arg == arg.negated()
-    assert ph.time == TimeComb.difference("t1", "t2")
+    assert ph.arg == negated(arg)
+    assert ph.time == time_difference("t1", "t2")
     assert not ph.weighted
     with pytest.raises(ValueError):
         oscillation("t1", "t2", arg, power=2)
@@ -86,14 +131,14 @@ def test_oscillation_power_negates():
 
 def test_delta_sign_fixing():
     assert MomentumDelta("k4", "k2") == MomentumDelta("k2", "k4")
-    td = TimeDelta(TimeComb.of({"t1": -1, "t2": 1}))
-    assert td.comb.items[0][1] > 0
-    pd = PhaseDelta(PhaseArg.of({Energy("k1"): -1, PDot("k1"): -1}))
-    assert pd.arg.items[0][1] > 0
+    td = TimeDelta(comb({"t1": -1, "t2": 1}))
+    assert td.comb[0][1] > 0
+    pd = PhaseDelta(comb({Energy("k1"): -1, PDot("k1"): -1}))
+    assert pd.arg[0][1] > 0
     with pytest.raises(ValueError):
         MomentumDelta("k1", "k1")
     with pytest.raises(ValueError):
-        TimeDelta(TimeComb())
+        TimeDelta(())
     assert delta_key(MomentumDelta("k1", "k2"))[0] == 0
     assert delta_key(td)[0] == 1
 
@@ -102,15 +147,15 @@ def test_delta_sign_fixing():
 # merged exponent and signatures
 
 def test_merged_exponent_accumulates_across_phases():
-    x = PhaseArg.of({Energy("k1"): 1})
-    y = PhaseArg.of({Dot("k1", "k2"): 1})
+    x = comb({Energy("k1"): 1})
+    y = comb({Dot("k1", "k2"): 1})
     split = ScalarTerm(phases=(
-        ContractionPhase(TimeComb.difference("t1", "t2"), x),
-        ContractionPhase(TimeComb.difference("t1", "t2"), y),
+        ContractionPhase(time_difference("t1", "t2"), x),
+        ContractionPhase(time_difference("t1", "t2"), y),
     ))
     joint = ScalarTerm(phases=(
-        ContractionPhase(TimeComb.difference("t1", "t2"),
-                         PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1})),
+        ContractionPhase(time_difference("t1", "t2"),
+                         comb({Energy("k1"): 1, Dot("k1", "k2"): 1})),
     ))
     assert merged_exponent(split) == merged_exponent(joint)
     assert term_signature(split) == term_signature(joint)
@@ -122,7 +167,7 @@ def test_merged_exponent_accumulates_across_phases():
 
 def test_signature_sees_through_inverse_factor():
     # q(t1 - t2, x) q^{-1}(t1 - t2, x) carries no oscillation at all
-    x = PhaseArg.of({Energy("k1"): 1})
+    x = comb({Energy("k1"): 1})
     term = ScalarTerm(phases=(
         oscillation("t1", "t2", x, power=1),
         oscillation("t1", "t2", x, power=-1),
@@ -136,9 +181,9 @@ def test_signature_sees_through_inverse_factor():
 
 def test_canonicalize_merges_like_terms_to_zero():
     term = ScalarTerm(C_ONE, 0, -2,
-                      (oscillation("t1", "t2", PhaseArg.of({Energy("k1"): 1})),),
+                      (oscillation("t1", "t2", comb({Energy("k1"): 1})),),
                       (MomentumDelta("k1", "k2"),))
-    e = ScalarExpr((term, term.scaled(RationalComplex.of(-1))))
+    e = ScalarExpr((term, term.times(ScalarTerm(RationalComplex.of(-1)))))
     assert canonicalize(e) == EXPR_ZERO
     assert canonicalize(ScalarExpr((term, term))).terms[0].coeff \
         == RationalComplex.of(2)
@@ -147,17 +192,17 @@ def test_canonicalize_merges_like_terms_to_zero():
 def test_canonicalize_star_normalizes_delta_chains():
     chain = (MomentumDelta("k2", "k3"), MomentumDelta("k1", "k2"))
     term = ScalarTerm(
-        phases=(ContractionPhase(TimeComb.difference("t1", "t2"),
-                                 PhaseArg.of({Energy("k3"): 1})),),
+        phases=(ContractionPhase(time_difference("t1", "t2"),
+                                 comb({Energy("k3"): 1})),),
         deltas=chain)
     out = canonicalize(ScalarExpr((term,))).terms[0]
     assert out.deltas == (MomentumDelta("k1", "k2"), MomentumDelta("k1", "k3"))
     # phases rewritten onto the class representative
-    assert out.phases[0].arg == PhaseArg.of({Energy("k1"): 1})
+    assert out.phases[0].arg == comb({Energy("k1"): 1})
 
 
 def test_canonicalize_merges_unweighted_oscillations():
-    x = PhaseArg.of({Dot("k1", "k2"): 1})
+    x = comb({Dot("k1", "k2"): 1})
     term = ScalarTerm(phases=(
         oscillation("t1", "t2", x),
         oscillation("t2", "t1", x),  # cancels the first
@@ -165,7 +210,7 @@ def test_canonicalize_merges_unweighted_oscillations():
     ))
     out = canonicalize(ScalarExpr((term,))).terms[0]
     assert out.phases == (
-        ContractionPhase(TimeComb.difference("t1", "t3"), x),)
+        ContractionPhase(time_difference("t1", "t3"), x),)
 
 
 def test_label_classes_map_to_the_smallest_label():
@@ -182,7 +227,7 @@ def test_label_classes_map_to_the_smallest_label():
 
 def test_only_canonicalize_marks_an_expression():
     term = ScalarTerm(C_ONE, 0, -2,
-                      (oscillation("t1", "t2", PhaseArg.of({Energy("k2"): 1})),),
+                      (oscillation("t1", "t2", comb({Energy("k2"): 1})),),
                       (MomentumDelta("k2", "k1"),))
     raw = ScalarExpr((term, term))
     assert not raw.canonical
@@ -195,7 +240,7 @@ def test_only_canonicalize_marks_an_expression():
     assert EXPR_ZERO.canonical and EXPR_ONE.canonical
     # what did not come out of canonicalize is canonicalized again
     for unmarked in (from_json_str(to_json_str(raw)),
-                     ScalarExpr((term.scaled(RationalComplex.of(2)),))):
+                     ScalarExpr((term.times(ScalarTerm(RationalComplex.of(2))),))):
         assert not unmarked.canonical
         assert canonicalize(unmarked) == canon
         assert canonically_equal(unmarked, canon)
@@ -206,7 +251,7 @@ def test_canonically_equal_sees_one_changed_coefficient():
     assert e.canonical and len(e.terms) == 2
     for i in range(len(e.terms)):
         terms = list(e.terms)
-        terms[i] = terms[i].scaled(RationalComplex.of(1, 1))
+        terms[i] = terms[i].times(ScalarTerm(RationalComplex.of(1, 1)))
         bumped = canonicalize(ScalarExpr(tuple(terms)))
         assert bumped.canonical
         assert not canonically_equal(e, bumped)
@@ -216,15 +261,15 @@ def test_canonically_equal_sees_one_changed_coefficient():
 
 # two weighted factors against one with the same merged exponent and a
 # weighted factor whose argument is zero: one identity, two phase lists
-T12 = TimeComb.difference("t1", "t2")
+T12 = time_difference("t1", "t2")
 FACTORINGS = (
     ScalarTerm(C_ONE, 0, -4, (
-        ContractionPhase(T12, PhaseArg.of({Energy("k1"): 1}), True),
-        ContractionPhase(T12, PhaseArg.of({Dot("k1", "k2"): 1}), True))),
+        ContractionPhase(T12, comb({Energy("k1"): 1}), True),
+        ContractionPhase(T12, comb({Dot("k1", "k2"): 1}), True))),
     ScalarTerm(C_ONE, 0, -4, (
-        ContractionPhase(T12, PhaseArg.of({Energy("k1"): 1, Dot("k1", "k2"): 1}),
+        ContractionPhase(T12, comb({Energy("k1"): 1, Dot("k1", "k2"): 1}),
                          True),
-        ContractionPhase(TimeComb.difference("t3", "t4"), PhaseArg(), True))),
+        ContractionPhase(time_difference("t3", "t4"), (), True))),
 )
 
 
@@ -240,7 +285,7 @@ def test_identity_equates_factorizations_the_signature_equates():
 # labels whose strings collide
 
 # k_{x,y}.k_z and k_x.k_{y,z}: two distinct atoms that both print "D(x,y,z)"
-COLLIDING_ARGS = tuple(PhaseArg.of({Dot(a, b): 1})
+COLLIDING_ARGS = tuple(comb({Dot(a, b): 1})
                        for a, b in (("x,y", "z"), ("x", "y,z")))
 COLLIDING = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
                   for x in COLLIDING_ARGS)
@@ -250,13 +295,13 @@ COLLIDING = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
 COLLIDING_FACTORS = ScalarTerm(
     C_ONE, 0, -4, tuple(ContractionPhase(T12, x, True) for x in COLLIDING_ARGS),
     tuple(PhaseDelta(x) for x in COLLIDING_ARGS)
-    + (TimeDelta(TimeComb.of({"x": 1, "y": 1})),
-       TimeDelta(TimeComb.of({"x:1;y": 1}))))
+    + (TimeDelta(comb({"x": 1, "y": 1})),
+       TimeDelta(comb({"x:1;y": 1}))))
 
 
 def test_colliding_label_strings_stay_two_terms():
     a, b = COLLIDING
-    assert str(COLLIDING_ARGS[0].items[0][0]) == str(COLLIDING_ARGS[1].items[0][0])
+    assert str(COLLIDING_ARGS[0][0][0]) == str(COLLIDING_ARGS[1][0][0])
     out = canonicalize(ScalarExpr((a, b)))
     assert [t.coeff for t in out.terms] == [C_ONE, C_ONE]
     assert canonicalize(ScalarExpr((b, a))) == out
@@ -280,11 +325,11 @@ atoms = st.one_of(
     st.sampled_from(K_LABELS).map(PDot),
 )
 args = st.dictionaries(atoms, st.sampled_from((-2, -1, 1, 2)),
-                       min_size=1, max_size=3).map(PhaseArg.of)
+                       min_size=1, max_size=3).map(comb)
 time_combs = (
     st.tuples(st.sampled_from(T_LABELS), st.sampled_from(T_LABELS))
       .filter(lambda ab: ab[0] != ab[1])
-      .map(lambda ab: TimeComb.difference(*ab))
+      .map(lambda ab: time_difference(*ab))
 )
 phases = st.builds(ContractionPhase, time_combs, args, st.booleans())
 deltas = st.one_of(
@@ -308,7 +353,7 @@ exprs = st.lists(terms, max_size=3).map(tuple).map(ScalarExpr)
 # identifying k1 with k4 cancels the phase delta's argument entirely
 COLLAPSING = ScalarExpr((ScalarTerm(deltas=(
     MomentumDelta("k1", "k4"),
-    PhaseDelta(PhaseArg.of({Energy("k1"): 2, Energy("k4"): -2})))),))
+    PhaseDelta(comb({Energy("k1"): 2, Energy("k4"): -2})))),))
 
 
 def _scrambled(e: ScalarExpr) -> ScalarExpr:
@@ -349,8 +394,9 @@ def test_conjugate_involution(e):
 @settings(max_examples=80, deadline=None)
 @given(exprs)
 def test_add_negate_cancels(e):
-    negated = tuple(t.scaled(RationalComplex.of(-1)) for t in e.terms)
-    assert canonicalize(ScalarExpr(e.terms + negated)) == EXPR_ZERO
+    minus_one = ScalarTerm(RationalComplex.of(-1))
+    opposite = tuple(t.times(minus_one) for t in e.terms)
+    assert canonicalize(ScalarExpr(e.terms + opposite)) == EXPR_ZERO
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
-    ContractionPhase, Dot, EXPR_ZERO, Energy, MomentumDelta, PDot, PhaseArg,
-    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, TimeComb,
-    TimeDelta, oscillation,
+    ContractionPhase, Dot, EXPR_ZERO, Energy, MomentumDelta, PDot, PhaseDelta,
+    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, TimeDelta, comb,
+    oscillation, time_difference,
 )
 from modwick.serialize import (
     from_json_dict, from_json_str, indented_json, term_to_json_dict,
@@ -30,8 +30,8 @@ SAMPLE_EXPRS = [
     # raw unnormalized content with a rational coefficient
     ScalarExpr((ScalarTerm(
         RationalComplex.of(Fraction(-3, 7), Fraction(1, 2)), 2, -4,
-        (oscillation("t2", "t1", PhaseArg.of({Dot("k1", "k2"): 2}), power=-1),),
-        (TimeDelta(TimeComb.difference("t1", "t3")),)),)),
+        (oscillation("t2", "t1", comb({Dot("k1", "k2"): 2}), power=-1),),
+        (TimeDelta(time_difference("t1", "t3")),)),)),
 ]
 
 
@@ -60,14 +60,14 @@ big = st.integers(-10**30, 10**30)
 nonzero = big.filter(bool)
 atoms = st.one_of(st.builds(Energy, labels), st.builds(Dot, labels, labels),
                   st.builds(PDot, labels))
-args = st.dictionaries(atoms, nonzero, max_size=3).map(PhaseArg.of)
-times = st.dictionaries(labels, nonzero, max_size=3).map(TimeComb.of)
+args = st.dictionaries(atoms, nonzero, max_size=3).map(comb)
+times = st.dictionaries(labels, nonzero, max_size=3).map(comb)
 phases = st.builds(ContractionPhase, times, args, st.booleans())
 deltas = st.one_of(
     st.tuples(labels, labels).filter(lambda ab: ab[0] != ab[1])
     .map(lambda ab: MomentumDelta(*ab)),
-    times.filter(lambda c: not c.is_zero()).map(TimeDelta),
-    args.filter(lambda a: not a.is_zero()).map(PhaseDelta))
+    times.filter(bool).map(TimeDelta),
+    args.filter(bool).map(PhaseDelta))
 fractions = st.builds(Fraction, big, nonzero)
 
 
@@ -123,7 +123,7 @@ def test_latex_two_point():
 
 def test_latex_marks_inverse_oscillations():
     term = ScalarTerm(phases=(
-        oscillation("t1", "t2", PhaseArg.of({Dot("k1", "k2"): 1}), power=-1),))
+        oscillation("t1", "t2", comb({Dot("k1", "k2"): 1}), power=-1),))
     assert "q_{\\lambda}^{-1}" in term_to_latex(term)
 
 

@@ -121,8 +121,8 @@ def test_catalan_suite_detects_a_limit_that_never_vanishes():
 
 def test_adjoint_suite_detects_a_recursion_scaled_by_i():
     def scaled(w):
-        i = RationalComplex.of(0, 1)
-        return ScalarExpr(tuple(t.scaled(i) for t in correlator_recursive(w).terms))
+        i = ScalarTerm(RationalComplex.of(0, 1))
+        return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
 
     res = suite_adjoint_symmetry(2, recursive=scaled)
     assert _failed_links(res) == {"adjoint != conjugate"}

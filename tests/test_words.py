@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, C_ZERO, PDOT, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
-    MomentumDelta, PDot, PhaseArg, PhaseDelta, ScalarExpr, ScalarTerm,
-    TERM_ONE, TimeComb, _canonical_term, canonically_equal,
-    oscillation, term_signature,
+    C_ONE, PDOT, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
+    MomentumDelta, PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm,
+    TERM_ONE, _canonical_term, canonically_equal, comb, oscillation,
+    term_signature, time_difference,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
@@ -20,8 +20,8 @@ from modwick.words import (
 
 
 def weighted_phase(t_from, t_to, arg_dict):
-    return ContractionPhase(TimeComb.difference(t_from, t_to),
-                            PhaseArg.of(arg_dict), weighted=True)
+    return ContractionPhase(time_difference(t_from, t_to),
+                            comb(arg_dict), weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,38 @@ def test_word_label_validation():
         word(annihilate("t1", "k1", 1), create("t2", "k2"))
     with pytest.raises(WordError):
         word(annihilate("t1", "k1", 4), create("t2", "k2", 4))
+
+
+def _one_line_word_error(build, match: str) -> None:
+    with pytest.raises(WordError, match=match) as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
+def test_word_rejects_polarizations_no_word_file_can_hold():
+    # True == 1.0 == 1, yet a word file holds only an integer "pol"
+    for pol in (True, 1.0):
+        _one_line_word_error(
+            lambda: word(Generator(False, "t1", "k1", pol),
+                         Generator(True, "t2", "k2", pol)),
+            f"^polarization index must be an integer, got {pol!r}$")
+    w = word_from_pattern("a+", pols=[1, 1])
+    assert word_from_json_dict(word_to_json_dict(w)) == w
+
+
+def test_word_rejects_non_string_labels():
+    _one_line_word_error(lambda: word(Generator(False, 1, "k1")),
+                         "^labels must be strings, got 1 and 'k1'$")
+    _one_line_word_error(
+        lambda: word(annihilate("t1", "k1"), create("t2", ("k", 2))),
+        r"^labels must be strings, got 't2' and \('k', 2\)$")
+
+
+def test_pattern_polarizations_match_its_length():
+    _one_line_word_error(lambda: word_from_pattern("aa++", pols=[1, 2]),
+                         "^pattern has 4 generators but 2 polarizations$")
+    _one_line_word_error(lambda: word_from_pattern("a+", pols=[1, 1, 3]),
+                         "^pattern has 2 generators but 3 polarizations$")
 
 
 def test_word_generator_cap():
@@ -104,10 +136,10 @@ def test_word_json_validation():
 
 def test_contraction_arg_moves_past_creators_and_annihilators():
     x = annihilate("t1", "k1")
-    assert contraction_arg(x, ()) == PhaseArg.of({Energy("k1"): 1, PDot("k1"): 1})
+    assert contraction_arg(x, ()) == comb({Energy("k1"): 1, PDot("k1"): 1})
     # a(t,k) f(p) = f(p + k) a(t,k): +k.g past a creator, -k.g past an annihilator
     right = (create("t3", "k3"), annihilate("t4", "k4"), create("t5", "k5"))
-    assert contraction_arg(x, right) == PhaseArg.of({
+    assert contraction_arg(x, right) == comb({
         Energy("k1"): 1, PDot("k1"): 1,
         Dot("k1", "k3"): 1, Dot("k1", "k4"): -1, Dot("k1", "k5"): 1})
     # passing a creator and an annihilator of the same momentum cancels
@@ -132,7 +164,7 @@ def test_expand_leading_annihilator_two_creators():
     assert second.scalar.phases[0] == weighted_phase(
         "t1", "t3", {Energy("k1"): 1, PDot("k1"): 1})
     assert second.scalar.phases[1] == ContractionPhase(
-        TimeComb.difference("t1", "t2"), PhaseArg.of({Dot("k1", "k2"): 1}))
+        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
     assert second.scalar.deltas == (MomentumDelta("k1", "k3"),)
 
     with pytest.raises(WordError):
@@ -157,7 +189,7 @@ def test_rewrite_a_adag_polarization():
     assert matched.scalar.deltas == (MomentumDelta("k1", "k3"),)
     assert matched.word == Word((create("t2", "k2", 1),))
     assert matched.scalar.phases[1] == ContractionPhase(
-        TimeComb.difference("t1", "t2"), PhaseArg.of({Dot("k1", "k2"): 1}))
+        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +244,20 @@ def test_recursion_respects_generator_identity():
     e = correlator_recursive(w1)
     (term,) = e.terms
     assert term.deltas == (MomentumDelta("q1", "q2"),)
-    assert term.phases[0].time == TimeComb.difference("s1", "s2")
+    assert term.phases[0].time == time_difference("s1", "s2")
 
 
 # ---------------------------------------------------------------------------
 # byte identity with the plain expansion-tree walk
 
-def _reference_shifted(arg: PhaseArg, momentum: str, sign: int) -> PhaseArg:
+def _reference_shifted(arg: tuple, momentum: str, sign: int) -> tuple:
     """Shift every particle-momentum atom k.p by sign * k.momentum."""
-    acc = dict(arg.items)
-    for a, c in arg.items:
+    acc = dict(arg)
+    for a, c in arg:
         if a.kind == PDOT:
             d = Dot(a.a, momentum)
             acc[d] = acc.get(d, 0) + sign * c
-    return PhaseArg.of(acc)
+    return comb(acc)
 
 
 def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
@@ -247,9 +279,9 @@ def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
 def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
     """Contract annihilator x against creator y, in place."""
     if x.pol != y.pol:
-        return ScalarTerm(C_ZERO)
-    arg = PhaseArg.of({Energy(x.k): 1, PDot(x.k): 1})
-    phase = ContractionPhase(TimeComb.difference(x.t, y.t), arg, weighted=True)
+        return ScalarTerm(RationalComplex.of(0))
+    arg = comb({Energy(x.k): 1, PDot(x.k): 1})
+    phase = ContractionPhase(time_difference(x.t, y.t), arg, weighted=True)
     return ScalarTerm(C_ONE, 0, -2, (phase,), (MomentumDelta(x.k, y.k),))
 
 
@@ -266,7 +298,7 @@ def _reference_expand(w: Word) -> list:
                 scalar = _reference_shift_p(scalar, other)
             for other in tail[:j]:
                 swap = oscillation(lead.t, other.t,
-                                   PhaseArg.of({Dot(lead.k, other.k): 1}),
+                                   comb({Dot(lead.k, other.k): 1}),
                                    power=1 if other.dagger else -1)
                 scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
         out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
