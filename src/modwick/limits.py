@@ -22,7 +22,7 @@ rewrite engine that contracts adjacent pairs in the limit algebra.
 
 from __future__ import annotations
 
-from .pairings import Pairing, enclosing_pairs
+from .pairings import Pairing
 from .scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
     PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize, comb,
@@ -93,26 +93,34 @@ def limit_of_pairing_sum(e: ScalarExpr) -> ScalarExpr:
 
 
 def correlator_wick_limit(w: Word) -> ScalarExpr:
-    """Limit correlator built directly on the non-crossing pairing."""
-    match = noncrossing_match(w)
-    if match is None:
-        return EXPR_ZERO
+    """Limit correlator built directly on the non-crossing pairing.
 
-    gens = w.gens
-    deltas = []
-    for m, m2 in match.pairs:
-        x, y = gens[m - 1], gens[m2 - 1]
+    Scanning right to left, every annihilator pops the creator on top of
+    the stack.  The creators left below it close the enclosing pairs, and
+    each adds its k.k' (the momentum deltas identify it with its
+    annihilator's) to the phase delta.
+    """
+    stack, deltas = [], []
+    for x in reversed(w.gens):
+        if x.dagger:
+            stack.append(x)
+            continue
+        if not stack:
+            return EXPR_ZERO
+        y = stack.pop()
         if x.pol != y.pol:
             return EXPR_ZERO
         arg = {Energy(x.k): 1, PDot(x.k): 1}
-        for a, _ in enclosing_pairs(match, (m, m2)):
-            d = Dot(gens[a - 1].k, x.k)
+        for c in stack:
+            d = Dot(c.k, x.k)
             arg[d] = arg.get(d, 0) + 1
-        deltas.append(MomentumDelta(x.k, y.k))
-        deltas.append(TimeDelta(time_difference(x.t, y.t)))
-        deltas.append(PhaseDelta(comb(arg)))
+        deltas += (MomentumDelta(x.k, y.k),
+                   TimeDelta(time_difference(x.t, y.t)),
+                   PhaseDelta(comb(arg)))
+    if stack:
+        return EXPR_ZERO
 
-    term = ScalarTerm(C_ONE, len(match), 0, (), tuple(deltas))
+    term = ScalarTerm(C_ONE, len(w.gens) // 2, 0, (), tuple(deltas))
     return canonicalize(ScalarExpr((term,)))
 
 

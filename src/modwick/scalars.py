@@ -287,41 +287,31 @@ def merged_exponent(term: ScalarTerm) -> dict:
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def _order_key(identity: tuple) -> tuple:
-    """Output order of the terms with this `_term_identity`."""
-    lambda_power, two_pi_power, deltas, exponent = identity
-    dkeys = tuple(sorted(delta_key(d) for d in deltas))
-    return (lambda_power, two_pi_power, dkeys,
-            tuple(sorted(((t, str(a), a), c) for (t, a), c in exponent)))
-
-
 def term_signature(term: ScalarTerm) -> tuple:
-    """Output order of canonical terms, text first (so "t10" sorts before "t2").
+    """Key of a term up to its coefficient, text first ("t10" before "t2").
 
-    Structural phase lists that multiply to the same exponential share a
-    signature.  The structural value after each string keeps terms whose
-    label strings collide apart, so the order is total.  It only orders:
-    `_term_identity` decides which terms are alike.
+    Like terms share it: structural phase lists that multiply to the same
+    exponential share a signature, and the structural value after each
+    string keeps terms whose label strings collide apart.
+    `canonicalize` merges and sorts on it; `canonically_equal` compares it.
     """
-    return _order_key(_term_identity(term))
-
-
-def _term_identity(term: ScalarTerm) -> tuple:
-    """Identity of a canonical term up to its coefficient.
-
-    `canonicalize` merges like terms on it and `canonically_equal` compares
-    it.  A canonical term's deltas are already in `delta_key` order and the
-    merged exponent is a set: no str, no sort.
-    """
-    return (term.lambda_power, term.two_pi_power, term.deltas,
-            frozenset(merged_exponent(term).items()))
+    return (term.lambda_power, term.two_pi_power,
+            tuple(sorted(delta_key(d) for d in term.deltas)),
+            tuple(sorted(((t, str(a), a), c)
+                         for (t, a), c in merged_exponent(term).items())))
 
 
 @dataclass(frozen=True)
 class ScalarExpr:
     terms: tuple = ()
-    # set by canonicalize alone, so no constructor can claim it
-    canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    # the terms' signatures: set by canonicalize alone, so no constructor
+    # can claim it
+    signatures: tuple | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @property
+    def canonical(self) -> bool:
+        return self.signatures is not None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -432,9 +422,9 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     Idempotent, and insensitive to the order in which terms and momentum
     deltas were recorded: label identification runs through a union-find
     with the smallest label as representative, like terms merge on
-    `_term_identity` and keep the phases that sort first, and the
-    survivors sort once by `term_signature`, computed from that identity.
-    The result is marked canonical, and a marked input is returned as it is.
+    `term_signature` and keep the phases that sort first, and the
+    survivors sort by it.  The result carries their signatures, which
+    mark it canonical, and a marked input is returned as it is.
     """
     if expr.canonical:
         return expr
@@ -443,17 +433,17 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
         ct = _canonical_term(term)
         if ct is None:
             continue
-        ident = _term_identity(ct)
-        prev = merged.get(ident)
+        sig = term_signature(ct)
+        prev = merged.get(sig)
         if prev is not None:
             first = min(prev, ct, key=lambda t: [ph.key() for ph in t.phases])
             ct = ScalarTerm(prev.coeff + ct.coeff, first.two_pi_power,
                             first.lambda_power, first.phases, first.deltas)
-        merged[ident] = ct
-    survivors = sorted(((i, t) for i, t in merged.items() if not t.coeff.is_zero()),
-                       key=lambda item: _order_key(item[0]))
+        merged[sig] = ct
+    survivors = sorted(((s, t) for s, t in merged.items() if not t.coeff.is_zero()),
+                       key=lambda item: item[0])
     out = ScalarExpr(tuple(t for _, t in survivors))
-    object.__setattr__(out, "canonical", True)
+    object.__setattr__(out, "signatures", tuple(s for s, _ in survivors))
     return out
 
 
@@ -472,8 +462,8 @@ def conjugate(e: ScalarExpr) -> ScalarExpr:
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
     """Semantic equality: same canonical terms with the same coefficients."""
-    # canonicalize merged every identity, so none repeats within one side
-    def coeffs(e):
-        return {_term_identity(t): t.coeff for t in canonicalize(e).terms}
-
-    return coeffs(a) == coeffs(b)
+    # both sides are sorted by signatures that do not repeat, so equal
+    # signature tuples pair each term with its like term
+    a, b = canonicalize(a), canonicalize(b)
+    return a.signatures == b.signatures and all(
+        s.coeff == t.coeff for s, t in zip(a.terms, b.terms))

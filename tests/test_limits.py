@@ -186,6 +186,19 @@ def test_triple_agreement_spot():
             assert canonically_equal(direct, rewritten), (pattern, pols)
 
 
+def test_wick_limit_does_not_borrow_the_enclosure_rule(monkeypatch):
+    # the closed form's enclosing pairs are the formula the Wick route
+    # checks: with them gone, the Wick limit must still give the right shifts
+    monkeypatch.setattr("modwick.pairings.enclosing_pairs",
+                        lambda pairing, h: [])
+    monkeypatch.setattr("modwick.limits.enclosing_pairs",
+                        lambda pairing, h: [], raising=False)
+    for pattern in ("aa++", "aaa+++"):
+        w = word_from_pattern(pattern)
+        assert canonically_equal(correlator_wick_limit(w),
+                                 correlator_limit_rewrite(w)), pattern
+
+
 def test_polarization_mismatch_kills_limit():
     w = word_from_pattern("aa++", pols=[1, 2, 3, 1])
     assert correlator_wick_limit(w) == EXPR_ZERO

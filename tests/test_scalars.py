@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
     PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta,
-    _term_identity, canonicalize, canonically_equal, comb, conjugate,
+    canonicalize, canonically_equal, comb, conjugate,
     delta_key, label_classes, merged_exponent, multiply, negated,
     oscillation, substituted, term_signature, time_difference,
 )
@@ -98,25 +98,46 @@ def _combinations(e: ScalarExpr):
                 yield d.arg
 
 
-def test_every_route_holds_combinations_as_sorted_tuples():
-    seen = 0
+def _route_outputs():
+    """Every symbolic route's expression on every pattern of length <= 6 in
+    all three verify modes, with its key and its JSON round trip."""
     for pattern in patterns_up_to(6):
         for mode in MODES:
             w = _build(pattern, mode)
             recursion = correlator_recursive(w)
-            routes = (
-                recursion, correlator_pairing_sum(w),
-                ScalarExpr(tuple(at.term for at in annotated_pairing_terms(w))),
-                limit_of_pairing_sum(recursion), correlator_wick_limit(w),
-                correlator_limit_rewrite(w),
-            )
-            for e in routes:
-                for read in (e, from_json_str(to_json_str(e))):
-                    for it in _combinations(read):
-                        assert type(it) is tuple and it == comb(dict(it)), \
-                            (pattern, mode, it)
-                        seen += 1
+            routes = {
+                "recursion": recursion,
+                "pairing sum": correlator_pairing_sum(w),
+                "annotated": ScalarExpr(tuple(
+                    at.term for at in annotated_pairing_terms(w))),
+                "limit map": limit_of_pairing_sum(recursion),
+                "wick limit": correlator_wick_limit(w),
+                "rewrite limit": correlator_limit_rewrite(w),
+            }
+            for name, e in routes.items():
+                yield (pattern, mode, name), e, from_json_str(to_json_str(e))
+
+
+def test_every_route_holds_combinations_as_sorted_tuples():
+    seen = 0
+    for key, e, read in _route_outputs():
+        for it in (*_combinations(e), *_combinations(read)):
+            assert type(it) is tuple and it == comb(dict(it)), (key, it)
+            seen += 1
     assert seen > 0
+
+
+def test_every_route_carries_its_signatures():
+    for key, e, read in _route_outputs():
+        assert not read.canonical, key
+        # the annotated terms are canonicalized one by one, then gathered
+        if key[2] == "annotated":
+            assert not e.canonical
+            e = canonicalize(e)
+        sigs = tuple(term_signature(t) for t in e.terms)
+        assert e.signatures == sigs, key
+        assert all(s < t for s, t in zip(sigs, sigs[1:])), key
+        assert canonicalize(read).signatures == sigs, key
 
 
 def test_oscillation_power_negates():
@@ -257,6 +278,32 @@ def test_canonically_equal_sees_one_changed_coefficient():
         assert not canonically_equal(e, bumped)
         assert not canonically_equal(bumped, e)
     assert canonically_equal(e, canonicalize(ScalarExpr(e.terms[::-1])))
+    # the same terms and the same coefficients, paired the other way round
+    a, b = e.terms
+    two, three = (ScalarTerm(RationalComplex.of(c)) for c in (2, 3))
+    one = canonicalize(ScalarExpr((a.times(two), b.times(three))))
+    swapped = canonicalize(ScalarExpr((a.times(three), b.times(two))))
+    assert not canonically_equal(one, swapped)
+    assert not canonically_equal(swapped, one)
+
+
+def test_canonically_equal_reads_the_stored_signatures(monkeypatch):
+    a = correlator_recursive(word_from_pattern("aa++"))
+    b = correlator_pairing_sum(word_from_pattern("aa++"))
+
+    def forbidden(term):
+        raise AssertionError("merged exponent rebuilt for a canonical input")
+
+    monkeypatch.setattr("modwick.scalars.merged_exponent", forbidden)
+    assert canonically_equal(a, b)
+    assert not canonically_equal(a, EXPR_ZERO)
+
+
+def _identity(term: ScalarTerm) -> tuple:
+    """Reference key of a canonical term, built without any string: its
+    powers, its deltas and the set of its merged exponent's entries."""
+    return (term.lambda_power, term.two_pi_power, term.deltas,
+            frozenset(merged_exponent(term).items()))
 
 
 # two weighted factors against one with the same merged exponent and a
@@ -277,7 +324,7 @@ def test_identity_equates_factorizations_the_signature_equates():
     a, b = (canonicalize(ScalarExpr((t,))) for t in FACTORINGS)
     assert a != b
     assert term_signature(a.terms[0]) == term_signature(b.terms[0])
-    assert _term_identity(a.terms[0]) == _term_identity(b.terms[0])
+    assert _identity(a.terms[0]) == _identity(b.terms[0])
     assert canonically_equal(a, b)
 
 
@@ -431,7 +478,7 @@ def test_identity_agrees_with_signature(ts):
     mixed = ScalarExpr(tuple(
         ScalarTerm(a.coeff, a.two_pi_power, a.lambda_power, b.phases, c.deltas)
         for a in ts for b in ts for c in ts))
-    keys = [(_term_identity(t), term_signature(t))
+    keys = [(_identity(t), term_signature(t))
             for term in mixed.terms
             for t in canonicalize(ScalarExpr((term,))).terms]
     for ident_s, sig_s in keys:
