@@ -423,8 +423,10 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     deltas were recorded: label identification runs through a union-find
     with the smallest label as representative, like terms merge on
     `term_signature` and keep the phases that sort first, and the
-    survivors sort by it.  The result carries their signatures, which
-    mark it canonical, and a marked input is returned as it is.
+    survivors sort by it.  A zero term is dropped before it can merge, so
+    it never lends its phases to a like term.  The result carries the
+    survivors' signatures, which mark it canonical, and a marked input is
+    returned as it is.
     """
     if expr.canonical:
         return expr

@@ -119,38 +119,32 @@ def _agree(name: str, cases, words: dict, routes) -> SuiteResult:
     return _run(name, cases, check)
 
 
-def suite_closed_form_vs_recursion(max_n: int, recursive=None, closed=None,
-                                   words=None) -> SuiteResult:
+def suite_closed_form_vs_recursion(max_n: int, words: dict,
+                                   memo: dict) -> SuiteResult:
     """The pairing-sum closed form must reproduce the rewrite recursion."""
-    routes = (("recursion", recursive or correlator_recursive),
-              ("closed-form", closed or correlator_pairing_sum))
-    return _agree("closed-form-vs-recursion", _keys(max_n),
-                  words or _words(max_n), routes)
+    routes = (("recursion", lambda w: correlator_recursive(w, memo)),
+              ("closed-form", correlator_pairing_sum))
+    return _agree("closed-form-vs-recursion", _keys(max_n), words, routes)
 
 
-def suite_limit_triple_agreement(max_n: int, wick=None, rewrite=None,
-                                 words=None) -> SuiteResult:
+def suite_limit_triple_agreement(max_n: int, words: dict) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
     routes = (
         ("mapped-limit", lambda w: limit_of_pairing_sum(correlator_pairing_sum(w))),
-        ("direct-wick", wick or correlator_wick_limit),
-        ("rewrite", rewrite or correlator_limit_rewrite),
+        ("direct-wick", correlator_wick_limit),
+        ("rewrite", correlator_limit_rewrite),
     )
-    return _agree("limit-triple-agreement", _keys(max_n),
-                  words or _words(max_n), routes)
+    return _agree("limit-triple-agreement", _keys(max_n), words, routes)
 
 
 CATALAN = (1, 2, 5, 14, 42, 132)
 
 
-def suite_catalan_count(max_n: int, wick=None, words=None) -> SuiteResult:
+def suite_catalan_count(max_n: int, words: dict) -> SuiteResult:
     """Counts of patterns with nonzero limit, against the Catalan numbers."""
-    wick = wick or correlator_wick_limit
-    words = words or _words(max_n)
-
     def check(n):
-        live = [p for p in patterns_up_to(2 * n)
-                if len(p) == 2 * n and not wick(words[p, "scalar"]).is_zero()]
+        live = [p for p in patterns_up_to(2 * n) if len(p) == 2 * n
+                and not correlator_wick_limit(words[p, "scalar"]).is_zero()]
         expect = CATALAN[n - 1]
         if len(live) != expect:
             return f"n={n}: {len(live)} patterns with nonzero limit, expected {expect}"
@@ -158,14 +152,12 @@ def suite_catalan_count(max_n: int, wick=None, words=None) -> SuiteResult:
     return _run("catalan-count", range(1, max_n + 1), check)
 
 
-def suite_noncrossing_uniqueness(max_n: int, words=None) -> SuiteResult:
+def suite_noncrossing_uniqueness(max_n: int, words: dict) -> SuiteResult:
     """Each pattern admits at most one crossing-free pairing.
 
     The stack-scan match must agree with brute-force filtering, and a
     pairing set is nonempty exactly when a crossing-free pairing exists.
     """
-    words = words or _words(max_n)
-
     def check(pattern):
         w = words[pattern, "scalar"]
         all_pairings = enumerate_pairings(w)
@@ -194,10 +186,8 @@ def _bracket_balanced(w: Word) -> bool:
     return depth == 0
 
 
-def suite_pairing_existence(max_n: int, words=None) -> SuiteResult:
+def suite_pairing_existence(max_n: int, words: dict) -> SuiteResult:
     """Pairings exist exactly for bracket-balanced reversed words."""
-    words = words or _words(max_n)
-
     def check(pattern):
         w = words[pattern, "scalar"]
         has = bool(enumerate_pairings(w))
@@ -209,10 +199,8 @@ def suite_pairing_existence(max_n: int, words=None) -> SuiteResult:
     return _run("pairing-existence", patterns_up_to(2 * max_n), check)
 
 
-def suite_block_word_count(max_n: int, words=None) -> SuiteResult:
+def suite_block_word_count(max_n: int, words: dict) -> SuiteResult:
     """The all-annihilators-then-all-creators word has n! pairings."""
-    words = words or _words(max_n)
-
     def check(n):
         got = len(enumerate_pairings(words["a" * n + "+" * n, "scalar"]))
         if got != math.factorial(n):
@@ -221,16 +209,15 @@ def suite_block_word_count(max_n: int, words=None) -> SuiteResult:
     return _run("block-word-count", range(1, max_n + 1), check)
 
 
-def suite_adjoint_symmetry(max_n: int, recursive=None, words=None) -> SuiteResult:
+def suite_adjoint_symmetry(max_n: int, words: dict, memo: dict) -> SuiteResult:
     """Vacuum expectation of the adjoint word = complex conjugate."""
-    recursive = recursive or correlator_recursive
-    routes = (("adjoint", lambda w: recursive(adjoint(w))),
-              ("conjugate", lambda w: conjugate(recursive(w))))
+    routes = (("adjoint", lambda w: correlator_recursive(adjoint(w), memo)),
+              ("conjugate", lambda w: conjugate(correlator_recursive(w, memo))))
     return _agree("adjoint-symmetry", _keys(max_n, ("scalar", "cyclic")),
-                  words or _words(max_n), routes)
+                  words, routes)
 
 
-def _swapped_times_factor(w: Word, recursive) -> ScalarExpr:
+def _swapped_times_factor(w: Word, memo: dict) -> ScalarExpr:
     """q^-1 times the correlator of `w` with its first adjacent annihilators swapped."""
     site = next(i for i in range(len(w.gens) - 1)
                 if not (w.gens[i].dagger or w.gens[i + 1].dagger))
@@ -239,47 +226,45 @@ def _swapped_times_factor(w: Word, recursive) -> ScalarExpr:
     gens[site], gens[site + 1] = y, x
     phase = oscillation(x.t, y.t, comb({Dot(x.k, y.k): 1}), power=-1)
     factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
-    return multiply(factor, recursive(Word(tuple(gens))))
+    return multiply(factor, correlator_recursive(Word(tuple(gens)), memo))
 
 
-def suite_swap_consistency(max_n: int, recursive=None, words=None) -> SuiteResult:
+def suite_swap_consistency(max_n: int, words: dict, memo: dict) -> SuiteResult:
     """Swapping adjacent annihilators costs exactly one inverse oscillation.
 
     The state is only well defined on the quotient by the exchange
     relation, so the correlator of a word and of its first-adjacent-swap
     must differ by the explicit scalar factor and nothing else.
     """
-    recursive = recursive or correlator_recursive
-    routes = (("direct", recursive),
-              ("swapped*factor", lambda w: _swapped_times_factor(w, recursive)))
+    routes = (("direct", lambda w: correlator_recursive(w, memo)),
+              ("swapped*factor", lambda w: _swapped_times_factor(w, memo)))
     cases = (key for key in _keys(max_n, ("scalar",)) if "aa" in key[0])
-    return _agree("swap-consistency", cases, words or _words(max_n), routes)
+    return _agree("swap-consistency", cases, words, routes)
 
 
 MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
 
 
 def run_all(max_n: int) -> list:
-    """All suites at the given size bound, in fixed order."""
+    """All suites at the given size bound, in fixed order.
+
+    The suites share one word table and one sub-word memo for every
+    recursion of the run; the closed form and the limit routes never see
+    the memo.
+    """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be between 1 and {MAX_N}")
-    # one sub-word memo for every recursion of this run; the closed form
-    # and the limit routes never see it
     memo: dict = {}
     words = _words(max_n)
-
-    def recursive(w: Word) -> ScalarExpr:
-        return correlator_recursive(w, memo)
-
     return [
-        suite_closed_form_vs_recursion(max_n, recursive=recursive, words=words),
-        suite_limit_triple_agreement(max_n, words=words),
-        suite_catalan_count(max_n, words=words),
-        suite_noncrossing_uniqueness(max_n, words=words),
-        suite_pairing_existence(max_n, words=words),
-        suite_block_word_count(max_n, words=words),
-        suite_adjoint_symmetry(max_n, recursive=recursive, words=words),
-        suite_swap_consistency(max_n, recursive=recursive, words=words),
+        suite_closed_form_vs_recursion(max_n, words, memo),
+        suite_limit_triple_agreement(max_n, words),
+        suite_catalan_count(max_n, words),
+        suite_noncrossing_uniqueness(max_n, words),
+        suite_pairing_existence(max_n, words),
+        suite_block_word_count(max_n, words),
+        suite_adjoint_symmetry(max_n, words, memo),
+        suite_swap_consistency(max_n, words, memo),
     ]
 
 

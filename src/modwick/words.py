@@ -121,10 +121,6 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
     return Word(tuple(gens))
 
 
-def pattern_of(w: Word) -> str:
-    return "".join("+" if g.dagger else "a" for g in w.gens)
-
-
 # ---------------------------------------------------------------------------
 # JSON word files
 

@@ -1,0 +1,248 @@
+"""Every gate can fail: a matrix of one-line mutants of the formulas under test.
+
+Each row names one formula, a mutant of it and the cheap gate that must
+catch it.  A gate is a `verify` suite at n <= 3, an identity of the limit
+or a closed form against an independent quadrature, as in
+`tests/test_kernels.py`.  The mutant is installed with monkeypatch where
+the caller looks the formula up, so a function imported by name into a
+second module is mutated there alone.  A row either replaces the function
+outright or edits one snippet of its source, compiled in its own module's
+namespace; the snippet must occur exactly once, so a row whose formula
+was rewritten fails loudly instead of testing nothing.
+
+The control row runs every gate unpatched and demands that each passes.
+Mutation testing after DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import math
+import textwrap
+from dataclasses import dataclass
+
+import pytest
+from scipy import integrate
+
+from modwick import kernels, limits, pairings, verify
+from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
+from modwick.scalars import (
+    EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm,
+    canonically_equal, conjugate,
+)
+from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
+
+MAX_N = 3
+WORDS = verify._words(MAX_N)
+
+# off-center and of unequal widths, so no centre or width cancels
+OFF = GaussianTest(0.3, 0.8)
+KERNEL_TESTS = (GaussianTest(0.4, 1.0), GaussianTest(0.0, 0.8),
+                GaussianTest(0.7, 1.2))
+
+
+def _rel_err(a, b) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _limit_is_real() -> bool:
+    """The weak-coupling limit is a real distribution, even in every delta.
+
+    So the limit of the adjoint word and the limit of the conjugated
+    pairing sum both equal the limit of the word.  Adjoint words pair a
+    later time label with an earlier one, and conjugation negates every
+    phase argument: only the delta sign-fixes make the three agree.
+    """
+    for pattern in verify.patterns_up_to(2 * MAX_N):
+        w = WORDS[pattern, "scalar"]
+        expect = limits.correlator_wick_limit(w)
+        via_adjoint = limits.correlator_wick_limit(adjoint(w))
+        via_conjugate = limits.limit_of_pairing_sum(
+            conjugate(pairings.correlator_pairing_sum(w)))
+        if not (canonically_equal(via_adjoint, expect)
+                and canonically_equal(via_conjugate, expect)):
+            return False
+    return True
+
+
+def _gauss_fourier_against_quad() -> bool:
+    for xi in (1.7, -2.4):
+        re, _ = integrate.quad(lambda t: OFF.at(t) * math.cos(xi * t), *OFF.support())
+        im, _ = integrate.quad(lambda t: -OFF.at(t) * math.sin(xi * t), *OFF.support())
+        if abs(kernels.gauss_fourier(OFF, xi) - complex(re, im)) > 1e-10:
+            return False
+    return True
+
+
+def _two_point_term_against_grid() -> bool:
+    """The a+ term in both readings, closed form against the tensor grid.
+
+    The literal reading transforms each test function alone at a nonzero
+    frequency; the contracted one merges the two into a product Gaussian.
+    """
+    (ann,) = pairings.annotated_pairing_terms(word_from_pattern("a+"))
+    term = kernels.strip_momentum_deltas(ann.term)
+    a = Assignment({"k1": (1.0, 0.0, 0.0)}, (0.0, 0.0, 0.0))
+    tests = {"t1": STANDARD_GAUSSIAN, "t2": OFF}
+    value = kernels.term_value(term, tests, a, 1.0)
+    (row,) = kernels.term_convergence(term, tests, a, [1.0])
+    return (_rel_err(value, kernels.term_value_quadrature(term, tests, a, 1.0)) < 1e-9
+            and _rel_err(row.value, kernels.term_convergence_quadrature(
+                term, tests, a, 1.0)) < 1e-9)
+
+
+def _delta_kernel_against_dblquad() -> bool:
+    closed = kernels.delta_kernel(*KERNEL_TESTS, 1.0)
+    quad = kernels.delta_kernel_quadrature(*KERNEL_TESTS, 1.0)
+    return abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
+
+
+# every gate returns True when it passes; the suites look their routes up
+# in `modwick.verify` when they run, and each gets a fresh memo
+GATES = {
+    "closed-form-vs-recursion":
+        lambda: verify.suite_closed_form_vs_recursion(MAX_N, WORDS, {}).passed(),
+    "limit-triple-agreement":
+        lambda: verify.suite_limit_triple_agreement(MAX_N, WORDS).passed(),
+    "catalan-count": lambda: verify.suite_catalan_count(MAX_N, WORDS).passed(),
+    "noncrossing-uniqueness":
+        lambda: verify.suite_noncrossing_uniqueness(MAX_N, WORDS).passed(),
+    "pairing-existence":
+        lambda: verify.suite_pairing_existence(MAX_N, WORDS).passed(),
+    "block-word-count":
+        lambda: verify.suite_block_word_count(MAX_N, WORDS).passed(),
+    "adjoint-symmetry":
+        lambda: verify.suite_adjoint_symmetry(MAX_N, WORDS, {}).passed(),
+    "swap-consistency":
+        lambda: verify.suite_swap_consistency(MAX_N, WORDS, {}).passed(),
+    "limit-is-real": _limit_is_real,
+    "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
+    "two-point-term-vs-grid": _two_point_term_against_grid,
+    "delta-kernel-vs-dblquad": _delta_kernel_against_dblquad,
+}
+
+
+def _recursion_times_i(w, memo=None):
+    i = ScalarTerm(RationalComplex.of(0, 1))
+    return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
+
+
+def _recursion_blind_to_order(w, memo=None):
+    return correlator_recursive(Word(tuple(sorted(w.gens))))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """Mutate `target` ("module.name" or "module.Class.name" in modwick).
+
+    Either `stub` replaces the function, or `old` is replaced by `new` in
+    its source.
+    """
+
+    target: str
+    gate: str
+    old: str = ""
+    new: str = ""
+    stub: object = None
+
+
+MUTANTS = [
+    # the closed form's two formulas
+    Mutant("pairings.enclosing_pairs", "closed-form-vs-recursion",
+           stub=lambda pairing, h: []),
+    Mutant("pairings.crossing_patterns", "closed-form-vs-recursion",
+           stub=lambda pairing: []),
+    Mutant("verify.enumerate_pairings", "pairing-existence",
+           "c > m and ", ""),
+    Mutant("verify.enumerate_pairings", "block-word-count",
+           "taken.remove(c)", "pass"),
+    # the recursion: the p-shift of the contraction and the swap phases
+    Mutant("words.contraction_arg", "closed-form-vs-recursion",
+           "for g in right:", "for g in ():"),
+    Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
+           "(phase,) + swaps[:j]", "(phase,)"),
+    Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
+           "1 if other.dagger else -1", "-1 if other.dagger else 1"),
+    # the three limit routes
+    Mutant("limits.contraction_arg", "limit-triple-agreement",
+           "for g in right:", "for g in ():"),
+    Mutant("limits._limit_term", "limit-triple-agreement",
+           "if merged_exponent(residual):", "if False:"),
+    Mutant("limits._limit_term", "limit-triple-agreement",
+           "term.two_pi_power + len(weighted)", "term.two_pi_power"),
+    Mutant("verify.correlator_wick_limit", "limit-triple-agreement",
+           "for c in stack:", "for c in ():"),
+    Mutant("verify.correlator_wick_limit", "limit-triple-agreement",
+           "y = stack.pop()", "y = stack.pop(0)"),
+    Mutant("verify.noncrossing_match", "noncrossing-uniqueness",
+           "stack.pop()", "stack.pop(0)"),
+    # canonical forms
+    Mutant("scalars.TimeDelta.__post_init__", "limit-is-real",
+           "if self.comb[0][1] < 0:", "if False:"),
+    Mutant("scalars.PhaseDelta.__post_init__", "limit-is-real",
+           "if self.arg[0][1] < 0:", "if False:"),
+    Mutant("scalars._clean_phases", "swap-consistency",
+           "acc.get(a, 0) + sign * c", "acc.get(a, 0) + c"),
+    # the smeared-kernel closed forms
+    Mutant("kernels._gauss_product", "two-point-term-vs-grid",
+           "amp = math.exp(-0.5 * (sq - center ** 2 * inv_var))", "amp = 1.0"),
+    Mutant("kernels._gauss_product", "two-point-term-vs-grid",
+           "center = width ** 2 * sum(", "center = sum("),
+    Mutant("kernels.gauss_fourier", "gauss-fourier-vs-quad",
+           "-math.sin(f.center * xi)", "math.sin(f.center * xi)"),
+    Mutant("kernels.delta_kernel", "delta-kernel-vs-dblquad",
+           "complex(lam ** 2 * d / var, -h.center)",
+           "complex(lam ** 2 * d / var, h.center)"),
+    # the routes as the verify suites call them
+    Mutant("verify.correlator_pairing_sum", "closed-form-vs-recursion",
+           stub=lambda w: EXPR_ZERO),
+    Mutant("verify.correlator_wick_limit", "catalan-count",
+           stub=lambda w: EXPR_ONE),
+    Mutant("verify.correlator_limit_rewrite", "limit-triple-agreement",
+           stub=lambda w: EXPR_ONE),
+    Mutant("verify.correlator_recursive", "adjoint-symmetry",
+           stub=_recursion_times_i),
+    Mutant("verify.correlator_recursive", "swap-consistency",
+           stub=_recursion_blind_to_order),
+]
+
+
+def _owner(target: str):
+    """The module or class holding the target, and the target's name."""
+    path, name = target.rsplit(".", 1)
+    module, *cls = path.split(".")
+    owner = importlib.import_module(f"modwick.{module}")
+    for c in cls:
+        owner = getattr(owner, c)
+    return owner, name
+
+
+def _source_mutant(fn, old: str, new: str):
+    """`fn` with `old` replaced by `new` in its source, in fn's module namespace."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"{fn.__qualname__} holds {old!r} {src.count(old)} times"
+    namespace: dict = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def _install(monkeypatch, m: Mutant) -> None:
+    owner, name = _owner(m.target)
+    mutant = m.stub or _source_mutant(getattr(owner, name), m.old, m.new)
+    monkeypatch.setattr(owner, name, mutant)
+
+
+def test_every_gate_passes_unpatched():
+    assert {m.gate for m in MUTANTS} == set(GATES)
+    failing = [name for name, gate in GATES.items() if not gate()]
+    assert failing == []
+
+
+@pytest.mark.parametrize(
+    "m", MUTANTS, ids=[f"{m.target}[{(m.old or m.stub.__name__).strip()}]" for m in MUTANTS])
+def test_the_gate_catches_the_mutant(monkeypatch, m):
+    _install(monkeypatch, m)
+    assert not GATES[m.gate](), f"{m.gate} passed with {m.target} mutated"

@@ -19,12 +19,13 @@ from modwick.pairings import (
 )
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, ScalarTerm, canonicalize, canonically_equal, comb, term_signature,
-    time_difference,
+    PDot, ScalarExpr, ScalarTerm, canonicalize, canonically_equal, comb,
+    term_signature, time_difference,
 )
-from modwick.verify import _build, patterns_up_to
+from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    WordError, correlator_recursive, word, word_from_pattern,
+    WordError, _raw_correlator_terms, correlator_recursive, word,
+    word_from_pattern,
 )
 
 
@@ -192,6 +193,18 @@ def test_closed_form_matches_recursion_spot():
         w = word_from_pattern(pattern)
         assert canonically_equal(correlator_pairing_sum(w),
                                  correlator_recursive(w)), pattern
+
+
+def test_recursion_builds_one_term_per_pairing_and_none_merge():
+    # the sum over pairings has no cancellation at finite coupling: each
+    # pairing is one raw recursion term, and no two are like terms
+    words = [_build(p, m) for p in patterns_up_to(8) for m in MODES]
+    words.append(word_from_pattern("aaaaaa++++++"))
+    memo: dict = {}
+    for w in words:
+        raw = _raw_correlator_terms(w, memo)
+        assert len(raw) == len(enumerate_pairings(w)), w
+        assert len(canonicalize(ScalarExpr(raw)).terms) == len(raw), w
 
 
 def test_crossing_term_same_signature_different_factoring():

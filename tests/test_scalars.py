@@ -234,6 +234,49 @@ def test_canonicalize_merges_unweighted_oscillations():
         ContractionPhase(time_difference("t1", "t3"), x),)
 
 
+def _two_factorizations():
+    """q(t1 - t2, x) q(t2 - t3, x) and q(t1 - t3, x): one exponent, two phase lists.
+
+    No time combination repeats, so `_clean_phases` merges neither, and
+    the first one's phases sort first.
+    """
+    x = comb({Dot("k1", "k2"): 1})
+    split = ScalarTerm(phases=(oscillation("t1", "t2", x),
+                               oscillation("t2", "t3", x)))
+    joint = ScalarTerm(phases=(oscillation("t1", "t3", x),))
+    assert term_signature(split) == term_signature(joint)
+    return split, joint
+
+
+def test_merged_term_keeps_the_phases_that_sort_first():
+    split, joint = _two_factorizations()
+    for terms in ((split, joint), (joint, split)):
+        (merged,) = canonicalize(ScalarExpr(terms)).terms
+        assert merged.coeff == RationalComplex.of(2)
+        assert merged.phases == split.phases
+
+
+def test_repeated_momentum_deltas_stay_repeated():
+    d12 = MomentumDelta("k1", "k2")
+    (squared,) = canonicalize(ScalarExpr((ScalarTerm(deltas=(d12, d12)),))).terms
+    assert squared.deltas == (d12, d12)
+    # a closed loop of three deltas is the star of its class and one more
+    loop = (MomentumDelta("k2", "k3"), MomentumDelta("k1", "k3"), d12)
+    (star,) = canonicalize(ScalarExpr((ScalarTerm(deltas=loop),))).terms
+    assert star.deltas == (d12, d12, MomentumDelta("k1", "k3"))
+
+
+def test_a_zero_term_leaves_the_canonical_form_alone():
+    # the zero term is like the live one and its phases sort first: were it
+    # merged, the live coefficient would come out with the zero term's phases
+    split, joint = _two_factorizations()
+    zero = split.times(ScalarTerm(RationalComplex.of(0)))
+    live = canonicalize(ScalarExpr((joint,)))
+    for terms in ((joint, zero), (zero, joint)):
+        assert to_json_str(canonicalize(ScalarExpr(terms))) == to_json_str(live)
+    assert canonicalize(ScalarExpr((zero,))) == EXPR_ZERO
+
+
 def test_label_classes_map_to_the_smallest_label():
     reps = label_classes([("k3", "k2"), ("k5", "k4"), ("k4", "k3"), ("k7",)])
     assert reps == {"k2": "k2", "k3": "k2", "k4": "k2", "k5": "k2", "k7": "k7"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from modwick import verify
 from modwick.pairings import crossing_count, enumerate_pairings, pairing_term
 from modwick.scalars import (
     EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm, canonicalize,
@@ -10,6 +11,7 @@ from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
     suite_adjoint_symmetry, suite_catalan_count, suite_closed_form_vs_recursion,
     suite_limit_triple_agreement, suite_swap_consistency, _bracket_balanced,
+    _words,
 )
 from modwick.words import Word, correlator_recursive, word_from_pattern
 
@@ -56,16 +58,20 @@ def test_modes_cover_polarization_space():
 
 
 def test_catalan_table_matches_suite():
-    res = suite_catalan_count(4)
+    res = suite_catalan_count(4, _words(4))
     assert res.passed()
     assert CATALAN[:4] == (1, 2, 5, 14)
 
 
-def test_equivalence_suite_detects_a_corrupted_route():
+# Each corruption below replaces a route in `modwick.verify`, where the
+# suites look it up when they run.
+
+def test_equivalence_suite_detects_a_corrupted_route(monkeypatch):
     def corrupted(w):
         return EXPR_ZERO
 
-    res = suite_closed_form_vs_recursion(2, closed=corrupted)
+    monkeypatch.setattr(verify, "correlator_pairing_sum", corrupted)
+    res = suite_closed_form_vs_recursion(2, _words(2), {})
     assert not res.passed()
     assert res.failures
     text = report([res])
@@ -74,7 +80,7 @@ def test_equivalence_suite_detects_a_corrupted_route():
     assert text.rstrip("\n").split("\n")[-1].startswith("RESULT fail")
 
 
-def test_equivalence_suite_detects_a_dropped_crossing_phase():
+def test_equivalence_suite_detects_a_dropped_crossing_phase(monkeypatch):
     # a closed form one factor short on crossing pairings, still canonical:
     # the comparison must not trust the mark, only the terms
     def dropped(w):
@@ -89,17 +95,19 @@ def test_equivalence_suite_detects_a_dropped_crossing_phase():
         assert e.canonical
         return e
 
-    res = suite_closed_form_vs_recursion(2, closed=dropped)
+    monkeypatch.setattr(verify, "correlator_pairing_sum", dropped)
+    res = suite_closed_form_vs_recursion(2, _words(2), {})
     # aa++ has the only crossing pairing; cyclic polarizations kill it
     assert [f.split(":")[0] for f in res.failures] == [
         "pattern=aa++ mode=scalar", "pattern=aa++ mode=uniform"]
 
 
-def test_triple_agreement_suite_detects_a_corrupted_route():
+def test_triple_agreement_suite_detects_a_corrupted_route(monkeypatch):
     def corrupted(w):
         return EXPR_ZERO
 
-    res = suite_limit_triple_agreement(2, wick=corrupted)
+    monkeypatch.setattr(verify, "correlator_wick_limit", corrupted)
+    res = suite_limit_triple_agreement(2, _words(2))
     assert not res.passed()
 
 
@@ -107,33 +115,37 @@ def _failed_links(res) -> set:
     return {f.split("\n")[0].split(": ", 1)[1] for f in res.failures}
 
 
-def test_triple_agreement_suite_detects_a_corrupted_rewrite():
-    res = suite_limit_triple_agreement(2, rewrite=lambda w: EXPR_ONE)
+def test_triple_agreement_suite_detects_a_corrupted_rewrite(monkeypatch):
+    monkeypatch.setattr(verify, "correlator_limit_rewrite", lambda w: EXPR_ONE)
+    res = suite_limit_triple_agreement(2, _words(2))
     assert _failed_links(res) == {"direct-wick != rewrite"}
 
 
-def test_catalan_suite_detects_a_limit_that_never_vanishes():
-    res = suite_catalan_count(2, wick=lambda w: EXPR_ONE)
+def test_catalan_suite_detects_a_limit_that_never_vanishes(monkeypatch):
+    monkeypatch.setattr(verify, "correlator_wick_limit", lambda w: EXPR_ONE)
+    res = suite_catalan_count(2, _words(2))
     assert res.failures == [
         "n=1: 4 patterns with nonzero limit, expected 1",
         "n=2: 16 patterns with nonzero limit, expected 2"]
 
 
-def test_adjoint_suite_detects_a_recursion_scaled_by_i():
-    def scaled(w):
+def test_adjoint_suite_detects_a_recursion_scaled_by_i(monkeypatch):
+    def scaled(w, memo=None):
         i = ScalarTerm(RationalComplex.of(0, 1))
         return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
 
-    res = suite_adjoint_symmetry(2, recursive=scaled)
+    monkeypatch.setattr(verify, "correlator_recursive", scaled)
+    res = suite_adjoint_symmetry(2, _words(2), {})
     assert _failed_links(res) == {"adjoint != conjugate"}
 
 
-def test_swap_suite_detects_a_recursion_blind_to_the_swap():
+def test_swap_suite_detects_a_recursion_blind_to_the_swap(monkeypatch):
     # sorting the generators gives a word and its swapped copy one value
-    def blind(w):
+    def blind(w, memo=None):
         return correlator_recursive(Word(tuple(sorted(w.gens))))
 
-    res = suite_swap_consistency(2, recursive=blind)
+    monkeypatch.setattr(verify, "correlator_recursive", blind)
+    res = suite_swap_consistency(2, _words(2), {})
     assert _failed_links(res) == {"direct != swapped*factor"}
 
 

@@ -15,8 +15,13 @@ from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
     Generator, Word, WordError, WeightedWord, adjoint, annihilate,
     contraction_arg, correlator_recursive, create, expand_leading_annihilator,
-    pattern_of, word, word_from_json_dict, word_from_pattern, word_to_json_dict,
+    word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
+
+
+def pattern_of(w: Word) -> str:
+    """The creator/annihilator pattern of a word, inverse of word_from_pattern."""
+    return "".join("+" if g.dagger else "a" for g in w.gens)
 
 
 def weighted_phase(t_from, t_to, arg_dict):
