@@ -422,7 +422,8 @@ def test_word_file_rejects_non_integer_pol(cli_run, write_json):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the dblquad oracle needs scipy; symbolic commands must not pay for it
+    # only the quadrature oracles need scipy, and no command runs one;
+    # symbolic commands must not pay for it
     src = os.path.dirname(os.path.dirname(modwick.cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",

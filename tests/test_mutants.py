@@ -69,8 +69,8 @@ def _limit_is_real() -> bool:
 
 def _gauss_fourier_against_quad() -> bool:
     for xi in (1.7, -2.4):
-        re, _ = integrate.quad(lambda t: OFF.at(t) * math.cos(xi * t), *OFF.support())
-        im, _ = integrate.quad(lambda t: -OFF.at(t) * math.sin(xi * t), *OFF.support())
+        re, _ = integrate.quad(lambda t: OFF(t) * math.cos(xi * t), *OFF.support())
+        im, _ = integrate.quad(lambda t: -OFF(t) * math.sin(xi * t), *OFF.support())
         if abs(kernels.gauss_fourier(OFF, xi) - complex(re, im)) > 1e-10:
             return False
     return True
@@ -93,7 +93,7 @@ def _two_point_term_against_grid() -> bool:
                 term, tests, a, 1.0)) < 1e-9)
 
 
-def _delta_kernel_against_dblquad() -> bool:
+def _delta_kernel_against_cubature() -> bool:
     closed = kernels.delta_kernel(*KERNEL_TESTS, 1.0)
     quad = kernels.delta_kernel_quadrature(*KERNEL_TESTS, 1.0)
     return abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
@@ -120,7 +120,7 @@ GATES = {
     "limit-is-real": _limit_is_real,
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,
-    "delta-kernel-vs-dblquad": _delta_kernel_against_dblquad,
+    "delta-kernel-vs-cubature": _delta_kernel_against_cubature,
 }
 
 
@@ -192,9 +192,12 @@ MUTANTS = [
            "center = width ** 2 * sum(", "center = sum("),
     Mutant("kernels.gauss_fourier", "gauss-fourier-vs-quad",
            "-math.sin(f.center * xi)", "math.sin(f.center * xi)"),
-    Mutant("kernels.delta_kernel", "delta-kernel-vs-dblquad",
+    Mutant("kernels.delta_kernel", "delta-kernel-vs-cubature",
            "complex(lam ** 2 * d / var, -h.center)",
            "complex(lam ** 2 * d / var, h.center)"),
+    # the oracle itself, so the gate is shown to see damage on either side
+    Mutant("kernels.delta_kernel_quadrature", "delta-kernel-vs-cubature",
+           "- 1j * h.center * tau", "+ 1j * h.center * tau"),
     # the routes as the verify suites call them
     Mutant("verify.correlator_pairing_sum", "closed-form-vs-recursion",
            stub=lambda w: EXPR_ZERO),
