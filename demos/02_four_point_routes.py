@@ -20,7 +20,7 @@ print("word: a(t1,k1) a(t2,k2) a+(t3,k3) a+(t4,k4)\n")
 print("pairings:")
 for at in annotated_pairing_terms(w):
     tag = "crossing" if at.crossings else "noncrossing"
-    print("  pairs=%s  %s" % (list(at.pairing.pairs), tag))
+    print("  pairs=%s  %s" % (list(at.pairing), tag))
 print()
 
 closed = correlator_pairing_sum(w)

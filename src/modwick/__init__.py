@@ -22,7 +22,7 @@ from .words import (
     word_from_pattern, word_to_json_dict,
 )
 from .pairings import (
-    Pairing, annotated_pairing_terms, correlator_pairing_sum, crossing_count,
+    annotated_pairing_terms, correlator_pairing_sum, crossing_count,
     crossing_patterns, enclosing_pairs, enumerate_pairings, pairing_term,
 )
 from .limits import (

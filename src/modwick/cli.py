@@ -106,7 +106,7 @@ def _render_expr(e, fmt: str) -> str:
 
 def _pairing_entry(pairing, crossings: int, term=None) -> dict:
     return {
-        "pairs": [list(p) for p in pairing.pairs],
+        "pairs": [list(p) for p in pairing],
         "crossings": crossings,
         "tag": "crossing" if crossings else "noncrossing",
         **({} if term is None else {"term": term}),
@@ -209,12 +209,12 @@ def _converge_csv(data, lambdas: str) -> str:
     f = g = h = STANDARD_GAUSSIAN
     lines = ["# study=delta_kernel"]
     target = delta_kernel_target(f, g, h)
-    rows = [ConvergenceRow.of(lam, delta_kernel(f, g, h, lam), target)
+    rows = [ConvergenceRow(lam, delta_kernel(f, g, h, lam), target)
             for lam in lams]
     lines.extend(_csv_rows(rows))
 
     lines.append("# study=vanishing_kernel x=%.11e" % float(x))
-    rows = [ConvergenceRow.of(lam, vanishing_kernel(float(x), f, lam), 0.0)
+    rows = [ConvergenceRow(lam, vanishing_kernel(float(x), f, lam), 0.0)
             for lam in lams]
     lines.extend(_csv_rows(rows))
 

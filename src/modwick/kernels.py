@@ -259,11 +259,10 @@ class ConvergenceRow:
     lam: float
     value: complex
     target: complex
-    abs_err: float
 
-    @staticmethod
-    def of(lam: float, value: complex, target: complex) -> "ConvergenceRow":
-        return ConvergenceRow(lam, value, target, abs(value - target))
+    @property
+    def abs_err(self) -> float:
+        return abs(self.value - self.target)
 
 
 def strip_momentum_deltas(term: ScalarTerm) -> ScalarTerm:
@@ -379,7 +378,7 @@ def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
     for lam in lambdas:
         _require_positive(lam)
         value = _closed_integral(groups, tests, phase_data, lam, prefactor)
-        rows.append(ConvergenceRow.of(float(lam), value, target))
+        rows.append(ConvergenceRow(float(lam), value, target))
     return rows
 
 

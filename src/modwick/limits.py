@@ -22,7 +22,6 @@ rewrite engine that contracts adjacent pairs in the limit algebra.
 
 from __future__ import annotations
 
-from .pairings import Pairing
 from .scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
     PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize, comb,
@@ -37,7 +36,8 @@ def noncrossing_match(w: Word):
 
     Scanning right to left, creators are stacked and every annihilator
     pops its nearest enclosing creator; any leftover on either side
-    means no pairing exists at all.
+    means no pairing exists at all.  The scan meets the annihilators in
+    descending order, so the reversed pairs come out sorted.
     """
     stack = []
     pairs = []
@@ -51,7 +51,7 @@ def noncrossing_match(w: Word):
             pairs.append((pos, stack.pop()))
     if stack:
         return None
-    return Pairing(tuple(pairs))
+    return tuple(reversed(pairs))
 
 
 def _limit_term(term: ScalarTerm):

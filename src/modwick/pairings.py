@@ -28,21 +28,9 @@ from .scalars import (
 from .words import Word, WordError
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """Pairs of 1-based word positions (annihilator, creator), sorted."""
-
-    pairs: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def enumerate_pairings(w: Word) -> list:
-    """All pairings of each annihilator to a later creator of its polarization."""
+    """All pairings of each annihilator to a later creator of its polarization,
+    each the sorted tuple of its 1-based (annihilator, creator) positions."""
     anns = [(i, g.pol) for i, g in enumerate(w.gens, 1) if not g.dagger]
     cres = [(i, g.pol) for i, g in enumerate(w.gens, 1) if g.dagger]
     if len(anns) != len(cres):
@@ -52,7 +40,7 @@ def enumerate_pairings(w: Word) -> list:
 
     def assign(idx: int, taken: set, acc: list):
         if idx == len(anns):
-            out.append(Pairing(tuple(acc)))
+            out.append(tuple(acc))
             return
         m, pol = anns[idx]
         for c, c_pol in cres:
@@ -63,42 +51,41 @@ def enumerate_pairings(w: Word) -> list:
                 acc.pop()
                 taken.remove(c)
 
-    # annihilators in order, creators ascending: `out` is sorted by pairs
+    # annihilators in order, creators ascending: each pairing and `out` are sorted
     assign(0, set(), [])
     return out
 
 
-def enclosing_pairs(pairing: Pairing, h: tuple) -> list:
+def enclosing_pairs(pairing: tuple, h: tuple) -> list:
     """Pairs whose span strictly encloses the whole pair h."""
-    m, m2 = tuple(h)
-    return [p for p in pairing.pairs
-            if p != (m, m2) and p[0] < m and m2 < p[1]]
+    m, m2 = h
+    return [p for p in pairing if p[0] < m and m2 < p[1]]
 
 
-def crossing_patterns(pairing: Pairing) -> list:
+def crossing_patterns(pairing: tuple) -> list:
     """Ordered pairs ((a,a'), (b,b')) with a < b < a' < b'."""
     out = []
-    for p in pairing.pairs:
-        for q in pairing.pairs:
+    for p in pairing:
+        for q in pairing:
             if p[0] < q[0] < p[1] < q[1]:
                 out.append((p, q))
     return out
 
 
-def crossing_count(pairing: Pairing) -> int:
+def crossing_count(pairing: tuple) -> int:
     return len(crossing_patterns(pairing))
 
 
-def pairing_term(w: Word, pairing: Pairing) -> ScalarTerm:
+def pairing_term(w: Word, pairing: tuple) -> ScalarTerm:
     """Closed-form term of one pairing, built without running the recursion."""
     gens = w.gens
     n = len(pairing)
-    if sorted(i for p in pairing.pairs for i in p) != list(range(1, len(gens) + 1)):
+    if sorted(i for p in pairing for i in p) != list(range(1, len(gens) + 1)):
         raise WordError("pairing must use every position of the word once")
 
     phases = []
     deltas = []
-    for m, m2 in pairing.pairs:
+    for m, m2 in pairing:
         x, y = gens[m - 1], gens[m2 - 1]
         if m > m2 or x.dagger or not y.dagger:
             raise WordError(f"pair {(m, m2)} is not an annihilator before a creator")
@@ -129,7 +116,7 @@ def correlator_pairing_sum(w: Word) -> ScalarExpr:
 
 @dataclass(frozen=True)
 class AnnotatedTerm:
-    pairing: Pairing
+    pairing: tuple
     crossings: int
     term: ScalarTerm
 

@@ -157,13 +157,12 @@ class ContractionPhase:
                 tuple((str(a), c) for a, c in self.arg), self.arg)
 
 
-def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1,
-                weighted: bool = False) -> ContractionPhase:
+def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1) -> ContractionPhase:
     """Build q(t_from - t_to, arg)^power; power -1 negates the argument."""
     if power not in (1, -1):
         raise ValueError("oscillation power must be +1 or -1")
     a = arg if power == 1 else negated(arg)
-    return ContractionPhase(time_difference(t_from, t_to), a, weighted)
+    return ContractionPhase(time_difference(t_from, t_to), a)
 
 
 # ---------------------------------------------------------------------------

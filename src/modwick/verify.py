@@ -170,8 +170,8 @@ def suite_noncrossing_uniqueness(max_n: int, words: dict) -> SuiteResult:
                     f"{len(flat)} crossing-free")
         if (match is not None) != bool(flat):
             return f"pattern={pattern}: stack scan disagrees with filter"
-        if flat and match.pairs != flat[0].pairs:
-            return f"pattern={pattern}: stack scan {match.pairs}, filter {flat[0].pairs}"
+        if flat and match != flat[0]:
+            return f"pattern={pattern}: stack scan {match}, filter {flat[0]}"
 
     return _run("noncrossing-uniqueness", patterns_up_to(2 * max_n), check)
 

@@ -85,13 +85,6 @@ class Word:
         return bool(self.gens) and self.gens[0].pol is not None
 
 
-def _subword(gens: tuple) -> Word:
-    """Unchecked Word of generators taken from a valid word, order kept."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "gens", gens)
-    return w
-
-
 def word(*gens: Generator) -> Word:
     return Word(tuple(gens))
 
@@ -168,12 +161,6 @@ def word_from_json_dict(d: dict) -> Word:
 # ---------------------------------------------------------------------------
 # rewrite rules
 
-@dataclass(frozen=True)
-class WeightedWord:
-    scalar: ScalarTerm
-    word: Word
-
-
 def contraction_arg(x: Generator, right) -> tuple:
     """Phase argument E(k) + k.p of annihilator x, moved past `right`.
 
@@ -191,7 +178,7 @@ def contraction_arg(x: Generator, right) -> tuple:
 # ---------------------------------------------------------------------------
 # expansion of a leading annihilator
 
-def expand_leading_annihilator(w: Word) -> list:
+def expand_leading_annihilator(gens: tuple) -> list:
     """Commute the leading annihilator through the tail, one term per creator.
 
     Only creators of the annihilator's polarization get a term, since the
@@ -199,12 +186,12 @@ def expand_leading_annihilator(w: Word) -> list:
     the creator tail[j].  Its scalar collects the swap phase of every tail
     generator left of that creator, and the contraction phase itself is
     shifted by the tail generators to its right because the p-dependent
-    scalar migrates to the far end of the word.  The remaining word keeps
-    its order.
+    scalar migrates to the far end of the word.  Each term is a pair
+    (scalar, rest), rest the remaining generators in their order.
     """
-    if not w.gens or w.gens[0].dagger:
+    if not gens or gens[0].dagger:
         raise WordError("word must start with an annihilator")
-    lead, tail = w.gens[0], w.gens[1:]
+    lead, tail = gens[0], gens[1:]
     creators = [j for j, g in enumerate(tail) if g.dagger and g.pol == lead.pol]
     if not creators:
         return []
@@ -222,25 +209,25 @@ def expand_leading_annihilator(w: Word) -> list:
                                  weighted=True)
         scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
                             (MomentumDelta(lead.k, y.k),))
-        out.append(WeightedWord(scalar, _subword(tail[:j] + tail[j + 1:])))
+        out.append((scalar, tail[:j] + tail[j + 1:]))
     return out
 
 
-def _raw_correlator_terms(rest: Word, memo: dict) -> tuple:
-    """Raw terms C(rest) of the vacuum correlator of a sub-word, memoized."""
-    terms = memo.get(rest.gens)
+def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
+    """Raw terms C(gens) of the vacuum correlator of a sub-word, memoized."""
+    terms = memo.get(gens)
     if terms is None:
-        if not rest.gens:
+        if not gens:
             terms = (TERM_ONE,)
-        elif rest.gens[0].dagger:
+        elif gens[0].dagger:
             terms = ()  # a leading creator has vanishing vacuum expectation
         else:
             terms = tuple(
-                ww.scalar.times(t)
-                for ww in expand_leading_annihilator(rest)
-                for t in _raw_correlator_terms(ww.word, memo)
+                scalar.times(t)
+                for scalar, rest in expand_leading_annihilator(gens)
+                for t in _raw_correlator_terms(rest, memo)
             )
-        memo[rest.gens] = terms
+        memo[gens] = terms
     return terms
 
 
@@ -261,5 +248,5 @@ def correlator_recursive(w: Word, memo: dict | None = None) -> ScalarExpr:
     run.  Entries are valid for any word, so a memo may be shared freely,
     but it grows with every distinct sub-word it sees.
     """
-    terms = _raw_correlator_terms(w, {} if memo is None else memo)
+    terms = _raw_correlator_terms(w.gens, {} if memo is None else memo)
     return canonicalize(ScalarExpr(terms))

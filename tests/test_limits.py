@@ -14,7 +14,7 @@ from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
     noncrossing_match,
 )
-from modwick.pairings import Pairing, correlator_pairing_sum, pairing_term
+from modwick.pairings import correlator_pairing_sum, pairing_term
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
     PDot, PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize,
@@ -43,8 +43,7 @@ def test_noncrossing_match_cases():
         "aa+a++": ((1, 6), (2, 3), (4, 5)),
     }
     for pattern, pairs in cases.items():
-        match = noncrossing_match(word_from_pattern(pattern))
-        assert match is not None and match.pairs == pairs, pattern
+        assert noncrossing_match(word_from_pattern(pattern)) == pairs, pattern
     for pattern in ("+a", "aa+", "a", "+", "+a+a"):
         assert noncrossing_match(word_from_pattern(pattern)) is None, pattern
     assert noncrossing_match(word()) is not None
@@ -115,9 +114,9 @@ def test_adjacent_blocks_do_not_shift_each_other():
 
 def test_limit_map_drops_crossing_terms():
     w = word_from_pattern("aa++")
-    crossing = pairing_term(w, Pairing(((1, 3), (2, 4))))
+    crossing = pairing_term(w, ((1, 3), (2, 4)))
     assert limit_of_pairing_sum(ScalarExpr((crossing,))) == EXPR_ZERO
-    nested = pairing_term(w, Pairing(((1, 4), (2, 3))))
+    nested = pairing_term(w, ((1, 4), (2, 3)))
     assert limit_of_pairing_sum(ScalarExpr((nested,))) \
         == correlator_wick_limit(w)
 

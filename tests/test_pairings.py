@@ -14,9 +14,10 @@ import math
 import pytest
 
 from modwick.pairings import (
-    Pairing, annotated_pairing_terms, correlator_pairing_sum, crossing_count,
+    annotated_pairing_terms, correlator_pairing_sum, crossing_count,
     crossing_patterns, enclosing_pairs, enumerate_pairings, pairing_term,
 )
+from modwick.limits import noncrossing_match
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
     PDot, ScalarExpr, ScalarTerm, canonicalize, canonically_equal, comb,
@@ -52,14 +53,32 @@ def test_block_word_factorial_counts():
 
 
 def test_pairing_sorted_and_deterministic():
-    p = Pairing(((2, 3), (1, 4)))
-    assert p.pairs == ((1, 4), (2, 3))
     ps = enumerate_pairings(word_from_pattern("aa++"))
-    assert [q.pairs for q in ps] == [((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    assert ps == [((1, 3), (2, 4)), ((1, 4), (2, 3))]
     # the enumeration comes out strictly increasing without a sort
     for pattern in [*patterns_up_to(8), "aaaaaa++++++"]:
-        pairs = [q.pairs for q in enumerate_pairings(word_from_pattern(pattern))]
+        pairs = enumerate_pairings(word_from_pattern(pattern))
         assert all(a < b for a, b in zip(pairs, pairs[1:])), pattern
+
+
+def _is_sorted_pairing(p) -> bool:
+    """A plain tuple of (int, int) position pairs, strictly ascending."""
+    return (type(p) is tuple
+            and all(type(h) is tuple and len(h) == 2
+                    and all(type(i) is int for i in h) for h in p)
+            and all(a < b for a, b in zip(p, p[1:])))
+
+
+def test_pairings_are_sorted_plain_tuples():
+    # nothing sorts a pairing after it is built, and the CLI's "pairs"
+    # lists print it in the order the routes return it
+    for pattern in patterns_up_to(8):
+        for mode in MODES:
+            w = _build(pattern, mode)
+            for p in enumerate_pairings(w):
+                assert _is_sorted_pairing(p), (pattern, mode, p)
+            match = noncrossing_match(w)
+            assert match is None or _is_sorted_pairing(match), (pattern, mode)
 
 
 def test_enumeration_forms_only_polarization_matched_pairs():
@@ -71,18 +90,18 @@ def test_enumeration_forms_only_polarization_matched_pairs():
             w = _build(pattern, mode)
             matched = [p for p in every
                        if all(w.gens[m - 1].pol == w.gens[m2 - 1].pol
-                              for m, m2 in p.pairs)]
+                              for m, m2 in p)]
             assert enumerate_pairings(w) == matched, (pattern, mode)
 
 
 def test_crossing_predicates():
-    nested = Pairing(((1, 6), (2, 5), (3, 4)))
+    nested = ((1, 6), (2, 5), (3, 4))
     assert crossing_count(nested) == 0
     assert enclosing_pairs(nested, (3, 4)) == [(1, 6), (2, 5)]
     assert enclosing_pairs(nested, (2, 5)) == [(1, 6)]
     assert enclosing_pairs(nested, (1, 6)) == []
 
-    twisted = Pairing(((1, 4), (2, 6), (3, 5)))
+    twisted = ((1, 4), (2, 6), (3, 5))
     assert crossing_count(twisted) == 2
     assert crossing_patterns(twisted) == [((1, 4), (2, 6)), ((1, 4), (3, 5))]
     # (1,4) straddles position 3 but crosses (3,5) instead of enclosing it
@@ -126,7 +145,7 @@ def test_crossing_histogram_is_touchard_riordan():
 
 def test_nested_four_point_term():
     w = word_from_pattern("aa++")
-    term = pairing_term(w, Pairing(((1, 4), (2, 3))))
+    term = pairing_term(w, ((1, 4), (2, 3)))
     expected = ScalarTerm(
         C_ONE, 0, -4,
         (
@@ -141,7 +160,7 @@ def test_nested_four_point_term():
 
 def test_crossing_four_point_term():
     w = word_from_pattern("aa++")
-    term = pairing_term(w, Pairing(((1, 3), (2, 4))))
+    term = pairing_term(w, ((1, 3), (2, 4)))
     expected = ScalarTerm(
         C_ONE, 0, -4,
         (
@@ -158,10 +177,10 @@ def test_crossing_four_point_term():
 def test_pairing_term_polarization():
     # a pair of two polarizations is not a pairing of the word
     w = word_from_pattern("aa++", pols=[1, 2, 2, 1])
-    nested = pairing_term(w, Pairing(((1, 4), (2, 3))))
+    nested = pairing_term(w, ((1, 4), (2, 3)))
     assert nested.coeff == C_ONE
     with pytest.raises(WordError, match=r"^pair \(1, 3\) joins two polarizations$"):
-        pairing_term(w, Pairing(((1, 3), (2, 4))))
+        pairing_term(w, ((1, 3), (2, 4)))
 
 
 def test_pairing_term_validation():
@@ -182,7 +201,7 @@ def test_pairing_term_validation():
         ("a+a+", ((1, 2), (1, 4)), positions),
     ]:
         with pytest.raises(WordError, match=f"^{message}$"):
-            pairing_term(word_from_pattern(pattern), Pairing(pairs))
+            pairing_term(word_from_pattern(pattern), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +221,7 @@ def test_recursion_builds_one_term_per_pairing_and_none_merge():
     words.append(word_from_pattern("aaaaaa++++++"))
     memo: dict = {}
     for w in words:
-        raw = _raw_correlator_terms(w, memo)
+        raw = _raw_correlator_terms(w.gens, memo)
         assert len(raw) == len(enumerate_pairings(w)), w
         assert len(canonicalize(ScalarExpr(raw)).terms) == len(raw), w
 
@@ -228,13 +247,13 @@ def test_crossing_term_same_signature_different_factoring():
 
 def test_annotated_terms_tags():
     anns = annotated_pairing_terms(word_from_pattern("aa++"))
-    assert [(a.pairing.pairs, a.crossings) for a in anns] == [
+    assert [(a.pairing, a.crossings) for a in anns] == [
         (((1, 3), (2, 4)), 1), (((1, 4), (2, 3)), 0)]
 
     # polarization mismatch drops a pairing from the annotated list
     polarized = annotated_pairing_terms(
         word_from_pattern("aa++", pols=[1, 2, 2, 1]))
-    assert [a.pairing.pairs for a in polarized] == [((1, 4), (2, 3))]
+    assert [a.pairing for a in polarized] == [((1, 4), (2, 3))]
 
 
 def test_unbalanced_word_is_zero():

@@ -38,3 +38,12 @@ def test_tracer_names_exist_and_reach_the_verify_routes(monkeypatch):
                if span[1] == "pairings.correlator_pairing_sum" and span[0] >= 0}
     assert {"verify.closed_form_vs_recursion",
             "verify.limit_triple_agreement"} <= parents
+
+    # the recursion on generator tuples still calls the expansion through
+    # the module attribute the tracer rebinds, so every call is counted
+    expansions = [span for span in tracer.spans
+                  if span[1] == "words.expand_leading_annihilator"]
+    assert expansions
+    assert {names[span[0]] for span in expansions} == {"words.correlator_recursive"}
+    calls = tracer.metrics(1)["words.expand_leading_annihilator.calls"]
+    assert calls == len(expansions)

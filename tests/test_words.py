@@ -13,7 +13,7 @@ from modwick.scalars import (
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    Generator, Word, WordError, WeightedWord, adjoint, annihilate,
+    Generator, Word, WordError, adjoint, annihilate,
     contraction_arg, correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
@@ -85,10 +85,11 @@ def test_word_generator_cap():
 
 def test_expansion_sub_words_equal_checked_words():
     w = word_from_pattern("aa+a++", pols=[1, 2, 1, 2, 2, 1])
-    for ww in expand_leading_annihilator(w):
-        checked = Word(ww.word.gens)
-        assert ww.word == checked and hash(ww.word) == hash(checked)
-        assert ww.word.polarized() and len(ww.word) == 4
+    subs = [rest for _, rest in expand_leading_annihilator(w.gens)]
+    assert len(subs) == 2  # the two creators of the lead's polarization
+    for rest in subs:
+        checked = Word(rest)  # raises WordError on an invalid sub-word
+        assert checked.polarized() and len(checked) == 4
 
 
 def test_pattern_round_trip():
@@ -154,46 +155,49 @@ def test_contraction_arg_moves_past_creators_and_annihilators():
 
 def test_expand_leading_annihilator_two_creators():
     w = word_from_pattern("a++")
-    first, second = expand_leading_annihilator(w)
+    (first, first_rest), (second, second_rest) = expand_leading_annihilator(w.gens)
 
     # contraction with the nearer creator feels the far creator's momentum
-    assert first.word == Word((create("t3", "k3"),))
-    assert first.scalar.phases == (
+    assert first_rest == (create("t3", "k3"),)
+    assert first.phases == (
         weighted_phase("t1", "t2",
                        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1}),)
-    assert first.scalar.deltas == (MomentumDelta("k1", "k2"),)
+    assert first.deltas == (MomentumDelta("k1", "k2"),)
 
     # contraction with the far creator picks up a swap phase instead
-    assert second.word == Word((create("t2", "k2"),))
-    assert len(second.scalar.phases) == 2
-    assert second.scalar.phases[0] == weighted_phase(
+    assert second_rest == (create("t2", "k2"),)
+    assert len(second.phases) == 2
+    assert second.phases[0] == weighted_phase(
         "t1", "t3", {Energy("k1"): 1, PDot("k1"): 1})
-    assert second.scalar.phases[1] == ContractionPhase(
+    assert second.phases[1] == ContractionPhase(
         time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
-    assert second.scalar.deltas == (MomentumDelta("k1", "k3"),)
+    assert second.deltas == (MomentumDelta("k1", "k3"),)
 
     with pytest.raises(WordError):
-        expand_leading_annihilator(word_from_pattern("+a"))
+        expand_leading_annihilator(word_from_pattern("+a").gens)
+    with pytest.raises(WordError):
+        expand_leading_annihilator(())
 
 
 def test_rewrite_a_adag_polarization():
     # the a a^dag exchange: a polarization mismatch gives no term at all,
     # a match only the momentum delta
     assert expand_leading_annihilator(
-        word(annihilate("t1", "k1", 1), create("t2", "k2", 2))) == []
-    (kept,) = expand_leading_annihilator(
-        word(annihilate("t1", "k1", 2), create("t2", "k2", 2)))
-    assert kept.scalar.coeff == C_ONE
-    assert kept.scalar.deltas == (MomentumDelta("k1", "k2"),)
+        (annihilate("t1", "k1", 1), create("t2", "k2", 2))) == []
+    ((kept, kept_rest),) = expand_leading_annihilator(
+        (annihilate("t1", "k1", 2), create("t2", "k2", 2)))
+    assert kept.coeff == C_ONE
+    assert kept.deltas == (MomentumDelta("k1", "k2"),)
+    assert kept_rest == ()
 
     # the mismatched creator forms no term but still passes by: it stays
     # in the remaining word and its swap phase reaches the matched term
-    (matched,) = expand_leading_annihilator(
-        word_from_pattern("a++", pols=[2, 1, 2]))
-    assert matched.scalar.coeff == C_ONE
-    assert matched.scalar.deltas == (MomentumDelta("k1", "k3"),)
-    assert matched.word == Word((create("t2", "k2", 1),))
-    assert matched.scalar.phases[1] == ContractionPhase(
+    ((matched, rest),) = expand_leading_annihilator(
+        word_from_pattern("a++", pols=[2, 1, 2]).gens)
+    assert matched.coeff == C_ONE
+    assert matched.deltas == (MomentumDelta("k1", "k3"),)
+    assert rest == (create("t2", "k2", 1),)
+    assert matched.phases[1] == ContractionPhase(
         time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
 
 
@@ -290,9 +294,9 @@ def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
     return ScalarTerm(C_ONE, 0, -2, (phase,), (MomentumDelta(x.k, y.k),))
 
 
-def _reference_expand(w: Word) -> list:
+def _reference_expand(gens: tuple) -> list:
     """One p-shift per generator to the right, one times() per swap."""
-    lead, tail = w.gens[0], w.gens[1:]
+    lead, tail = gens[0], gens[1:]
     out = []
     for j, g in enumerate(tail):
         if not g.dagger:
@@ -306,7 +310,7 @@ def _reference_expand(w: Word) -> list:
                                    comb({Dot(lead.k, other.k): 1}),
                                    power=1 if other.dagger else -1)
                 scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
-        out.append(WeightedWord(scalar, Word(tail[:j] + tail[j + 1:])))
+        out.append((scalar, tail[:j] + tail[j + 1:]))
     return out
 
 
@@ -339,14 +343,14 @@ def _reference_recursive(w: Word) -> ScalarExpr:
     collected = []
 
     def descend(prefix, rest):
-        if not rest.gens:
+        if not rest:
             collected.append(prefix)
-        elif not rest.gens[0].dagger:
-            for ww in _reference_expand(rest):
-                if not ww.scalar.coeff.is_zero():
-                    descend(prefix.times(ww.scalar), ww.word)
+        elif not rest[0].dagger:
+            for scalar, sub in _reference_expand(rest):
+                if not scalar.coeff.is_zero():
+                    descend(prefix.times(scalar), sub)
 
-    descend(TERM_ONE, w)
+    descend(TERM_ONE, w.gens)
     return _reference_canonicalize(collected) if collected else EXPR_ZERO
 
 
