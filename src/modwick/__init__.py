@@ -8,10 +8,10 @@ and checks the limit numerically with Gaussian-smeared kernels.
 """
 
 from .scalars import (
-    Atom, ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseDelta,
-    RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, canonicalize,
-    canonically_equal, comb, conjugate, merged_exponent, multiply,
-    oscillation, term_signature, time_difference,
+    ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseDelta,
+    RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, atom_text,
+    canonicalize, canonically_equal, comb, conjugate, merged_exponent,
+    multiply, oscillation, term_signature, time_difference,
 )
 from .serialize import (
     from_json_dict, from_json_str, to_json_dict, to_json_str, to_latex,

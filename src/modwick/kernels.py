@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (
-    DOT, ENERGY, Atom, MomentumDelta, ScalarTerm, contraction_phases,
-    label_classes,
+    DOT, ENERGY, MomentumDelta, ScalarTerm, contraction_phases, label_classes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -101,14 +100,15 @@ def assignment_from_json_dict(data: dict) -> Assignment:
     return Assignment(momenta=momenta, p=_json_vec3(data["p"], "p"))
 
 
-def phase_value(atom: Atom, a: Assignment) -> float:
-    """Numeric value of one phase atom under an assignment."""
-    if atom.kind == ENERGY:
-        k = a.vector(atom.a)
+def phase_value(atom: tuple, a: Assignment) -> float:
+    """Numeric value of one phase atom (kind, x, y) under an assignment."""
+    kind, x, y = atom
+    if kind == ENERGY:
+        k = a.vector(x)
         return float(a.dispersion(k)) + 0.5 * float(k @ k)
-    if atom.kind == DOT:
-        return float(a.vector(atom.a) @ a.vector(atom.b))
-    return float(a.vector(atom.a) @ a.p)
+    if kind == DOT:
+        return float(a.vector(x) @ a.vector(y))
+    return float(a.vector(x) @ a.p)
 
 
 def arg_value(arg: tuple, a: Assignment) -> float:

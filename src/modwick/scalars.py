@@ -17,15 +17,16 @@ exponent, a sparse bilinear form over (time label, atom) pairs, so that
 two phase lists multiplying to the same exponential compare equal even
 when they factor differently.
 
-Momentum atoms never evaluate here; they stay symbolic until the numeric
-layer assigns concrete vectors.
+A momentum atom is the plain tuple (kind, a, b) that `Energy`, `Dot` or
+`PDot` builds; `atom_text` is its stable text key, E(k), D(a,b) or P(k),
+on which phases, deltas and terms sort first.  Atoms stay symbolic until
+the numeric layer assigns concrete vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -69,46 +70,38 @@ C_ONE = RationalComplex.of(1)
 # ---------------------------------------------------------------------------
 # phase atoms
 
+# (ENERGY, k, "") is omega(k) + |k|^2 / 2, (DOT, a, b) with a <= b is k_a.k_b
+# and (PDOT, k, "") is k.p; E < D < P is the order of atoms in an argument
 ENERGY, DOT, PDOT = 0, 1, 2
 
 
-class Atom(NamedTuple):
-    """One momentum atom of a phase argument.
-
-    ENERGY(a) is the shifted dispersion omega(k_a) + |k_a|^2 / 2, DOT(a, b)
-    the dot product k_a.k_b stored with a <= b, and PDOT(a) the dot
-    product k_a.p with the particle momentum.  The tuple order is the
-    order of atoms inside an argument, and str() is the stable text key.
-    """
-
-    kind: int
-    a: str
-    b: str = ""
-
-    def __str__(self) -> str:
-        if self.kind == ENERGY:
-            return f"E({self.a})"
-        if self.kind == DOT:
-            return f"D({self.a},{self.b})"
-        return f"P({self.a})"
-
-    def renamed(self, mapping: dict) -> "Atom":
-        a = mapping.get(self.a, self.a)
-        if self.kind == DOT:
-            return Dot(a, mapping.get(self.b, self.b))
-        return Atom(self.kind, a)
+def Energy(k: str) -> tuple:
+    return (ENERGY, k, "")
 
 
-def Energy(k: str) -> Atom:
-    return Atom(ENERGY, k)
+def Dot(a: str, b: str) -> tuple:
+    return (DOT, a, b) if a <= b else (DOT, b, a)
 
 
-def Dot(a: str, b: str) -> Atom:
-    return Atom(DOT, a, b) if a <= b else Atom(DOT, b, a)
+def PDot(k: str) -> tuple:
+    return (PDOT, k, "")
 
 
-def PDot(k: str) -> Atom:
-    return Atom(PDOT, k)
+def atom_text(atom: tuple) -> str:
+    """The stable text key of an atom: E(k), D(a,b) or P(k)."""
+    kind, a, b = atom
+    if kind == ENERGY:
+        return f"E({a})"
+    if kind == DOT:
+        return f"D({a},{b})"
+    return f"P({a})"
+
+
+def renamed_atom(atom: tuple, mapping: dict) -> tuple:
+    kind, a, b = atom
+    if kind == DOT:
+        return Dot(mapping.get(a, a), mapping.get(b, b))
+    return (Energy if kind == ENERGY else PDot)(mapping.get(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +120,7 @@ def substituted(items: tuple, mapping: dict) -> tuple:
     """Rename momentum or time labels, summing entries that coincide."""
     acc: dict = {}
     for x, c in items:
-        x = x.renamed(mapping) if isinstance(x, Atom) else mapping.get(x, x)
+        x = renamed_atom(x, mapping) if isinstance(x, tuple) else mapping.get(x, x)
         acc[x] = acc.get(x, 0) + c
     return comb(acc)
 
@@ -152,9 +145,10 @@ class ContractionPhase:
     weighted: bool = False
 
     def key(self) -> tuple:
-        # the atoms after their strings: labels whose strings collide never tie
+        # each atom's `atom_text`, then its plain (kind, a, b) tuple: labels
+        # whose texts collide never tie
         return (0 if self.weighted else 1, self.time,
-                tuple((str(a), c) for a, c in self.arg), self.arg)
+                tuple((atom_text(a), c) for a, c in self.arg), self.arg)
 
 
 def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1) -> ContractionPhase:
@@ -219,7 +213,7 @@ def delta_key(d: Delta) -> tuple:
         return (0, d.a, d.b)
     if isinstance(d, TimeDelta):
         return (1, ";".join(f"{t}:{c}" for t, c in d.comb), d.comb)
-    return (2, ";".join(f"{a}:{c}" for a, c in d.arg), d.arg)
+    return (2, ";".join(f"{atom_text(a)}:{c}" for a, c in d.arg), d.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ def term_signature(term: ScalarTerm) -> tuple:
     """
     return (term.lambda_power, term.two_pi_power,
             tuple(sorted(delta_key(d) for d in term.deltas)),
-            tuple(sorted(((t, str(a), a), c)
+            tuple(sorted(((t, atom_text(a), a), c)
                          for (t, a), c in merged_exponent(term).items())))
 
 
@@ -384,7 +378,7 @@ def _clean_phases(phases, subst) -> tuple:
                 time, sign = negated(time), -1
             acc = merged.setdefault(time, {})
             for a, c in ph.arg:
-                a = a.renamed(subst) if subst else a
+                a = renamed_atom(a, subst) if subst else a
                 acc[a] = acc.get(a, 0) + sign * c
 
     out = weighted

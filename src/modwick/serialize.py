@@ -14,8 +14,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .scalars import (
-    DOT, ENERGY, Atom, ContractionPhase, Delta, Dot, MomentumDelta, PhaseDelta,
-    RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, comb, negated,
+    DOT, ENERGY, ContractionPhase, Delta, Dot, Energy, MomentumDelta, PDot,
+    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, comb,
+    negated,
 )
 
 
@@ -40,21 +41,23 @@ def _json_fraction(pair) -> Fraction:
     return Fraction(_json_int(num, "coefficient"), _json_int(den, "coefficient"))
 
 
-_ATOM_KINDS = ("energy", "dot", "pdot")  # JSON name of each Atom kind
+# JSON name of each kind of plain (kind, a, b) atom; its text key is `atom_text`
+_ATOM_KINDS = ("energy", "dot", "pdot")
 
 
-def _atom_to_json(atom: Atom) -> dict:
-    if atom.kind == DOT:
-        return {"kind": "dot", "a": atom.a, "b": atom.b}
-    return {"kind": _ATOM_KINDS[atom.kind], "k": atom.a}
+def _atom_to_json(atom: tuple) -> dict:
+    kind, a, b = atom
+    if kind == DOT:
+        return {"kind": "dot", "a": a, "b": b}
+    return {"kind": _ATOM_KINDS[kind], "k": a}
 
 
-def _atom_from_json(d: dict) -> Atom:
+def _atom_from_json(d: dict) -> tuple:
     kind = d["kind"]
     if kind == "dot":
         return Dot(_json_label(d["a"]), _json_label(d["b"]))
     if kind in ("energy", "pdot"):
-        return Atom(_ATOM_KINDS.index(kind), _json_label(d["k"]))
+        return (Energy if kind == "energy" else PDot)(_json_label(d["k"]))
     raise ValueError(f"unknown atom kind: {kind!r}")
 
 
@@ -200,12 +203,13 @@ def _label_tex(label: str) -> str:
     return label
 
 
-def _atom_tex(atom: Atom) -> str:
-    if atom.kind == ENERGY:
-        return rf"\tilde{{\omega}}({_label_tex(atom.a)})"
-    if atom.kind == DOT:
-        return rf"{_label_tex(atom.a)} \cdot {_label_tex(atom.b)}"
-    return rf"{_label_tex(atom.a)} \cdot p"
+def _atom_tex(atom: tuple) -> str:
+    kind, a, b = atom
+    if kind == ENERGY:
+        return rf"\tilde{{\omega}}({_label_tex(a)})"
+    if kind == DOT:
+        return rf"{_label_tex(a)} \cdot {_label_tex(b)}"
+    return rf"{_label_tex(a)} \cdot p"
 
 
 def _signed_sum(parts: list) -> str:

@@ -17,8 +17,12 @@ mismatch drops; it was computed before the symbolic routes lost their
 early returns and the enumeration its sort.  A fifth digest covers the
 indented documents of `pairings`, `pairings --annotate` and `correlate
 --annotate` as the CLI prints them; it was computed before those
-documents and `to_json_str` shared one JSON writer.  When a change is
-meant to move output, recompute the digest and say why.
+documents and `to_json_str` shared one JSON writer.  A sixth digest
+covers the five routes on two words whose momentum labels carry
+punctuation ("k(" and "k,"), where the text order of phase atoms and
+their structural order disagree; it was computed before phase atoms
+became plain tuples.  When a change is meant to move output, recompute
+the digest and say why.
 """
 
 from __future__ import annotations
@@ -38,13 +42,22 @@ from modwick.cli import _pairing_entry
 from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
 from modwick.serialize import term_to_json_dict, to_json_str, to_latex
 from modwick.verify import MODES, _build, patterns_up_to, report, run_all
-from modwick.words import correlator_recursive, word_to_json_dict
+from modwick.words import (
+    Generator, Word, correlator_recursive, word_to_json_dict,
+)
 
 GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
 BLOCK_WORD_SHA256 = "6cec35b100310050d488edca57d121ea09baba87c892b4001fcc399a2e8980f3"
 CONVERGE_SHA256 = "42019040a0e1a6fe09bdaa5ab85853d28f4c0f41b1d6ba77a22b96dd17cdad38"
 ANNOTATED_SHA256 = "275e83dbabb265b2cf10afa91072f160374d20e7a9dd82e7cce4ad9830243189"
 CLI_DOCUMENTS_SHA256 = "80c7215db499e47e5ec0e450e482e0ca34aa7ba3ab67fc3bf94bf6778200a05a"
+ODD_LABEL_SHA256 = "eb5cb971283d06c4bdbbed411d399edce98ccac22014a2ae5a8a94db5aee8718"
+
+# "E(k()" sorts before "E(k)" as text although "k" < "k(": the canonical
+# order of atoms, phases and deltas follows the text, so these labels
+# tell it from the structural order
+ODD_LABEL_WORDS = [("aa++", ("k", "k(", "m1", "m2")),
+                   ("aaa+++", ("k", "k(", "k,", "m1", "m2", "m3"))]
 
 # the README assignment, and one with every vector off the axes, a nonzero
 # p and its own vanishing_x, so every phase atom kind evaluates nonzero
@@ -78,6 +91,17 @@ def test_block_word_matches_its_golden_digest():
     for e in _routes(_build("aaaaaa++++++", "scalar")):
         h.update(f"{to_json_str(e)}\n{to_latex(e)}\n".encode())
     assert h.hexdigest() == BLOCK_WORD_SHA256
+
+
+def test_odd_labels_match_their_golden_digest():
+    h = hashlib.sha256()
+    for pattern, momenta in ODD_LABEL_WORDS:
+        w = Word(tuple(Generator(ch == "+", f"t{i + 1}", k)
+                       for i, (ch, k) in enumerate(zip(pattern, momenta))))
+        for e in _routes(w):
+            h.update(f"{pattern} {' '.join(momenta)}\n{to_json_str(e)}\n"
+                     f"{to_latex(e)}\n".encode())
+    assert h.hexdigest() == ODD_LABEL_SHA256
 
 
 def test_annotated_pairings_match_their_golden_digest():
@@ -122,7 +146,8 @@ def test_digests_hold_under_other_hash_seeds(seed):
     # the JSON writer memoizes fragments in a dict keyed by value, and
     # canonicalize merges terms in one; neither may leak hash order
     tests = [f"{__file__}::test_outputs_match_the_golden_digest",
-             f"{__file__}::test_cli_documents_match_their_golden_digest"]
+             f"{__file__}::test_cli_documents_match_their_golden_digest",
+             f"{__file__}::test_odd_labels_match_their_golden_digest"]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
         cwd=os.path.dirname(os.path.dirname(__file__)),

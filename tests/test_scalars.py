@@ -8,6 +8,7 @@ through different factorizations of the same oscillation content.
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from modwick.scalars import (
     C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
     PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta,
-    canonicalize, canonically_equal, comb, conjugate,
+    atom_text, canonicalize, canonically_equal, comb, conjugate,
     delta_key, label_classes, merged_exponent, multiply, negated,
     oscillation, substituted, term_signature, time_difference,
 )
@@ -45,10 +46,10 @@ def test_rational_complex_arithmetic():
 
 def test_dot_orders_labels():
     assert Dot("k3", "k1") == Dot("k1", "k3")
-    assert str(Dot("k3", "k1")) == "D(k1,k3)"
-    assert str(Energy("k2")) == "E(k2)"
-    assert str(PDot("k2")) == "P(k2)"
-    assert str(Dot("k1", "k1")) == "D(k1,k1)"
+    assert atom_text(Dot("k3", "k1")) == "D(k1,k3)"
+    assert atom_text(Energy("k2")) == "E(k2)"
+    assert atom_text(PDot("k2")) == "P(k2)"
+    assert atom_text(Dot("k1", "k1")) == "D(k1,k1)"
     # atoms order by kind first, then by label, inside every argument
     assert Energy("k9") < Dot("k1", "k2") < Dot("k1", "k3") < PDot("k1")
 
@@ -98,6 +99,15 @@ def _combinations(e: ScalarExpr):
                 yield d.arg
 
 
+def _atoms(e: ScalarExpr):
+    for term in e.terms:
+        for ph in term.phases:
+            yield from (a for a, _ in ph.arg)
+        for d in term.deltas:
+            if isinstance(d, PhaseDelta):
+                yield from (a for a, _ in d.arg)
+
+
 def _route_outputs():
     """Every symbolic route's expression on every pattern of length <= 6 in
     all three verify modes, with its key and its JSON round trip."""
@@ -119,12 +129,26 @@ def _route_outputs():
 
 
 def test_every_route_holds_combinations_as_sorted_tuples():
-    seen = 0
+    seen = atoms = 0
     for key, e, read in _route_outputs():
         for it in (*_combinations(e), *_combinations(read)):
             assert type(it) is tuple and it == comb(dict(it)), (key, it)
             seen += 1
-    assert seen > 0
+        # an atom is an exact (kind, a, b) tuple, no subclass
+        for atom in (*_atoms(e), *_atoms(read)):
+            assert type(atom) is tuple and len(atom) == 3, (key, atom)
+            atoms += 1
+    assert seen > 0 and atoms > 0
+
+
+def test_block_word_atoms_are_untracked_after_a_collection():
+    # the collector untracks an exact tuple of strings and ints, so the
+    # atoms of big outputs cost later collections nothing
+    w = word_from_pattern("aaaaaa++++++")
+    exprs = (correlator_recursive(w), correlator_pairing_sum(w))
+    gc.collect()
+    atoms = [a for e in exprs for a in _atoms(e)]
+    assert atoms and not any(gc.is_tracked(a) for a in atoms)
 
 
 def test_every_route_carries_its_signatures():
@@ -391,10 +415,37 @@ COLLIDING_FACTORS = ScalarTerm(
 
 def test_colliding_label_strings_stay_two_terms():
     a, b = COLLIDING
-    assert str(COLLIDING_ARGS[0][0][0]) == str(COLLIDING_ARGS[1][0][0])
+    assert atom_text(COLLIDING_ARGS[0][0][0]) == atom_text(COLLIDING_ARGS[1][0][0])
     out = canonicalize(ScalarExpr((a, b)))
     assert [t.coeff for t in out.terms] == [C_ONE, C_ONE]
     assert canonicalize(ScalarExpr((b, a))) == out
+
+
+# E(k1) < D(k1,k2) as tuples but not as text, and so are E(k) < E(k():
+# the canonical order follows `atom_text`
+E1, D12 = comb({Energy("k1"): 1}), comb({Dot("k1", "k2"): 1})
+EK, EK_OPEN = comb({Energy("k"): 1}), comb({Energy("k("): 1})
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_canonical_order_is_text_first(flip):
+    def ordered(pair):
+        return pair[::-1] if flip else pair
+
+    # (a) weighted phases of one term over one time
+    term = ScalarTerm(C_ONE, 0, -4, tuple(
+        ContractionPhase(T12, x, True) for x in ordered((E1, D12))))
+    (out,) = canonicalize(ScalarExpr((term,))).terms
+    assert [ph.arg for ph in out.phases] == [D12, E1]
+    # (b) terms that differ in one unweighted phase
+    terms = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
+                  for x in ordered((E1, D12)))
+    out = canonicalize(ScalarExpr(terms)).terms
+    assert [t.phases[0].arg for t in out] == [D12, E1]
+    # (c) phase deltas of one term
+    term = ScalarTerm(deltas=tuple(PhaseDelta(x) for x in ordered((EK, EK_OPEN))))
+    (out,) = canonicalize(ScalarExpr((term,))).terms
+    assert [d.arg for d in out.deltas] == [EK_OPEN, EK]
 
 
 def test_canonically_equal_tells_colliding_label_strings_apart():

@@ -262,9 +262,9 @@ def test_recursion_respects_generator_identity():
 def _reference_shifted(arg: tuple, momentum: str, sign: int) -> tuple:
     """Shift every particle-momentum atom k.p by sign * k.momentum."""
     acc = dict(arg)
-    for a, c in arg:
-        if a.kind == PDOT:
-            d = Dot(a.a, momentum)
+    for (kind, k, _), c in arg:
+        if kind == PDOT:
+            d = Dot(k, momentum)
             acc[d] = acc.get(d, 0) + sign * c
     return comb(acc)
 
