@@ -8,8 +8,7 @@ and checks the limit numerically with Gaussian-smeared kernels.
 """
 
 from .scalars import (
-    ContractionPhase, Dot, Energy, MomentumDelta, PDot, PhaseDelta,
-    RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, atom_text,
+    Dot, Energy, PDot, RationalComplex, ScalarExpr, ScalarTerm, atom_text,
     canonicalize, canonically_equal, comb, conjugate, merged_exponent,
     multiply, oscillation, term_signature, time_difference,
 )

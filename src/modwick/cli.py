@@ -224,8 +224,8 @@ def _converge_csv(data, lambdas: str) -> str:
         term = strip_momentum_deltas(at.term)
         lines.append(f"# study={tag}_4pt")
         if at.crossings:
-            osc = [abs(arg_value(ph.arg, assignment))
-                   for ph in term.unweighted_phases()]
+            osc = [abs(arg_value(arg, assignment))
+                   for _, arg, _ in term.unweighted_phases()]
             flag = "active" if any(v > 1e-12 for v in osc) \
                 else "none (zero phase)"
             lines.append(f"# suppression={flag}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (
-    DOT, ENERGY, MomentumDelta, ScalarTerm, contraction_phases, label_classes,
+    DOT, ENERGY, MOMENTUM, ScalarTerm, contraction_phases, label_classes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -272,7 +272,7 @@ def strip_momentum_deltas(term: ScalarTerm) -> ScalarTerm:
     representatives, so for numeric work the deltas carry no further
     information beyond "these labels denote equal vectors".
     """
-    kept = tuple(d for d in term.deltas if not isinstance(d, MomentumDelta))
+    kept = tuple(d for d in term.deltas if d[0] != MOMENTUM)
     return ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
                       term.phases, kept)
 
@@ -286,12 +286,12 @@ def _require_smearable(term: ScalarTerm, tests: dict, a: Assignment) -> None:
     if term.deltas:
         raise ValueError(
             "term still carries delta factors; apply them before smearing")
-    for ph in term.phases:
-        for t, _ in ph.time:
+    for time, arg, _ in term.phases:
+        for t, _ in time:
             if t not in tests:
                 raise UnassignedLabelError(
                     f"time label {t!r} has no test function")
-        arg_value(ph.arg, a)  # raises on an unassigned momentum label
+        arg_value(arg, a)  # raises on an unassigned momentum label
 
 
 def _coeff_complex(term: ScalarTerm) -> complex:
@@ -305,7 +305,7 @@ def _coeff_complex(term: ScalarTerm) -> complex:
 def _literal(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
     """The term as written: each time label its own variable, each phase kept."""
     _require_smearable(term, tests, a)
-    phase_data = [(ph.time, arg_value(ph.arg, a)) for ph in term.phases]
+    phase_data = [(time, arg_value(arg, a)) for time, arg, _ in term.phases]
     return ({label: [label] for label in tests}, phase_data,
             _coeff_complex(term) * TWO_PI ** term.two_pi_power)
 
@@ -319,18 +319,17 @@ def _contracted(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
     """
     _require_smearable(term, tests, a)
     weighted = contraction_phases(term)
-    for ph in weighted:
-        if len(ph.time) != 2 or {c for _, c in ph.time} != {1, -1}:
+    for time, _, _ in weighted:
+        if len(time) != 2 or {c for _, c in time} != {1, -1}:
             raise ValueError(
                 "weighted phase time combination must be a simple difference")
-    time_map = label_classes({t for t, _ in ph.time} for ph in weighted)
+    time_map = label_classes({t for t, _ in time} for time, _, _ in weighted)
     groups: dict = {}
     for label in sorted(tests):
         groups.setdefault(time_map.get(label, label), []).append(label)
     phase_data = [
-        (tuple((time_map.get(t, t), c) for t, c in ph.time),
-         arg_value(ph.arg, a))
-        for ph in term.unweighted_phases()
+        (tuple((time_map.get(t, t), c) for t, c in time), arg_value(arg, a))
+        for time, arg, _ in term.unweighted_phases()
     ]
     return (groups, phase_data,
             _coeff_complex(term) * TWO_PI ** (term.two_pi_power + len(weighted)))

@@ -23,10 +23,9 @@ rewrite engine that contracts adjacent pairs in the limit algebra.
 from __future__ import annotations
 
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ZERO, MomentumDelta, PDot,
-    PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize, comb,
-    contraction_phases, label_classes, merged_exponent, substituted,
-    time_difference,
+    C_ONE, Dot, Energy, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm, canonicalize,
+    comb, contraction_phases, label_classes, merged_exponent, momentum_delta,
+    phase_delta, substituted, time_delta, time_difference,
 )
 from .words import Word, contraction_arg
 
@@ -57,21 +56,21 @@ def noncrossing_match(w: Word):
 def _limit_term(term: ScalarTerm):
     """Apply the singular-limit map to one canonicalized structural term."""
     weighted = contraction_phases(term)
-    if any(not ph.arg for ph in weighted):
+    if any(not arg for _, arg, _ in weighted):
         raise ValueError("weighted phase with zero argument has no limit")
-    time_map = label_classes({t for t, _ in ph.time} for ph in weighted)
+    time_map = label_classes({t for t, _ in time} for time, _, _ in weighted)
 
     # a residual oscillation with nonzero exponent kills the term
     residual = ScalarTerm(phases=tuple(
-        ContractionPhase(substituted(ph.time, time_map), ph.arg)
-        for ph in term.unweighted_phases()))
+        (substituted(time, time_map), arg, False)
+        for time, arg, _ in term.unweighted_phases()))
     if merged_exponent(residual):
         return None
 
     new_deltas = list(term.deltas)
-    for ph in weighted:
-        new_deltas.append(TimeDelta(ph.time))
-        new_deltas.append(PhaseDelta(ph.arg))
+    for time, arg, _ in weighted:
+        new_deltas.append(time_delta(time))
+        new_deltas.append(phase_delta(arg))
     return ScalarTerm(term.coeff, term.two_pi_power + len(weighted), 0,
                       (), tuple(new_deltas))
 
@@ -114,9 +113,9 @@ def correlator_wick_limit(w: Word) -> ScalarExpr:
         for c in stack:
             d = Dot(c.k, x.k)
             arg[d] = arg.get(d, 0) + 1
-        deltas += (MomentumDelta(x.k, y.k),
-                   TimeDelta(time_difference(x.t, y.t)),
-                   PhaseDelta(comb(arg)))
+        deltas += (momentum_delta(x.k, y.k),
+                   time_delta(time_difference(x.t, y.t)),
+                   phase_delta(comb(arg)))
     if stack:
         return EXPR_ZERO
 
@@ -147,9 +146,9 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
             return EXPR_ZERO
         del gens[site:site + 2]
         deltas = (
-            MomentumDelta(x.k, y.k),
-            TimeDelta(time_difference(x.t, y.t)),
-            PhaseDelta(contraction_arg(x, gens[site:])),
+            momentum_delta(x.k, y.k),
+            time_delta(time_difference(x.t, y.t)),
+            phase_delta(contraction_arg(x, gens[site:])),
         )
         acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), deltas))
     if gens:

@@ -7,20 +7,26 @@ A phase factor
 
     q(t - t', x) = exp(-i ((t - t') / lambda^2) x)
 
-is stored structurally as a :class:`ContractionPhase`: an integer
-combination of time labels paired with an integer combination of momentum
-atoms, plus a flag marking the 1/lambda^2 weight that accompanies a
-contraction.  A combination is a plain tuple of (label or atom,
-coefficient) pairs, sorted, with zero entries dropped; `comb` builds one
-from a mapping.  Equality of terms is decided through the merged
-exponent, a sparse bilinear form over (time label, atom) pairs, so that
-two phase lists multiplying to the same exponential compare equal even
-when they factor differently.
+is stored structurally as the plain tuple (time, arg, weighted): an
+integer combination of time labels, an integer combination of momentum
+atoms, and a flag marking the 1/lambda^2 weight that accompanies a
+contraction.  A delta factor is the plain tuple (MOMENTUM, a, b) for
+delta(k_a - k_b) with a < b, (TIME, comb) for delta of a time combination
+or (PHASE, arg) for delta of a phase argument, the last two sign-fixed
+so their first coefficient is positive; only `momentum_delta`,
+`time_delta` and `phase_delta` build one.  A combination is a plain
+tuple of (label or atom, coefficient) pairs, sorted, with zero entries
+dropped; `comb` builds one from a mapping.  Equality of terms is decided
+through the merged exponent, a sparse bilinear form over (time label,
+atom) pairs, so that two phase lists multiplying to the same exponential
+compare equal even when they factor differently.
 
 A momentum atom is the plain tuple (kind, a, b) that `Energy`, `Dot` or
 `PDot` builds; `atom_text` is its stable text key, E(k), D(a,b) or P(k),
 on which phases, deltas and terms sort first.  Atoms stay symbolic until
-the numeric layer assigns concrete vectors.
+the numeric layer assigns concrete vectors.  Phases, deltas and atoms
+hold only strings, ints, bools and such tuples, so full collections of
+the cyclic collector untrack them, innermost first, for good.
 """
 
 from __future__ import annotations
@@ -136,84 +142,59 @@ def time_difference(t_plus: str, t_minus: str) -> tuple:
 # ---------------------------------------------------------------------------
 # phases
 
-@dataclass(frozen=True)
-class ContractionPhase:
-    """One oscillating factor q(time, arg), weighted when it carries 1/lambda^2."""
-
-    time: tuple
-    arg: tuple
-    weighted: bool = False
-
-    def key(self) -> tuple:
-        # each atom's `atom_text`, then its plain (kind, a, b) tuple: labels
-        # whose texts collide never tie
-        return (0 if self.weighted else 1, self.time,
-                tuple((atom_text(a), c) for a, c in self.arg), self.arg)
+def phase_key(ph: tuple) -> tuple:
+    """Sort key of a phase: weighted first, then its time, then its argument."""
+    time, arg, weighted = ph
+    # each atom's `atom_text`, then its plain (kind, a, b) tuple: labels
+    # whose texts collide never tie
+    return (0 if weighted else 1, time,
+            tuple((atom_text(a), c) for a, c in arg), arg)
 
 
-def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1) -> ContractionPhase:
+def oscillation(t_from: str, t_to: str, arg: tuple, power: int = 1) -> tuple:
     """Build q(t_from - t_to, arg)^power; power -1 negates the argument."""
     if power not in (1, -1):
         raise ValueError("oscillation power must be +1 or -1")
     a = arg if power == 1 else negated(arg)
-    return ContractionPhase(time_difference(t_from, t_to), a)
+    return (time_difference(t_from, t_to), a, False)
 
 
 # ---------------------------------------------------------------------------
 # delta factors
 
-@dataclass(frozen=True)
-class MomentumDelta:
-    """delta(a - b) identifying two momentum labels, stored with a <= b."""
-
-    a: str
-    b: str
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate momentum delta on {self.a!r}")
-        if self.b < self.a:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+# the leading rank of every delta, and of its `delta_key`
+MOMENTUM, TIME, PHASE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class TimeDelta:
+def momentum_delta(a: str, b: str) -> tuple:
+    """delta(a - b) identifying two momentum labels, stored with a < b."""
+    if a == b:
+        raise ValueError(f"degenerate momentum delta on {a!r}")
+    return (MOMENTUM, a, b) if a < b else (MOMENTUM, b, a)
+
+
+def time_delta(time: tuple) -> tuple:
     """delta(time combination), sign-fixed so its first coefficient is positive."""
-
-    comb: tuple
-
-    def __post_init__(self):
-        if not self.comb:
-            raise ValueError("degenerate time delta")
-        if self.comb[0][1] < 0:
-            object.__setattr__(self, "comb", negated(self.comb))
+    if not time:
+        raise ValueError("degenerate time delta")
+    return (TIME, negated(time) if time[0][1] < 0 else time)
 
 
-@dataclass(frozen=True)
-class PhaseDelta:
+def phase_delta(arg: tuple) -> tuple:
     """delta(phase argument), sign-fixed so its first coefficient is positive."""
-
-    arg: tuple
-
-    def __post_init__(self):
-        if not self.arg:
-            raise ValueError("degenerate phase delta")
-        if self.arg[0][1] < 0:
-            object.__setattr__(self, "arg", negated(self.arg))
+    if not arg:
+        raise ValueError("degenerate phase delta")
+    return (PHASE, negated(arg) if arg[0][1] < 0 else arg)
 
 
-Delta = MomentumDelta | TimeDelta | PhaseDelta
-
-
-def delta_key(d: Delta) -> tuple:
+def delta_key(d: tuple) -> tuple:
     """Sort key of a delta: its text, then its entries, so no two deltas tie."""
-    if isinstance(d, MomentumDelta):
-        return (0, d.a, d.b)
-    if isinstance(d, TimeDelta):
-        return (1, ";".join(f"{t}:{c}" for t, c in d.comb), d.comb)
-    return (2, ";".join(f"{atom_text(a)}:{c}" for a, c in d.arg), d.arg)
+    if d[0] == MOMENTUM:
+        return d
+    tag, items = d
+    if tag == TIME:
+        return (TIME, ";".join(f"{t}:{c}" for t, c in items), items)
+    return (PHASE, ";".join(f"{atom_text(a)}:{c}" for a, c in items), items)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +218,16 @@ class ScalarTerm:
         )
 
     def conjugated(self) -> "ScalarTerm":
-        phases = tuple(
-            ContractionPhase(ph.time, negated(ph.arg), ph.weighted)
-            for ph in self.phases
-        )
+        phases = tuple((time, negated(arg), weighted)
+                       for time, arg, weighted in self.phases)
         return ScalarTerm(self.coeff.conjugate(), self.two_pi_power,
                           self.lambda_power, phases, self.deltas)
 
     def weighted_phases(self) -> tuple:
-        return tuple(ph for ph in self.phases if ph.weighted)
+        return tuple(ph for ph in self.phases if ph[2])
 
     def unweighted_phases(self) -> tuple:
-        return tuple(ph for ph in self.phases if not ph.weighted)
+        return tuple(ph for ph in self.phases if not ph[2])
 
 
 TERM_ONE = ScalarTerm()
@@ -272,9 +251,9 @@ def merged_exponent(term: ScalarTerm) -> dict:
     oscillation content of the term regardless of how it factors.
     """
     acc: dict = {}
-    for ph in term.phases:
-        for t, ct in ph.time:
-            for a, ca in ph.arg:
+    for time, arg, _ in term.phases:
+        for t, ct in time:
+            for a, ca in arg:
                 key = (t, a)
                 acc[key] = acc.get(key, 0) + ct * ca
     return {k: v for k, v in acc.items() if v != 0}
@@ -334,27 +313,26 @@ def label_classes(edges) -> dict:
 
 def _canonical_deltas_and_subst(deltas):
     """Star-normalize momentum deltas and build the label substitution map."""
-    reps = label_classes((d.a, d.b) for d in deltas
-                         if isinstance(d, MomentumDelta))
+    reps = label_classes(d[1:] for d in deltas if d[0] == MOMENTUM)
     classes: dict = {}
     counts: dict = {}
     for label, rep in reps.items():
         classes.setdefault(rep, set()).add(label)
     for d in deltas:
-        if isinstance(d, MomentumDelta):
-            rep = reps[d.a]
+        if d[0] == MOMENTUM:
+            rep = reps[d[1]]
             counts[rep] = counts.get(rep, 0) + 1
 
     new_momentum = []
     for rep in sorted(classes):
         members = sorted(classes[rep])
-        edges = [MomentumDelta(rep, m) for m in members[1:]]
+        edges = [momentum_delta(rep, m) for m in members[1:]]
         new_momentum.extend(edges)
         for _ in range(counts.get(rep, 0) - len(edges)):
             new_momentum.append(edges[0])
 
     subst = {label: rep for label, rep in reps.items() if label != rep}
-    others = [d for d in deltas if not isinstance(d, MomentumDelta)]
+    others = [d for d in deltas if d[0] != MOMENTUM]
     return new_momentum, others, subst
 
 
@@ -368,16 +346,15 @@ def _clean_phases(phases, subst) -> tuple:
     """
     weighted = []
     merged: dict = {}  # sign-fixed time -> {renamed atom: coefficient}
-    for ph in phases:
-        if ph.weighted:
-            arg = substituted(ph.arg, subst) if subst else ph.arg
-            weighted.append(ContractionPhase(ph.time, arg, True))
-        elif ph.time:
-            time, sign = ph.time, 1
+    for time, arg, is_weighted in phases:
+        if is_weighted:
+            weighted.append((time, substituted(arg, subst) if subst else arg, True))
+        elif time:
+            sign = 1
             if time[0][1] < 0:
                 time, sign = negated(time), -1
             acc = merged.setdefault(time, {})
-            for a, c in ph.arg:
+            for a, c in arg:
                 a = renamed_atom(a, subst) if subst else a
                 acc[a] = acc.get(a, 0) + sign * c
 
@@ -385,8 +362,8 @@ def _clean_phases(phases, subst) -> tuple:
     for time, acc in merged.items():
         arg = comb(acc)
         if arg:
-            out.append(ContractionPhase(time, arg, False))
-    out.sort(key=lambda ph: ph.key())
+            out.append((time, arg, False))
+    out.sort(key=phase_key)
     return tuple(out)
 
 
@@ -397,12 +374,13 @@ def _canonical_term(term: ScalarTerm):
 
     momentum, others, subst = _canonical_deltas_and_subst(term.deltas)
     for i, d in enumerate(others if subst else ()):
-        if isinstance(d, PhaseDelta):
-            arg = substituted(d.arg, subst)
+        if d[0] == PHASE:
+            arg = substituted(d[1], subst)
             # an argument the identification cancels leaves delta(0), which
-            # has no value to normalize to: that factor is kept as written
-            if arg:
-                others[i] = PhaseDelta(arg)
+            # has no value to normalize to, and one it leaves alone is
+            # normalized already: those factors are kept as written
+            if arg and arg != d[1]:
+                others[i] = phase_delta(arg)
     all_deltas = tuple(sorted(momentum + others, key=delta_key))
     phases = _clean_phases(term.phases, subst)
     return ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
@@ -431,7 +409,7 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
         sig = term_signature(ct)
         prev = merged.get(sig)
         if prev is not None:
-            first = min(prev, ct, key=lambda t: [ph.key() for ph in t.phases])
+            first = min(prev, ct, key=lambda t: [phase_key(ph) for ph in t.phases])
             ct = ScalarTerm(prev.coeff + ct.coeff, first.two_pi_power,
                             first.lambda_power, first.phases, first.deltas)
         merged[sig] = ct

@@ -14,9 +14,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .scalars import (
-    DOT, ENERGY, ContractionPhase, Delta, Dot, Energy, MomentumDelta, PDot,
-    PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta, comb,
-    negated,
+    DOT, ENERGY, MOMENTUM, TIME, Dot, Energy, PDot, RationalComplex,
+    ScalarExpr, ScalarTerm, comb, momentum_delta, negated, phase_delta,
+    time_delta,
 )
 
 
@@ -85,22 +85,23 @@ def _time_from_json(items: list) -> tuple:
     return comb(acc)
 
 
-def _delta_to_json(d: Delta) -> dict:
-    if isinstance(d, MomentumDelta):
-        return {"kind": "momentum", "a": d.a, "b": d.b}
-    if isinstance(d, TimeDelta):
-        return {"kind": "time", "comb": _time_to_json(d.comb)}
-    return {"kind": "phase", "arg": _arg_to_json(d.arg)}
+def _delta_to_json(d: tuple) -> dict:
+    if d[0] == MOMENTUM:
+        return {"kind": "momentum", "a": d[1], "b": d[2]}
+    tag, items = d
+    if tag == TIME:
+        return {"kind": "time", "comb": _time_to_json(items)}
+    return {"kind": "phase", "arg": _arg_to_json(items)}
 
 
-def _delta_from_json(d: dict) -> Delta:
+def _delta_from_json(d: dict) -> tuple:
     kind = d["kind"]
     if kind == "momentum":
-        return MomentumDelta(_json_label(d["a"]), _json_label(d["b"]))
+        return momentum_delta(_json_label(d["a"]), _json_label(d["b"]))
     if kind == "time":
-        return TimeDelta(_time_from_json(d["comb"]))
+        return time_delta(_time_from_json(d["comb"]))
     if kind == "phase":
-        return PhaseDelta(_arg_from_json(d["arg"]))
+        return phase_delta(_arg_from_json(d["arg"]))
     raise ValueError(f"unknown delta kind: {kind!r}")
 
 
@@ -108,9 +109,10 @@ def _frac_pair(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
-def _phase_to_json(ph: ContractionPhase) -> dict:
-    return {"time": _time_to_json(ph.time), "arg": _arg_to_json(ph.arg),
-            "weighted": ph.weighted}
+def _phase_to_json(ph: tuple) -> dict:
+    time, arg, weighted = ph
+    return {"time": _time_to_json(time), "arg": _arg_to_json(arg),
+            "weighted": weighted}
 
 
 def _term_fields(term: ScalarTerm, phases: list, deltas: list) -> dict:
@@ -130,8 +132,8 @@ def term_from_json_dict(d: dict) -> ScalarTerm:
     for ph in d["phases"]:
         if not isinstance(ph["weighted"], bool):
             raise ValueError("phase 'weighted' must be true or false")
-        phases.append(ContractionPhase(_time_from_json(ph["time"]),
-                                       _arg_from_json(ph["arg"]), ph["weighted"]))
+        phases.append((_time_from_json(ph["time"]), _arg_from_json(ph["arg"]),
+                       ph["weighted"]))
     deltas = tuple(_delta_from_json(x) for x in d["deltas"])
     return ScalarTerm(RationalComplex(_json_fraction(re), _json_fraction(im)),
                       _json_int(d["two_pi_power"], "two_pi_power"),
@@ -147,8 +149,10 @@ def from_json_dict(d: dict) -> ScalarExpr:
     return ScalarExpr(tuple(term_from_json_dict(t) for t in d["terms"]))
 
 
+_DUMPS = (_phase_to_json, _delta_to_json)
+
+
 def _indented(x, pad: str, memo: dict) -> str:
-    # a phase or delta under one pad always prints the same lines
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is True or x is False:
@@ -156,12 +160,16 @@ def _indented(x, pad: str, memo: dict) -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, ScalarTerm):
-        x = _term_fields(x, list(x.phases), list(x.deltas))
-    elif isinstance(x, ContractionPhase | Delta):
+        # phases and deltas are plain tuples: a term pairs each with its
+        # dump, so a bare tuple stays no JSON value
+        x = _term_fields(x, [(_phase_to_json, ph) for ph in x.phases],
+                         [(_delta_to_json, d) for d in x.deltas])
+    elif isinstance(x, tuple) and x and x[0] in _DUMPS:
+        # a phase or delta under one pad always prints the same lines
         text = memo.get((x, pad))
         if text is None:
-            dump = _phase_to_json if isinstance(x, ContractionPhase) else _delta_to_json
-            text = memo[x, pad] = _indented(dump(x), pad, memo)
+            dump, value = x
+            text = memo[x, pad] = _indented(dump(value), pad, memo)
         return text
     inner = pad + "  "
     if isinstance(x, dict):
@@ -232,24 +240,25 @@ def _arg_tex(arg: tuple) -> str:
     return _signed_sum([(_atom_tex(a), c) for a, c in arg])
 
 
-def _phase_tex(ph: ContractionPhase) -> str:
-    arg = ph.arg
+def _phase_tex(ph: tuple) -> str:
+    time, arg, weighted = ph
     power = ""
     if arg and all(c < 0 for _, c in arg):
         arg = negated(arg)
         power = "^{-1}"
-    body = rf"q_{{\lambda}}{power}\left({_time_tex(ph.time)},\, {_arg_tex(arg)}\right)"
-    if ph.weighted:
+    body = rf"q_{{\lambda}}{power}\left({_time_tex(time)},\, {_arg_tex(arg)}\right)"
+    if weighted:
         return rf"\tfrac{{1}}{{\lambda^{{2}}}}\, {body}"
     return body
 
 
-def _delta_tex(d: Delta) -> str:
-    if isinstance(d, MomentumDelta):
-        return rf"\delta({_label_tex(d.a)} - {_label_tex(d.b)})"
-    if isinstance(d, TimeDelta):
-        return rf"\delta({_time_tex(d.comb)})"
-    return rf"\delta\!\left({_arg_tex(d.arg)}\right)"
+def _delta_tex(d: tuple) -> str:
+    if d[0] == MOMENTUM:
+        return rf"\delta({_label_tex(d[1])} - {_label_tex(d[2])})"
+    tag, items = d
+    if tag == TIME:
+        return rf"\delta({_time_tex(items)})"
+    return rf"\delta\!\left({_arg_tex(items)}\right)"
 
 
 def _coeff_tex(c: RationalComplex) -> str:

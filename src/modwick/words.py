@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, MomentumDelta, PDot, ScalarExpr,
-    ScalarTerm, TERM_ONE, canonicalize, comb, time_difference,
+    C_ONE, Dot, Energy, PDot, ScalarExpr, ScalarTerm, TERM_ONE, canonicalize,
+    comb, momentum_delta, time_difference,
 )
 
 MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
@@ -197,18 +197,17 @@ def expand_leading_annihilator(gens: tuple) -> list:
         return []
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
     swaps = tuple(
-        ContractionPhase(time_difference(lead.t, other.t),
-                         ((Dot(lead.k, other.k), 1 if other.dagger else -1),))
+        (time_difference(lead.t, other.t),
+         ((Dot(lead.k, other.k), 1 if other.dagger else -1),), False)
         for other in tail[:creators[-1]]
     )
     out = []
     for j in creators:
         y = tail[j]
-        phase = ContractionPhase(time_difference(lead.t, y.t),
-                                 contraction_arg(lead, tail[j + 1:]),
-                                 weighted=True)
+        phase = (time_difference(lead.t, y.t),
+                 contraction_arg(lead, tail[j + 1:]), True)
         scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
-                            (MomentumDelta(lead.k, y.k),))
+                            (momentum_delta(lead.k, y.k),))
         out.append((scalar, tail[:j] + tail[j + 1:]))
     return out
 

@@ -26,7 +26,7 @@ from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, noncrossing_match,
 )
 from modwick.pairings import crossing_count, enumerate_pairings
-from modwick.scalars import Dot, Energy, PDot, PhaseDelta, comb
+from modwick.scalars import PHASE, Dot, Energy, PDot, comb
 from modwick.verify import (
     CATALAN, suite_closed_form_vs_recursion, suite_limit_triple_agreement,
     _words,
@@ -72,7 +72,7 @@ def test_criterion_3_catalan_counts_and_noncrossing_uniqueness():
 def test_criterion_4_straddle_phase_shifts_are_exact():
     def frequency_args(e):
         (term,) = e.terms
-        return {d.arg for d in term.deltas if isinstance(d, PhaseDelta)}
+        return {d[1] for d in term.deltas if d[0] == PHASE}
 
     nested_inner = comb(
         {Energy("k2"): 1, PDot("k2"): 1, Dot("k1", "k2"): 1})

@@ -337,6 +337,18 @@ def test_render_rejects_bad_payload(cli_run, write_json):
     code, _, err = cli_run(["render", path])
     assert code == 2
     assert "bad expression data" in err
+    # a delta on one label or on an empty (or cancelling) combination
+    for delta in ({"kind": "momentum", "a": "k1", "b": "k1"},
+                  {"kind": "time", "comb": []},
+                  {"kind": "time", "comb": [["t1", 1], ["t1", -1]]},
+                  {"kind": "phase", "arg": []}):
+        path = write_json("degenerate.json", {"terms": [{
+            "coeff": [[1, 1], [0, 1]], "two_pi_power": 0, "lambda_power": 0,
+            "phases": [], "deltas": [delta]}]})
+        code, out, err = cli_run(["render", path])
+        assert code == 2 and out == "", delta
+        assert "bad expression data" in err and "degenerate" in err, delta
+        assert err.count("\n") == 1, delta
 
 
 def test_render_rejects_zero_denominator(cli_run, write_json):

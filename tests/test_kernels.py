@@ -26,8 +26,8 @@ from modwick.kernels import (
 )
 from modwick.pairings import annotated_pairing_terms
 from modwick.scalars import (
-    ContractionPhase, Dot, Energy, MomentumDelta, PDot, ScalarTerm, TimeDelta,
-    comb, time_difference,
+    Dot, Energy, PDot, ScalarTerm, comb, momentum_delta, time_delta,
+    time_difference,
 )
 from modwick.words import word_from_pattern
 
@@ -293,10 +293,10 @@ def two_point_term_and_assignment():
 
 def test_strip_momentum_deltas_only_touches_momenta():
     term = ScalarTerm(deltas=(
-        MomentumDelta("k1", "k2"),
-        TimeDelta(time_difference("t1", "t2"))))
+        momentum_delta("k1", "k2"),
+        time_delta(time_difference("t1", "t2"))))
     assert strip_momentum_deltas(term).deltas \
-        == (TimeDelta(time_difference("t1", "t2")),)
+        == (time_delta(time_difference("t1", "t2")),)
 
 
 def test_term_value_two_point_closed_form():
@@ -335,10 +335,8 @@ def test_term_value_two_point_against_grid(lam):
 def test_term_value_grid_with_a_cancelled_time_combination():
     # t1 - t1 cancels, so its oscillation is a constant, a 0-d grid factor
     term = ScalarTerm(phases=(
-        ContractionPhase(time_difference("t1", "t1"),
-                         comb({Energy("k1"): 1})),
-        ContractionPhase(time_difference("t1", "t2"),
-                         comb({Dot("k1", "k1"): 1}))))
+        (time_difference("t1", "t1"), comb({Energy("k1"): 1}), False),
+        (time_difference("t1", "t2"), comb({Dot("k1", "k1"): 1}), False)))
     a = Assignment({"k1": (0.6, 0.0, 0.0)}, (0.0, 0.0, 0.0))
     tests = {"t1": STD, "t2": GaussianTest(0.3, 0.8)}
     for lam in (1.0, 0.7):
@@ -416,9 +414,7 @@ def test_term_convergence_validation(study_setup):
     with pytest.raises(UnassignedLabelError):
         term_convergence(term, tests, Assignment({}, (0.0, 0.0, 0.0)), [1.0])
     bad_weight = ScalarTerm(
-        phases=(ContractionPhase(time_difference("t1", "t2"),
-                                 comb({Energy("k1"): 1}),
-                                 weighted=True),))
+        phases=((time_difference("t1", "t2"), comb({Energy("k1"): 1}), True),))
     with pytest.raises(ValueError):
         term_convergence(bad_weight, {"t1": STD, "t2": STD}, a, [1.0])
     # a term with deltas left: the grid companion smeared it anyway

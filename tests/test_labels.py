@@ -21,8 +21,8 @@ from modwick.limits import (
 )
 from modwick.pairings import correlator_pairing_sum
 from modwick.scalars import (
-    ContractionPhase, MomentumDelta, PhaseDelta, ScalarExpr, ScalarTerm,
-    TimeDelta, canonicalize, canonically_equal, conjugate, substituted,
+    MOMENTUM, TIME, ScalarExpr, ScalarTerm, canonicalize, canonically_equal,
+    conjugate, momentum_delta, phase_delta, substituted, time_delta,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _bracket_balanced
@@ -134,17 +134,17 @@ def test_permuting_polarization_values_changes_no_correlator(pair):
 def renamed(e: ScalarExpr, sigma: dict) -> ScalarExpr:
     """Rename every time and momentum label in the phases and deltas."""
     def delta(d):
-        if isinstance(d, MomentumDelta):
-            return MomentumDelta(sigma[d.a], sigma[d.b])
-        if isinstance(d, TimeDelta):
-            return TimeDelta(substituted(d.comb, sigma))
-        return PhaseDelta(substituted(d.arg, sigma))
+        if d[0] == MOMENTUM:
+            return momentum_delta(sigma[d[1]], sigma[d[2]])
+        tag, items = d
+        if tag == TIME:
+            return time_delta(substituted(items, sigma))
+        return phase_delta(substituted(items, sigma))
 
     return ScalarExpr(tuple(ScalarTerm(
         t.coeff, t.two_pi_power, t.lambda_power,
-        tuple(ContractionPhase(substituted(ph.time, sigma),
-                               substituted(ph.arg, sigma), ph.weighted)
-              for ph in t.phases),
+        tuple((substituted(time, sigma), substituted(arg, sigma), weighted)
+              for time, arg, weighted in t.phases),
         tuple(delta(d) for d in t.deltas)) for t in e.terms))
 
 

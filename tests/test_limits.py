@@ -15,20 +15,21 @@ from modwick.limits import (
     noncrossing_match,
 )
 from modwick.pairings import correlator_pairing_sum, pairing_term
+from modwick import scalars
 from modwick.scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseDelta, ScalarExpr, ScalarTerm, TimeDelta, canonicalize,
-    canonically_equal, comb, contraction_phases, time_difference,
+    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
+    canonicalize, canonically_equal, comb, contraction_phases, momentum_delta,
+    time_difference,
 )
 from modwick.words import word, word_from_pattern
 
 
 def phase_delta(arg_dict):
-    return PhaseDelta(comb(arg_dict))
+    return scalars.phase_delta(comb(arg_dict))
 
 
 def time_delta(t_from, t_to):
-    return TimeDelta(time_difference(t_from, t_to))
+    return scalars.time_delta(time_difference(t_from, t_to))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ def test_noncrossing_match_cases():
 def test_two_point_limit_term():
     e = correlator_wick_limit(word_from_pattern("a+"))
     expected = ScalarTerm(C_ONE, 1, 0, (), (
-        MomentumDelta("k1", "k2"),
+        momentum_delta("k1", "k2"),
         time_delta("t1", "t2"),
         phase_delta({Energy("k1"): 1, PDot("k1"): 1}),
     ))
@@ -65,8 +66,8 @@ def test_two_point_limit_term():
 def test_nested_four_point_limit_has_shifted_argument():
     e = correlator_wick_limit(word_from_pattern("aa++"))
     expected = ScalarTerm(C_ONE, 2, 0, (), (
-        MomentumDelta("k1", "k4"),
-        MomentumDelta("k2", "k3"),
+        momentum_delta("k1", "k4"),
+        momentum_delta("k2", "k3"),
         time_delta("t1", "t4"),
         time_delta("t2", "t3"),
         phase_delta({Energy("k1"): 1, PDot("k1"): 1}),
@@ -78,9 +79,9 @@ def test_nested_four_point_limit_has_shifted_argument():
 def test_six_point_block_limit_accumulates_shifts():
     e = correlator_wick_limit(word_from_pattern("aaa+++"))
     expected = ScalarTerm(C_ONE, 3, 0, (), (
-        MomentumDelta("k1", "k6"),
-        MomentumDelta("k2", "k5"),
-        MomentumDelta("k3", "k4"),
+        momentum_delta("k1", "k6"),
+        momentum_delta("k2", "k5"),
+        momentum_delta("k3", "k4"),
         time_delta("t1", "t6"),
         time_delta("t2", "t5"),
         time_delta("t3", "t4"),
@@ -127,16 +128,14 @@ def test_limit_map_keeps_cancelled_oscillations():
     term = ScalarTerm(
         C_ONE, 0, -2,
         (
-            ContractionPhase(time_difference("t1", "t2"),
-                             comb({Energy("k1"): 1, PDot("k1"): 1}),
-                             weighted=True),
-            ContractionPhase(time_difference("t1", "t2"),
-                             comb({Dot("k1", "k2"): 1})),
+            (time_difference("t1", "t2"),
+             comb({Energy("k1"): 1, PDot("k1"): 1}), True),
+            (time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False),
         ),
-        (MomentumDelta("k1", "k2"),))
+        (momentum_delta("k1", "k2"),))
     out = limit_of_pairing_sum(ScalarExpr((term,)))
     expected = ScalarTerm(C_ONE, 1, 0, (), (
-        MomentumDelta("k1", "k2"),
+        momentum_delta("k1", "k2"),
         time_delta("t1", "t2"),
         phase_delta({Energy("k1"): 1, PDot("k1"): 1}),
     ))
@@ -146,8 +145,7 @@ def test_limit_map_keeps_cancelled_oscillations():
 def test_limit_map_weight_mismatch_raises():
     bad = ScalarTerm(
         C_ONE, 0, 0,
-        (ContractionPhase(time_difference("t1", "t2"),
-                          comb({Energy("k1"): 1}), weighted=True),),
+        ((time_difference("t1", "t2"), comb({Energy("k1"): 1}), True),),
         ())
     with pytest.raises(ValueError):
         limit_of_pairing_sum(ScalarExpr((bad,)))
@@ -158,13 +156,12 @@ def test_limit_map_rejects_a_weighted_phase_the_identification_cancels():
     # factor with its 1/lambda^2, and lambda^-2 q(t, 0) has no limit
     term = ScalarTerm(
         C_ONE, 0, -2,
-        (ContractionPhase(time_difference("t1", "t2"),
-                          comb({Energy("k1"): 1, Energy("k4"): -1}),
-                          weighted=True),),
-        (MomentumDelta("k1", "k4"),))
+        ((time_difference("t1", "t2"),
+          comb({Energy("k1"): 1, Energy("k4"): -1}), True),),
+        (momentum_delta("k1", "k4"),))
     (canon,) = canonicalize(ScalarExpr((term,))).terms
     (ph,) = contraction_phases(canon)
-    assert ph.arg == () and ph.time == time_difference("t1", "t2")
+    assert ph == (time_difference("t1", "t2"), (), True)
     with pytest.raises(ValueError, match="zero argument"):
         limit_of_pairing_sum(ScalarExpr((term,)))
 

@@ -179,10 +179,10 @@ MUTANTS = [
     Mutant("verify.noncrossing_match", "noncrossing-uniqueness",
            "stack.pop()", "stack.pop(0)"),
     # canonical forms
-    Mutant("scalars.TimeDelta.__post_init__", "limit-is-real",
-           "if self.comb[0][1] < 0:", "if False:"),
-    Mutant("scalars.PhaseDelta.__post_init__", "limit-is-real",
-           "if self.arg[0][1] < 0:", "if False:"),
+    Mutant("limits.time_delta", "limit-is-real",
+           "if time[0][1] < 0 else", "if False else"),
+    Mutant("limits.phase_delta", "limit-is-real",
+           "if arg[0][1] < 0 else", "if False else"),
     Mutant("scalars._clean_phases", "swap-consistency",
            "acc.get(a, 0) + sign * c", "acc.get(a, 0) + c"),
     # the smeared-kernel closed forms

@@ -19,9 +19,9 @@ from modwick.pairings import (
 )
 from modwick.limits import noncrossing_match
 from modwick.scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, ScalarExpr, ScalarTerm, canonicalize, canonically_equal, comb,
-    term_signature, time_difference,
+    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
+    canonicalize, canonically_equal, comb, momentum_delta, term_signature,
+    time_difference,
 )
 from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
@@ -31,8 +31,7 @@ from modwick.words import (
 
 
 def weighted_phase(t_from, t_to, arg_dict):
-    return ContractionPhase(time_difference(t_from, t_to),
-                            comb(arg_dict), weighted=True)
+    return (time_difference(t_from, t_to), comb(arg_dict), True)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_nested_four_point_term():
             weighted_phase("t2", "t3", {Energy("k2"): 1, PDot("k2"): 1,
                                         Dot("k1", "k2"): 1}),
         ),
-        (MomentumDelta("k1", "k4"), MomentumDelta("k2", "k3")),
+        (momentum_delta("k1", "k4"), momentum_delta("k2", "k3")),
     )
     assert term == expected
 
@@ -166,10 +165,9 @@ def test_crossing_four_point_term():
         (
             weighted_phase("t1", "t3", {Energy("k1"): 1, PDot("k1"): 1}),
             weighted_phase("t2", "t4", {Energy("k2"): 1, PDot("k2"): 1}),
-            ContractionPhase(time_difference("t2", "t3"),
-                             comb({Dot("k1", "k2"): 1})),
+            (time_difference("t2", "t3"), comb({Dot("k1", "k2"): 1}), False),
         ),
-        (MomentumDelta("k1", "k3"), MomentumDelta("k2", "k4")),
+        (momentum_delta("k1", "k3"), momentum_delta("k2", "k4")),
     )
     assert term == expected
 
@@ -235,7 +233,7 @@ def test_crossing_term_same_signature_different_factoring():
     term signature is built to detect.
     """
     w = word_from_pattern("aa++")
-    delta = MomentumDelta("k1", "k3")
+    delta = momentum_delta("k1", "k3")
     rec = [t for t in canonicalize(correlator_recursive(w)).terms
            if delta in t.deltas]
     closed = [t for t in canonicalize(correlator_pairing_sum(w)).terms

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modwick.scalars import (
-    C_ONE, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO, MomentumDelta,
-    PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm, TimeDelta,
-    atom_text, canonicalize, canonically_equal, comb, conjugate,
-    delta_key, label_classes, merged_exponent, multiply, negated,
-    oscillation, substituted, term_signature, time_difference,
+    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, MOMENTUM, PHASE, PDot, TIME,
+    RationalComplex, ScalarExpr, ScalarTerm, atom_text, canonicalize,
+    canonically_equal, comb, conjugate, delta_key, label_classes,
+    merged_exponent, momentum_delta, multiply, negated, oscillation,
+    phase_delta, substituted, term_signature, time_delta, time_difference,
 )
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
@@ -73,39 +73,43 @@ def test_phase_arg_merging_and_shift():
     shift = comb({Dot("k3", "k1"): 1})
 
     def merged(*factors):
-        term = ScalarTerm(phases=tuple(ContractionPhase(t12, a) for a in factors))
+        term = ScalarTerm(phases=tuple((t12, a, False) for a in factors))
         return canonicalize(ScalarExpr((term,))).terms[0].phases
 
     assert merged(arg, negated(arg)) == ()
-    assert merged(arg, shift) == (ContractionPhase(t12, comb(
-        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1})),)
+    assert merged(arg, shift) == ((t12, comb(
+        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1}), False),)
     # subtracting the shift again undoes it
-    assert merged(arg, shift, negated(shift)) == (ContractionPhase(t12, arg),)
+    assert merged(arg, shift, negated(shift)) == ((t12, arg, False),)
     # renaming an atom's labels sums the entries that coincide
     assert substituted(comb({Dot("k1", "k3"): 1, Dot("k1", "k2"): 2}),
                        {"k3": "k2"}) == comb({Dot("k1", "k2"): 3})
     assert substituted(shift, {"k1": "k3"}) == comb({Dot("k3", "k3"): 1})
 
 
+def _factors(e: ScalarExpr):
+    for term in e.terms:
+        yield from term.phases
+        yield from term.deltas
+
+
 def _combinations(e: ScalarExpr):
     for term in e.terms:
-        for ph in term.phases:
-            yield ph.time
-            yield ph.arg
+        for time, arg, _ in term.phases:
+            yield time
+            yield arg
         for d in term.deltas:
-            if isinstance(d, TimeDelta):
-                yield d.comb
-            elif isinstance(d, PhaseDelta):
-                yield d.arg
+            if d[0] != MOMENTUM:
+                yield d[1]
 
 
 def _atoms(e: ScalarExpr):
     for term in e.terms:
-        for ph in term.phases:
-            yield from (a for a, _ in ph.arg)
+        for _, arg, _ in term.phases:
+            yield from (a for a, _ in arg)
         for d in term.deltas:
-            if isinstance(d, PhaseDelta):
-                yield from (a for a, _ in d.arg)
+            if d[0] == PHASE:
+                yield from (a for a, _ in d[1])
 
 
 def _route_outputs():
@@ -129,7 +133,7 @@ def _route_outputs():
 
 
 def test_every_route_holds_combinations_as_sorted_tuples():
-    seen = atoms = 0
+    seen = atoms = factors = 0
     for key, e, read in _route_outputs():
         for it in (*_combinations(e), *_combinations(read)):
             assert type(it) is tuple and it == comb(dict(it)), (key, it)
@@ -138,17 +142,33 @@ def test_every_route_holds_combinations_as_sorted_tuples():
         for atom in (*_atoms(e), *_atoms(read)):
             assert type(atom) is tuple and len(atom) == 3, (key, atom)
             atoms += 1
-    assert seen > 0 and atoms > 0
+        # so is a phase (time, arg, weighted) and a delta, tag first
+        for x in (*_factors(e), *_factors(read)):
+            assert type(x) is tuple, (key, x)
+            factors += 1
+    assert seen > 0 and atoms > 0 and factors > 0
 
 
-def test_block_word_atoms_are_untracked_after_a_collection():
-    # the collector untracks an exact tuple of strings and ints, so the
-    # atoms of big outputs cost later collections nothing
+def test_block_word_factors_and_atoms_are_untracked_after_a_collection():
+    # the collector untracks an exact tuple of strings, ints and bools, so
+    # the phases, deltas and atoms of big outputs, and the tuples of a
+    # term that hold them, cost later collections nothing
     w = word_from_pattern("aaaaaa++++++")
-    exprs = (correlator_recursive(w), correlator_pairing_sum(w))
-    gc.collect()
+    recursion = correlator_recursive(w)
+    exprs = (recursion, correlator_pairing_sum(w),
+             limit_of_pairing_sum(recursion))
+    held = [x for e in exprs for t in e.terms for x in (t.phases, t.deltas)]
+    factors = [x for e in exprs for x in _factors(e)]
     atoms = [a for e in exprs for a in _atoms(e)]
-    assert atoms and not any(gc.is_tracked(a) for a in atoms)
+    assert factors and atoms
+    gc.collect()
+    assert not any(gc.is_tracked(a) for a in atoms)
+    # a collection untracks a tuple once all it holds is untracked, and an
+    # atom, an (atom, coefficient) entry, a combination, a phase or delta
+    # and a term's tuple nest five deep: five collections untrack them all
+    for _ in range(4):
+        gc.collect()
+    assert not [x for x in (*held, *factors) if gc.is_tracked(x)]
 
 
 def test_every_route_carries_its_signatures():
@@ -167,25 +187,27 @@ def test_every_route_carries_its_signatures():
 def test_oscillation_power_negates():
     arg = comb({Dot("k1", "k2"): 1})
     ph = oscillation("t1", "t2", arg, power=-1)
-    assert ph.arg == negated(arg)
-    assert ph.time == time_difference("t1", "t2")
-    assert not ph.weighted
+    assert ph == (time_difference("t1", "t2"), negated(arg), False)
     with pytest.raises(ValueError):
         oscillation("t1", "t2", arg, power=2)
 
 
 def test_delta_sign_fixing():
-    assert MomentumDelta("k4", "k2") == MomentumDelta("k2", "k4")
-    td = TimeDelta(comb({"t1": -1, "t2": 1}))
-    assert td.comb[0][1] > 0
-    pd = PhaseDelta(comb({Energy("k1"): -1, PDot("k1"): -1}))
-    assert pd.arg[0][1] > 0
-    with pytest.raises(ValueError):
-        MomentumDelta("k1", "k1")
-    with pytest.raises(ValueError):
-        TimeDelta(())
-    assert delta_key(MomentumDelta("k1", "k2"))[0] == 0
-    assert delta_key(td)[0] == 1
+    assert momentum_delta("k4", "k2") == momentum_delta("k2", "k4") \
+        == (MOMENTUM, "k2", "k4")
+    td = time_delta(comb({"t1": -1, "t2": 1}))
+    assert td == (TIME, comb({"t1": 1, "t2": -1}))
+    pd = phase_delta(comb({Energy("k1"): -1, PDot("k1"): -1}))
+    assert pd == (PHASE, comb({Energy("k1"): 1, PDot("k1"): 1}))
+    with pytest.raises(ValueError, match="degenerate momentum delta"):
+        momentum_delta("k1", "k1")
+    with pytest.raises(ValueError, match="degenerate time delta"):
+        time_delta(())
+    with pytest.raises(ValueError, match="degenerate phase delta"):
+        phase_delta(())
+    # a momentum delta is its own key
+    assert delta_key(momentum_delta("k1", "k2")) == (MOMENTUM, "k1", "k2")
+    assert delta_key(td)[0] == TIME and delta_key(pd)[0] == PHASE
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +217,12 @@ def test_merged_exponent_accumulates_across_phases():
     x = comb({Energy("k1"): 1})
     y = comb({Dot("k1", "k2"): 1})
     split = ScalarTerm(phases=(
-        ContractionPhase(time_difference("t1", "t2"), x),
-        ContractionPhase(time_difference("t1", "t2"), y),
+        (time_difference("t1", "t2"), x, False),
+        (time_difference("t1", "t2"), y, False),
     ))
     joint = ScalarTerm(phases=(
-        ContractionPhase(time_difference("t1", "t2"),
-                         comb({Energy("k1"): 1, Dot("k1", "k2"): 1})),
+        (time_difference("t1", "t2"),
+         comb({Energy("k1"): 1, Dot("k1", "k2"): 1}), False),
     ))
     assert merged_exponent(split) == merged_exponent(joint)
     assert term_signature(split) == term_signature(joint)
@@ -227,7 +249,7 @@ def test_signature_sees_through_inverse_factor():
 def test_canonicalize_merges_like_terms_to_zero():
     term = ScalarTerm(C_ONE, 0, -2,
                       (oscillation("t1", "t2", comb({Energy("k1"): 1})),),
-                      (MomentumDelta("k1", "k2"),))
+                      (momentum_delta("k1", "k2"),))
     e = ScalarExpr((term, term.times(ScalarTerm(RationalComplex.of(-1)))))
     assert canonicalize(e) == EXPR_ZERO
     assert canonicalize(ScalarExpr((term, term))).terms[0].coeff \
@@ -235,15 +257,14 @@ def test_canonicalize_merges_like_terms_to_zero():
 
 
 def test_canonicalize_star_normalizes_delta_chains():
-    chain = (MomentumDelta("k2", "k3"), MomentumDelta("k1", "k2"))
+    chain = (momentum_delta("k2", "k3"), momentum_delta("k1", "k2"))
     term = ScalarTerm(
-        phases=(ContractionPhase(time_difference("t1", "t2"),
-                                 comb({Energy("k3"): 1})),),
+        phases=((time_difference("t1", "t2"), comb({Energy("k3"): 1}), False),),
         deltas=chain)
     out = canonicalize(ScalarExpr((term,))).terms[0]
-    assert out.deltas == (MomentumDelta("k1", "k2"), MomentumDelta("k1", "k3"))
+    assert out.deltas == (momentum_delta("k1", "k2"), momentum_delta("k1", "k3"))
     # phases rewritten onto the class representative
-    assert out.phases[0].arg == comb({Energy("k1"): 1})
+    assert out.phases[0][1] == comb({Energy("k1"): 1})
 
 
 def test_canonicalize_merges_unweighted_oscillations():
@@ -255,7 +276,7 @@ def test_canonicalize_merges_unweighted_oscillations():
     ))
     out = canonicalize(ScalarExpr((term,))).terms[0]
     assert out.phases == (
-        ContractionPhase(time_difference("t1", "t3"), x),)
+        (time_difference("t1", "t3"), x, False),)
 
 
 def _two_factorizations():
@@ -281,13 +302,13 @@ def test_merged_term_keeps_the_phases_that_sort_first():
 
 
 def test_repeated_momentum_deltas_stay_repeated():
-    d12 = MomentumDelta("k1", "k2")
+    d12 = momentum_delta("k1", "k2")
     (squared,) = canonicalize(ScalarExpr((ScalarTerm(deltas=(d12, d12)),))).terms
     assert squared.deltas == (d12, d12)
     # a closed loop of three deltas is the star of its class and one more
-    loop = (MomentumDelta("k2", "k3"), MomentumDelta("k1", "k3"), d12)
+    loop = (momentum_delta("k2", "k3"), momentum_delta("k1", "k3"), d12)
     (star,) = canonicalize(ScalarExpr((ScalarTerm(deltas=loop),))).terms
-    assert star.deltas == (d12, d12, MomentumDelta("k1", "k3"))
+    assert star.deltas == (d12, d12, momentum_delta("k1", "k3"))
 
 
 def test_a_zero_term_leaves_the_canonical_form_alone():
@@ -316,7 +337,7 @@ def test_label_classes_map_to_the_smallest_label():
 def test_only_canonicalize_marks_an_expression():
     term = ScalarTerm(C_ONE, 0, -2,
                       (oscillation("t1", "t2", comb({Energy("k2"): 1})),),
-                      (MomentumDelta("k2", "k1"),))
+                      (momentum_delta("k2", "k1"),))
     raw = ScalarExpr((term, term))
     assert not raw.canonical
     with pytest.raises(TypeError):
@@ -378,12 +399,11 @@ def _identity(term: ScalarTerm) -> tuple:
 T12 = time_difference("t1", "t2")
 FACTORINGS = (
     ScalarTerm(C_ONE, 0, -4, (
-        ContractionPhase(T12, comb({Energy("k1"): 1}), True),
-        ContractionPhase(T12, comb({Dot("k1", "k2"): 1}), True))),
+        (T12, comb({Energy("k1"): 1}), True),
+        (T12, comb({Dot("k1", "k2"): 1}), True))),
     ScalarTerm(C_ONE, 0, -4, (
-        ContractionPhase(T12, comb({Energy("k1"): 1, Dot("k1", "k2"): 1}),
-                         True),
-        ContractionPhase(time_difference("t3", "t4"), (), True))),
+        (T12, comb({Energy("k1"): 1, Dot("k1", "k2"): 1}), True),
+        (time_difference("t3", "t4"), (), True))),
 )
 
 
@@ -401,16 +421,16 @@ def test_identity_equates_factorizations_the_signature_equates():
 # k_{x,y}.k_z and k_x.k_{y,z}: two distinct atoms that both print "D(x,y,z)"
 COLLIDING_ARGS = tuple(comb({Dot(a, b): 1})
                        for a, b in (("x,y", "z"), ("x", "y,z")))
-COLLIDING = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
+COLLIDING = tuple(ScalarTerm(phases=((T12, x, False),))
                   for x in COLLIDING_ARGS)
 # both atoms in one term as weighted phases over one time and as phase
 # deltas, next to two time deltas that both print "x:1;y:1": only the
 # structural tail of the order keys sorts them
 COLLIDING_FACTORS = ScalarTerm(
-    C_ONE, 0, -4, tuple(ContractionPhase(T12, x, True) for x in COLLIDING_ARGS),
-    tuple(PhaseDelta(x) for x in COLLIDING_ARGS)
-    + (TimeDelta(comb({"x": 1, "y": 1})),
-       TimeDelta(comb({"x:1;y": 1}))))
+    C_ONE, 0, -4, tuple((T12, x, True) for x in COLLIDING_ARGS),
+    tuple(phase_delta(x) for x in COLLIDING_ARGS)
+    + (time_delta(comb({"x": 1, "y": 1})),
+       time_delta(comb({"x:1;y": 1}))))
 
 
 def test_colliding_label_strings_stay_two_terms():
@@ -434,18 +454,18 @@ def test_canonical_order_is_text_first(flip):
 
     # (a) weighted phases of one term over one time
     term = ScalarTerm(C_ONE, 0, -4, tuple(
-        ContractionPhase(T12, x, True) for x in ordered((E1, D12))))
+        (T12, x, True) for x in ordered((E1, D12))))
     (out,) = canonicalize(ScalarExpr((term,))).terms
-    assert [ph.arg for ph in out.phases] == [D12, E1]
+    assert [arg for _, arg, _ in out.phases] == [D12, E1]
     # (b) terms that differ in one unweighted phase
-    terms = tuple(ScalarTerm(phases=(ContractionPhase(T12, x),))
+    terms = tuple(ScalarTerm(phases=((T12, x, False),))
                   for x in ordered((E1, D12)))
     out = canonicalize(ScalarExpr(terms)).terms
-    assert [t.phases[0].arg for t in out] == [D12, E1]
+    assert [t.phases[0][1] for t in out] == [D12, E1]
     # (c) phase deltas of one term
-    term = ScalarTerm(deltas=tuple(PhaseDelta(x) for x in ordered((EK, EK_OPEN))))
+    term = ScalarTerm(deltas=tuple(phase_delta(x) for x in ordered((EK, EK_OPEN))))
     (out,) = canonicalize(ScalarExpr((term,))).terms
-    assert [d.arg for d in out.deltas] == [EK_OPEN, EK]
+    assert out.deltas == (phase_delta(EK_OPEN), phase_delta(EK))
 
 
 def test_canonically_equal_tells_colliding_label_strings_apart():
@@ -472,13 +492,13 @@ time_combs = (
       .filter(lambda ab: ab[0] != ab[1])
       .map(lambda ab: time_difference(*ab))
 )
-phases = st.builds(ContractionPhase, time_combs, args, st.booleans())
+phases = st.tuples(time_combs, args, st.booleans())
 deltas = st.one_of(
     st.tuples(st.sampled_from(K_LABELS), st.sampled_from(K_LABELS))
       .filter(lambda ab: ab[0] != ab[1])
-      .map(lambda ab: MomentumDelta(*ab)),
-    time_combs.map(TimeDelta),
-    args.map(PhaseDelta),
+      .map(lambda ab: momentum_delta(*ab)),
+    time_combs.map(time_delta),
+    args.map(phase_delta),
 )
 coeffs = st.builds(
     RationalComplex.of,
@@ -493,8 +513,8 @@ terms = st.builds(
 exprs = st.lists(terms, max_size=3).map(tuple).map(ScalarExpr)
 # identifying k1 with k4 cancels the phase delta's argument entirely
 COLLAPSING = ScalarExpr((ScalarTerm(deltas=(
-    MomentumDelta("k1", "k4"),
-    PhaseDelta(comb({Energy("k1"): 2, Energy("k4"): -2})))),))
+    momentum_delta("k1", "k4"),
+    phase_delta(comb({Energy("k1"): 2, Energy("k4"): -2})))),))
 
 
 def _scrambled(e: ScalarExpr) -> ScalarExpr:

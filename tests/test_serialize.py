@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
-    ContractionPhase, Dot, EXPR_ZERO, Energy, MomentumDelta, PDot, PhaseDelta,
-    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, TimeDelta, comb,
-    oscillation, time_difference,
+    Dot, EXPR_ZERO, Energy, PDot, RationalComplex, ScalarExpr, ScalarTerm,
+    TERM_ONE, comb, momentum_delta, oscillation, phase_delta, time_delta,
+    time_difference,
 )
 from modwick.serialize import (
     from_json_dict, from_json_str, indented_json, term_to_json_dict,
@@ -31,7 +31,7 @@ SAMPLE_EXPRS = [
     ScalarExpr((ScalarTerm(
         RationalComplex.of(Fraction(-3, 7), Fraction(1, 2)), 2, -4,
         (oscillation("t2", "t1", comb({Dot("k1", "k2"): 2}), power=-1),),
-        (TimeDelta(time_difference("t1", "t3")),)),)),
+        (time_delta(time_difference("t1", "t3")),)),)),
 ]
 
 
@@ -62,12 +62,12 @@ atoms = st.one_of(st.builds(Energy, labels), st.builds(Dot, labels, labels),
                   st.builds(PDot, labels))
 args = st.dictionaries(atoms, nonzero, max_size=3).map(comb)
 times = st.dictionaries(labels, nonzero, max_size=3).map(comb)
-phases = st.builds(ContractionPhase, times, args, st.booleans())
+phases = st.tuples(times, args, st.booleans())
 deltas = st.one_of(
     st.tuples(labels, labels).filter(lambda ab: ab[0] != ab[1])
-    .map(lambda ab: MomentumDelta(*ab)),
-    times.filter(bool).map(TimeDelta),
-    args.filter(bool).map(PhaseDelta))
+    .map(lambda ab: momentum_delta(*ab)),
+    times.filter(bool).map(time_delta),
+    args.filter(bool).map(phase_delta))
 fractions = st.builds(Fraction, big, nonzero)
 
 

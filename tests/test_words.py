@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, PDOT, ContractionPhase, Dot, Energy, EXPR_ONE, EXPR_ZERO,
-    MomentumDelta, PDot, PhaseDelta, RationalComplex, ScalarExpr, ScalarTerm,
-    TERM_ONE, _canonical_term, canonically_equal, comb, oscillation,
-    term_signature, time_difference,
+    C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot,
+    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, _canonical_term,
+    canonically_equal, comb, momentum_delta, oscillation, phase_delta,
+    phase_key, term_signature, time_difference,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
@@ -25,8 +25,7 @@ def pattern_of(w: Word) -> str:
 
 
 def weighted_phase(t_from, t_to, arg_dict):
-    return ContractionPhase(time_difference(t_from, t_to),
-                            comb(arg_dict), weighted=True)
+    return (time_difference(t_from, t_to), comb(arg_dict), True)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +161,16 @@ def test_expand_leading_annihilator_two_creators():
     assert first.phases == (
         weighted_phase("t1", "t2",
                        {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1}),)
-    assert first.deltas == (MomentumDelta("k1", "k2"),)
+    assert first.deltas == (momentum_delta("k1", "k2"),)
 
     # contraction with the far creator picks up a swap phase instead
     assert second_rest == (create("t2", "k2"),)
     assert len(second.phases) == 2
     assert second.phases[0] == weighted_phase(
         "t1", "t3", {Energy("k1"): 1, PDot("k1"): 1})
-    assert second.phases[1] == ContractionPhase(
-        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
-    assert second.deltas == (MomentumDelta("k1", "k3"),)
+    assert second.phases[1] == (
+        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)
+    assert second.deltas == (momentum_delta("k1", "k3"),)
 
     with pytest.raises(WordError):
         expand_leading_annihilator(word_from_pattern("+a").gens)
@@ -187,7 +186,7 @@ def test_rewrite_a_adag_polarization():
     ((kept, kept_rest),) = expand_leading_annihilator(
         (annihilate("t1", "k1", 2), create("t2", "k2", 2)))
     assert kept.coeff == C_ONE
-    assert kept.deltas == (MomentumDelta("k1", "k2"),)
+    assert kept.deltas == (momentum_delta("k1", "k2"),)
     assert kept_rest == ()
 
     # the mismatched creator forms no term but still passes by: it stays
@@ -195,10 +194,10 @@ def test_rewrite_a_adag_polarization():
     ((matched, rest),) = expand_leading_annihilator(
         word_from_pattern("a++", pols=[2, 1, 2]).gens)
     assert matched.coeff == C_ONE
-    assert matched.deltas == (MomentumDelta("k1", "k3"),)
+    assert matched.deltas == (momentum_delta("k1", "k3"),)
     assert rest == (create("t2", "k2", 1),)
-    assert matched.phases[1] == ContractionPhase(
-        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}))
+    assert matched.phases[1] == (
+        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def test_recursion_two_point():
     assert term.two_pi_power == 0
     assert term.phases == (
         weighted_phase("t1", "t2", {Energy("k1"): 1, PDot("k1"): 1}),)
-    assert term.deltas == (MomentumDelta("k1", "k2"),)
+    assert term.deltas == (momentum_delta("k1", "k2"),)
 
 
 def test_recursion_term_counts_match_pairings():
@@ -252,8 +251,8 @@ def test_recursion_respects_generator_identity():
     w1 = word(annihilate("s1", "q1"), create("s2", "q2"))
     e = correlator_recursive(w1)
     (term,) = e.terms
-    assert term.deltas == (MomentumDelta("q1", "q2"),)
-    assert term.phases[0].time == time_difference("s1", "s2")
+    assert term.deltas == (momentum_delta("q1", "q2"),)
+    assert term.phases[0][0] == time_difference("s1", "s2")
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +272,12 @@ def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
     """Move a p-dependent scalar rightward past one generator."""
     sign = 1 if g.dagger else -1
     phases = tuple(
-        ContractionPhase(ph.time, _reference_shifted(ph.arg, g.k, sign),
-                         ph.weighted)
-        for ph in s.phases
+        (time, _reference_shifted(arg, g.k, sign), weighted)
+        for time, arg, weighted in s.phases
     )
     deltas = tuple(
-        PhaseDelta(_reference_shifted(d.arg, g.k, sign))
-        if isinstance(d, PhaseDelta) else d
+        phase_delta(_reference_shifted(d[1], g.k, sign))
+        if d[0] == PHASE else d
         for d in s.deltas
     )
     return ScalarTerm(s.coeff, s.two_pi_power, s.lambda_power, phases, deltas)
@@ -290,8 +288,8 @@ def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
     if x.pol != y.pol:
         return ScalarTerm(RationalComplex.of(0))
     arg = comb({Energy(x.k): 1, PDot(x.k): 1})
-    phase = ContractionPhase(time_difference(x.t, y.t), arg, weighted=True)
-    return ScalarTerm(C_ONE, 0, -2, (phase,), (MomentumDelta(x.k, y.k),))
+    phase = (time_difference(x.t, y.t), arg, True)
+    return ScalarTerm(C_ONE, 0, -2, (phase,), (momentum_delta(x.k, y.k),))
 
 
 def _reference_expand(gens: tuple) -> list:
@@ -318,7 +316,7 @@ def _term_sort_key(term: ScalarTerm) -> tuple:
     """The full sort key canonicalize used before it merged on the identity."""
     return (
         term_signature(term),
-        tuple(ph.key() for ph in term.phases),
+        tuple(phase_key(ph) for ph in term.phases),
         (str(term.coeff.re), str(term.coeff.im)),
     )
 
