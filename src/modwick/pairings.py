@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import (
-    C_ONE, Dot, Energy, PDot, ScalarExpr, ScalarTerm, canonicalize, comb,
-    momentum_delta, time_difference,
+    C_ONE, Dot, Energy, PDot, ScalarExpr, ScalarTerm, canonicalize,
+    canonicalize_each, comb, momentum_delta, time_difference,
 )
 from .words import Word, WordError
 
@@ -121,8 +121,6 @@ class AnnotatedTerm:
 
 def annotated_pairing_terms(w: Word) -> list:
     """Per-pairing terms with crossing counts, canonicalized one by one."""
-    out = []
-    for p in enumerate_pairings(w):
-        (term,) = canonicalize(ScalarExpr((pairing_term(w, p),))).terms
-        out.append(AnnotatedTerm(p, crossing_count(p), term))
-    return out
+    pairs = enumerate_pairings(w)
+    terms = canonicalize_each(pairing_term(w, p) for p in pairs)
+    return [AnnotatedTerm(p, crossing_count(p), t) for p, t in zip(pairs, terms)]

@@ -259,6 +259,21 @@ def merged_exponent(term: ScalarTerm) -> dict:
     return {k: v for k, v in acc.items() if v != 0}
 
 
+def _exponent_entries(ph: tuple) -> tuple:
+    """One phase's share of the merged exponent, each key led by its atom's text."""
+    time, arg, _ = ph
+    return tuple(((t, atom_text(a), a), ct * ca) for t, ct in time for a, ca in arg)
+
+
+def _signature(term: ScalarTerm, delta_keys, entry_lists) -> tuple:
+    acc: dict = {}
+    for entries in entry_lists:
+        for k, v in entries:
+            acc[k] = acc.get(k, 0) + v
+    entries = sorted(kv for kv in acc.items() if kv[1])
+    return (term.lambda_power, term.two_pi_power, tuple(delta_keys), tuple(entries))
+
+
 def term_signature(term: ScalarTerm) -> tuple:
     """Key of a term up to its coefficient, text first ("t10" before "t2").
 
@@ -267,10 +282,8 @@ def term_signature(term: ScalarTerm) -> tuple:
     string keeps terms whose label strings collide apart.
     `canonicalize` merges and sorts on it; `canonically_equal` compares it.
     """
-    return (term.lambda_power, term.two_pi_power,
-            tuple(sorted(delta_key(d) for d in term.deltas)),
-            tuple(sorted(((t, atom_text(a), a), c)
-                         for (t, a), c in merged_exponent(term).items())))
+    return _signature(term, sorted(map(delta_key, term.deltas)),
+                      map(_exponent_entries, term.phases))
 
 
 @dataclass(frozen=True)
@@ -336,39 +349,60 @@ def _canonical_deltas_and_subst(deltas):
     return new_momentum, others, subst
 
 
-def _clean_phases(phases, subst) -> tuple:
+class _PhaseMemo(dict):
+    """Per call, each canonical phase's facts: `phase_key`, phase, exponent entries."""
+
+    def __init__(self):
+        self.renamed = {}  # phase -> (its labels, {their representatives: facts})
+
+    def __missing__(self, ph: tuple) -> tuple:
+        facts = self[ph] = (phase_key(ph), ph, _exponent_entries(ph))
+        return facts
+
+    def rename(self, ph: tuple, subst: dict) -> tuple:
+        """The facts of `ph` renamed by `subst`, sign-fixed if unweighted."""
+        known = self.renamed.get(ph)
+        if known is None:
+            known = self.renamed[ph] = ([x for a, _ in ph[1] for x in a[1:]], {})
+        labels, by_reps = known
+        reps = tuple(map(subst.get, labels, labels))
+        facts = by_reps.get(reps)
+        if facts is None:
+            time, arg, weighted = ph
+            if not weighted and time[0][1] < 0:
+                time, arg = negated(time), negated(arg)
+            facts = by_reps[reps] = self[time, substituted(arg, subst), weighted]
+        return facts
+
+
+def _clean_phases(phases, subst, memo: _PhaseMemo) -> list:
     """Apply momentum substitutions, drop trivial factors, merge oscillations.
 
     Unweighted phases over the same (sign-fixed) time combination multiply
-    into a single factor, summed atom by atom in one map; weighted phases
-    keep their produced shape, even when their argument cancels, since the
-    limit map reads them structurally and each carries a 1/lambda^2.
+    into a single factor, summed atom by atom; weighted phases keep their
+    produced shape, even when their argument cancels, since the limit map
+    reads them structurally and each carries a 1/lambda^2.  Returns sorted facts.
     """
-    weighted = []
-    merged: dict = {}  # sign-fixed time -> {renamed atom: coefficient}
-    for time, arg, is_weighted in phases:
-        if is_weighted:
-            weighted.append((time, substituted(arg, subst) if subst else arg, True))
-        elif time:
-            sign = 1
-            if time[0][1] < 0:
-                time, sign = negated(time), -1
-            acc = merged.setdefault(time, {})
-            for a, c in arg:
-                a = renamed_atom(a, subst) if subst else a
-                acc[a] = acc.get(a, 0) + sign * c
-
-    out = weighted
-    for time, acc in merged.items():
-        arg = comb(acc)
-        if arg:
-            out.append((time, arg, False))
-    out.sort(key=phase_key)
-    return tuple(out)
+    out = []
+    merged: dict = {}  # sign-fixed time -> the facts of the phases over it
+    for ph in phases:
+        if ph[2]:
+            out.append(memo.rename(ph, subst))
+        elif ph[0]:
+            facts = memo.rename(ph, subst)
+            merged.setdefault(facts[1][0], []).append(facts)
+    for time, group in merged.items():
+        if len(group) > 1:  # one factor, the arguments summed
+            arg = substituted([x for _, ph, _ in group for x in ph[1]], {})
+            group = [memo[time, arg, False]]
+        if group[0][1][1]:
+            out.append(group[0])
+    out.sort()
+    return out
 
 
-def _canonical_term(term: ScalarTerm):
-    """Return the canonical form of one term, or None if the term is zero."""
+def _canonical_term(term: ScalarTerm, memo: _PhaseMemo):
+    """The canonical form of one term and its signature, or None if it is zero."""
     if term.coeff.is_zero():
         return None
 
@@ -381,10 +415,11 @@ def _canonical_term(term: ScalarTerm):
             # normalized already: those factors are kept as written
             if arg and arg != d[1]:
                 others[i] = phase_delta(arg)
-    all_deltas = tuple(sorted(momentum + others, key=delta_key))
-    phases = _clean_phases(term.phases, subst)
-    return ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
-                      phases, all_deltas)
+    deltas = sorted((delta_key(d), d) for d in momentum + others)
+    phases = _clean_phases(term.phases, subst, memo)
+    ct = ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
+                    tuple(ph for _, ph, _ in phases), tuple(d for _, d in deltas))
+    return ct, _signature(ct, (k for k, _ in deltas), (e for _, _, e in phases))
 
 
 def canonicalize(expr: ScalarExpr) -> ScalarExpr:
@@ -397,16 +432,17 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     survivors sort by it.  A zero term is dropped before it can merge, so
     it never lends its phases to a like term.  The result carries the
     survivors' signatures, which mark it canonical, and a marked input is
-    returned as it is.
+    returned as it is.  Each distinct phase is worked out once per call.
     """
     if expr.canonical:
         return expr
+    memo = _PhaseMemo()
     merged: dict = {}
     for term in expr.terms:
-        ct = _canonical_term(term)
-        if ct is None:
+        done = _canonical_term(term, memo)
+        if done is None:
             continue
-        sig = term_signature(ct)
+        ct, sig = done
         prev = merged.get(sig)
         if prev is not None:
             first = min(prev, ct, key=lambda t: [phase_key(ph) for ph in t.phases])
@@ -418,6 +454,12 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     out = ScalarExpr(tuple(t for _, t in survivors))
     object.__setattr__(out, "signatures", tuple(s for s, _ in survivors))
     return out
+
+
+def canonicalize_each(terms) -> list:
+    """Each term canonicalized on its own, sharing one memo; None for a zero term."""
+    memo = _PhaseMemo()
+    return [done and done[0] for done in (_canonical_term(t, memo) for t in terms)]
 
 
 EXPR_ZERO = canonicalize(ScalarExpr(()))

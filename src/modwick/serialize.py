@@ -5,11 +5,15 @@ representation; `from_json_dict(to_json_dict(e))` reproduces `e` exactly.
 `indented_json` writes the text of `json.dumps(x, indent=2)` from the terms.
 LaTeX output renders phases as q_{\\lambda}(.., ..) and delta factors as
 \\delta(..) for side-by-side reading against handwritten normal forms.
+`indented_json` and `to_latex` render each distinct phase and delta once
+per call, and `from_json_dict` reads each distinct phase once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import marshal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -126,14 +130,20 @@ def term_to_json_dict(term: ScalarTerm) -> dict:
                         [_delta_to_json(d) for d in term.deltas])
 
 
-def term_from_json_dict(d: dict) -> ScalarTerm:
+def _term_from_json(d: dict, memo: dict) -> ScalarTerm:
     re, im = d["coeff"]
     phases = []
     for ph in d["phases"]:
-        if not isinstance(ph["weighted"], bool):
-            raise ValueError("phase 'weighted' must be true or false")
-        phases.append((_time_from_json(ph["time"]), _arg_from_json(ph["arg"]),
-                       ph["weighted"]))
+        try:  # marshal bytes record each value's exact type: 1, 1.0 and true differ
+            key = marshal.dumps(ph)
+        except ValueError:  # a type JSON never makes: read it every time
+            key = object()
+        if key not in memo:
+            if not isinstance(ph["weighted"], bool):
+                raise ValueError("phase 'weighted' must be true or false")
+            memo[key] = (_time_from_json(ph["time"]), _arg_from_json(ph["arg"]),
+                         ph["weighted"])
+        phases.append(memo[key])
     deltas = tuple(_delta_from_json(x) for x in d["deltas"])
     return ScalarTerm(RationalComplex(_json_fraction(re), _json_fraction(im)),
                       _json_int(d["two_pi_power"], "two_pi_power"),
@@ -141,12 +151,17 @@ def term_from_json_dict(d: dict) -> ScalarTerm:
                       tuple(phases), deltas)
 
 
+def term_from_json_dict(d: dict) -> ScalarTerm:
+    return _term_from_json(d, {})
+
+
 def to_json_dict(expr: ScalarExpr) -> dict:
     return {"terms": [term_to_json_dict(t) for t in expr.terms]}
 
 
 def from_json_dict(d: dict) -> ScalarExpr:
-    return ScalarExpr(tuple(term_from_json_dict(t) for t in d["terms"]))
+    memo: dict = {}
+    return ScalarExpr(tuple(_term_from_json(t, memo) for t in d["terms"]))
 
 
 _DUMPS = (_phase_to_json, _delta_to_json)
@@ -274,7 +289,7 @@ def _coeff_tex(c: RationalComplex) -> str:
     return rf"\left({frac(c.re)} + {frac(c.im)}i\right)"
 
 
-def term_to_latex(term: ScalarTerm) -> str:
+def _term_tex(term: ScalarTerm, phase_tex, delta_tex) -> str:
     factors = []
     coeff = _coeff_tex(term.coeff)
     if coeff != "1" or (not term.phases and not term.deltas
@@ -287,12 +302,17 @@ def term_to_latex(term: ScalarTerm) -> str:
     residual = term.lambda_power + 2 * len(term.weighted_phases())
     if residual:
         factors.append(rf"\lambda^{{{residual}}}")
-    factors.extend(_phase_tex(ph) for ph in term.phases)
-    factors.extend(_delta_tex(d) for d in term.deltas)
+    factors.extend(map(phase_tex, term.phases))
+    factors.extend(map(delta_tex, term.deltas))
     return r" \, ".join(factors)
+
+
+def term_to_latex(term: ScalarTerm) -> str:
+    return _term_tex(term, _phase_tex, _delta_tex)
 
 
 def to_latex(expr: ScalarExpr) -> str:
     if not expr.terms:
         return "0"
-    return "\n+ ".join(term_to_latex(t) for t in expr.terms)
+    phase_tex, delta_tex = functools.cache(_phase_tex), functools.cache(_delta_tex)
+    return "\n+ ".join(_term_tex(t, phase_tex, delta_tex) for t in expr.terms)

@@ -370,6 +370,23 @@ def test_render_rejects_polarization_delta(cli_run, write_json):
     assert "unknown delta kind" in err and err.count("\n") == 1
 
 
+def test_render_rejects_a_bad_repeat_of_a_good_phase(cli_run, write_json):
+    # the reader reads each distinct phase once: a repeat that differs only
+    # in the type of one value is still a new phase, and is still checked
+    def phase(weighted=True, time_c=1, arg_c=1):
+        return {"time": [["t1", time_c], ["t2", -1]],
+                "arg": [[{"kind": "energy", "k": "k1"}, arg_c]],
+                "weighted": weighted}
+
+    for bad in (phase(weighted=1), phase(time_c=1.0), phase(arg_c=True)):
+        path = write_json("repeat.json", {"terms": [{
+            "coeff": [[1, 1], [0, 1]], "two_pi_power": 0, "lambda_power": -2,
+            "phases": [ph], "deltas": []} for ph in (phase(), bad)]})
+        code, out, err = cli_run(["render", path])
+        assert code == 2 and out == "", bad
+        assert "bad expression data" in err and err.count("\n") == 1, bad
+
+
 def _expr_file(write_json, name, time=(("t1", 1), ("t2", -1)), arg=None,
                weighted=False, two_pi_power=0, lambda_power=0):
     energy = {"kind": "energy", "k": "k1"}

@@ -183,8 +183,12 @@ MUTANTS = [
            "if time[0][1] < 0 else", "if False else"),
     Mutant("limits.phase_delta", "limit-is-real",
            "if arg[0][1] < 0 else", "if False else"),
-    Mutant("scalars._clean_phases", "swap-consistency",
-           "acc.get(a, 0) + sign * c", "acc.get(a, 0) + c"),
+    Mutant("scalars._PhaseMemo.rename", "swap-consistency",
+           "negated(time), negated(arg)", "negated(time), arg"),
+    # canonicalize's per-call memo: a phase renamed without its labels'
+    # representatives in the key reuses another term's renaming
+    Mutant("scalars._PhaseMemo.rename", "closed-form-vs-recursion",
+           "tuple(map(subst.get, labels, labels))", "tuple(labels)"),
     # the smeared-kernel closed forms
     Mutant("kernels._gauss_product", "two-point-term-vs-grid",
            "amp = math.exp(-0.5 * (sq - center ** 2 * inv_var))", "amp = 1.0"),

@@ -322,6 +322,26 @@ def test_a_zero_term_leaves_the_canonical_form_alone():
     assert canonicalize(ScalarExpr((zero,))) == EXPR_ZERO
 
 
+def test_a_shared_phase_renames_by_each_terms_deltas():
+    # canonicalize renames a phase once per call and per representatives of
+    # the labels it names: the two identifications below rename the shared
+    # phases apart, and the third term's deltas name none of their labels
+    shared = (((("t1", 1), ("t2", -1)), ((Dot("k2", "k3"), 1),), True),
+              (time_difference("t3", "t2"), ((Energy("k3"), 1),), False))
+    terms = tuple(ScalarTerm(C_ONE, 0, -2, shared, (momentum_delta(*pair),))
+                  for pair in (("k1", "k2"), ("k1", "k3"), ("k5", "k6")))
+    together = canonicalize(ScalarExpr(terms)).terms
+    alone = sorted((ct for t in terms for ct in canonicalize(ScalarExpr((t,))).terms),
+                   key=term_signature)
+    assert together == tuple(alone)
+    args = {ct.deltas: [arg for _, arg, _ in ct.phases] for ct in together}
+    assert args == {
+        (momentum_delta("k1", "k2"),): [((Dot("k1", "k3"), 1),), ((Energy("k3"), -1),)],
+        (momentum_delta("k1", "k3"),): [((Dot("k1", "k2"), 1),), ((Energy("k1"), -1),)],
+        (momentum_delta("k5", "k6"),): [((Dot("k2", "k3"), 1),), ((Energy("k3"), -1),)],
+    }
+
+
 def test_label_classes_map_to_the_smallest_label():
     reps = label_classes([("k3", "k2"), ("k5", "k4"), ("k4", "k3"), ("k7",)])
     assert reps == {"k2": "k2", "k3": "k2", "k4": "k2", "k5": "k2", "k7": "k7"}

@@ -6,7 +6,7 @@ import pytest
 
 from modwick.scalars import (
     C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot,
-    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, _canonical_term,
+    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, canonicalize,
     canonically_equal, comb, momentum_delta, oscillation, phase_delta,
     phase_key, term_signature, time_difference,
 )
@@ -322,8 +322,9 @@ def _term_sort_key(term: ScalarTerm) -> tuple:
 
 
 def _reference_canonicalize(terms) -> ScalarExpr:
-    """Sort by the full key, merge neighbours whose signatures agree."""
-    cleaned = sorted((ct for ct in map(_canonical_term, terms) if ct is not None),
+    """Canonicalize each term alone, sort by the full key, merge neighbours
+    whose signatures agree."""
+    cleaned = sorted((ct for t in terms for ct in canonicalize(ScalarExpr((t,))).terms),
                      key=_term_sort_key)
     combined = []
     for term in cleaned:
