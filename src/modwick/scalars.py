@@ -289,8 +289,8 @@ def term_signature(term: ScalarTerm) -> tuple:
 @dataclass(frozen=True)
 class ScalarExpr:
     terms: tuple = ()
-    # the terms' signatures: set by canonicalize alone, so no constructor
-    # can claim it
+    # the terms' signatures: set by canonicalize and on EXPR_ZERO alone, so
+    # no constructor can claim it
     signatures: tuple | None = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -361,17 +361,17 @@ class _PhaseMemo(dict):
 
     def rename(self, ph: tuple, subst: dict) -> tuple:
         """The facts of `ph` renamed by `subst`, sign-fixed if unweighted."""
-        known = self.renamed.get(ph)
-        if known is None:
-            known = self.renamed[ph] = ([x for a, _ in ph[1] for x in a[1:]], {})
-        labels, by_reps = known
+        labels, by_reps = self.renamed.get(ph) or self.renamed.setdefault(
+            ph, (tuple([x for a, _ in ph[1] for x in a[1:]]), {}))
         reps = tuple(map(subst.get, labels, labels))
         facts = by_reps.get(reps)
         if facts is None:
             time, arg, weighted = ph
             if not weighted and time[0][1] < 0:
                 time, arg = negated(time), negated(arg)
-            facts = by_reps[reps] = self[time, substituted(arg, subst), weighted]
+            if reps != labels:  # a valid combination no label moves stays as it is
+                arg = substituted(arg, subst)
+            facts = by_reps[reps] = self[time, arg, weighted]
         return facts
 
 
@@ -422,6 +422,10 @@ def _canonical_term(term: ScalarTerm, memo: _PhaseMemo):
     return ct, _signature(ct, (k for k, _ in deltas), (e for _, _, e in phases))
 
 
+EXPR_ZERO = ScalarExpr(())
+object.__setattr__(EXPR_ZERO, "signatures", ())  # the one marked zero
+
+
 def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     """Canonical form: substitutions applied, like terms combined, sorted.
 
@@ -432,10 +436,13 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     survivors sort by it.  A zero term is dropped before it can merge, so
     it never lends its phases to a like term.  The result carries the
     survivors' signatures, which mark it canonical, and a marked input is
-    returned as it is.  Each distinct phase is worked out once per call.
+    returned as it is; an unmarked one with no terms gives `EXPR_ZERO`.
+    Each distinct phase is worked out once per call.
     """
     if expr.canonical:
         return expr
+    if not expr.terms:
+        return EXPR_ZERO
     memo = _PhaseMemo()
     merged: dict = {}
     for term in expr.terms:
@@ -462,7 +469,6 @@ def canonicalize_each(terms) -> list:
     return [done and done[0] for done in (_canonical_term(t, memo) for t in terms)]
 
 
-EXPR_ZERO = canonicalize(ScalarExpr(()))
 EXPR_ONE = canonicalize(ScalarExpr((TERM_ONE,)))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
@@ -57,13 +58,6 @@ def patterns_up_to(max_len: int):
 MODES = ("scalar", "uniform", "cyclic")
 
 
-def _keys(max_n: int, modes=MODES):
-    """Every (pattern, mode) of this size bound, patterns outermost."""
-    for pattern in patterns_up_to(2 * max_n):
-        for mode in modes:
-            yield pattern, mode
-
-
 def _build(pattern: str, mode: str) -> Word:
     if mode == "scalar":
         return word_from_pattern(pattern)
@@ -75,8 +69,8 @@ def _build(pattern: str, mode: str) -> Word:
 
 
 def _words(max_n: int) -> dict:
-    """Every (pattern, mode) word a suite of this size bound reads."""
-    return {key: _build(*key) for key in _keys(max_n)}
+    """Every (pattern, mode) word a suite of this size bound reads, patterns outermost."""
+    return {(p, mode): _build(p, mode) for p in patterns_up_to(2 * max_n) for mode in MODES}
 
 
 def _dump(e: ScalarExpr) -> str:
@@ -92,49 +86,59 @@ def _mismatch(pattern: str, mode: str, left_name: str, left: ScalarExpr,
 
 def _run(name: str, cases, check) -> SuiteResult:
     """Count the cases; each message `check` returns for one is a failure."""
-    count = 0
-    failures = []
-    for case in cases:
-        count += 1
-        message = check(case)
-        if message:
-            failures.append(message)
-    return SuiteResult(name, count, failures)
+    messages = [check(case) for case in cases]
+    return SuiteResult(name, len(messages), [m for m in messages if m])
 
 
-def _agree(name: str, cases, words: dict, routes) -> SuiteResult:
+class _Case:
+    """A word of the table and the route values its suites share, each computed once."""
+
+    def __init__(self, key: tuple, word: Word, memo: dict):
+        self.key, self.word, self.memo = key, word, memo
+
+    @cached_property
+    def recursion(self) -> ScalarExpr:  # through the run's sub-word memo
+        return correlator_recursive(self.word, self.memo)
+
+    @cached_property
+    def closed_form(self) -> ScalarExpr:  # the pairing sum never sees the memo
+        return correlator_pairing_sum(self.word)
+
+
+def _cases(words: dict, memo: dict):
+    """A case of its own for every word of the table, in order, sharing `memo`."""
+    return (_Case(key, w, memo) for key, w in words.items())
+
+
+def _agree(name: str, cases, routes) -> SuiteResult:
     """Each (label, route) of the chain must canonically equal the one before.
 
     A case fails on the first link that differs, reported by `_mismatch`.
     """
-    def check(key):
-        w = words[key]
+    def check(case):
         prev_label = prev = None
         for label, route in routes:
-            value = route(w)
+            value = route(case)
             if prev_label is not None and not canonically_equal(prev, value):
-                return _mismatch(*key, prev_label, prev, label, value)
+                return _mismatch(*case.key, prev_label, prev, label, value)
             prev_label, prev = label, value
 
     return _run(name, cases, check)
 
 
-def suite_closed_form_vs_recursion(max_n: int, words: dict,
-                                   memo: dict) -> SuiteResult:
+def suite_closed_form_vs_recursion(cases) -> SuiteResult:
     """The pairing-sum closed form must reproduce the rewrite recursion."""
-    routes = (("recursion", lambda w: correlator_recursive(w, memo)),
-              ("closed-form", correlator_pairing_sum))
-    return _agree("closed-form-vs-recursion", _keys(max_n), words, routes)
+    routes = (("recursion", lambda c: c.recursion),
+              ("closed-form", lambda c: c.closed_form))
+    return _agree("closed-form-vs-recursion", cases, routes)
 
 
-def suite_limit_triple_agreement(max_n: int, words: dict) -> SuiteResult:
+def suite_limit_triple_agreement(cases) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
-    routes = (
-        ("mapped-limit", lambda w: limit_of_pairing_sum(correlator_pairing_sum(w))),
-        ("direct-wick", correlator_wick_limit),
-        ("rewrite", correlator_limit_rewrite),
-    )
-    return _agree("limit-triple-agreement", _keys(max_n), words, routes)
+    routes = (("mapped-limit", lambda c: limit_of_pairing_sum(c.closed_form)),
+              ("direct-wick", lambda c: correlator_wick_limit(c.word)),
+              ("rewrite", lambda c: correlator_limit_rewrite(c.word)))
+    return _agree("limit-triple-agreement", cases, routes)
 
 
 CATALAN = (1, 2, 5, 14, 42, 132)
@@ -209,37 +213,35 @@ def suite_block_word_count(max_n: int, words: dict) -> SuiteResult:
     return _run("block-word-count", range(1, max_n + 1), check)
 
 
-def suite_adjoint_symmetry(max_n: int, words: dict, memo: dict) -> SuiteResult:
-    """Vacuum expectation of the adjoint word = complex conjugate."""
-    routes = (("adjoint", lambda w: correlator_recursive(adjoint(w), memo)),
-              ("conjugate", lambda w: conjugate(correlator_recursive(w, memo))))
-    return _agree("adjoint-symmetry", _keys(max_n, ("scalar", "cyclic")),
-                  words, routes)
+def suite_adjoint_symmetry(cases) -> SuiteResult:
+    """Vacuum expectation of the adjoint word = complex conjugate (scalar, cyclic)."""
+    routes = (("adjoint", lambda c: correlator_recursive(adjoint(c.word), c.memo)),
+              ("conjugate", lambda c: conjugate(c.recursion)))
+    return _agree("adjoint-symmetry", (c for c in cases if c.key[1] != "uniform"),
+                  routes)
 
 
-def _swapped_times_factor(w: Word, memo: dict) -> ScalarExpr:
-    """q^-1 times the correlator of `w` with its first adjacent annihilators swapped."""
-    site = next(i for i in range(len(w.gens) - 1)
-                if not (w.gens[i].dagger or w.gens[i + 1].dagger))
-    gens = list(w.gens)
-    x, y = gens[site], gens[site + 1]
-    gens[site], gens[site + 1] = y, x
+def _swapped_times_factor(c: _Case) -> ScalarExpr:
+    """q^-1 times the correlator of the case's word with its first "aa" swapped."""
+    site, gens = c.key[0].index("aa"), c.word.gens
+    x, y = gens[site:site + 2]
     phase = oscillation(x.t, y.t, comb({Dot(x.k, y.k): 1}), power=-1)
     factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
-    return multiply(factor, correlator_recursive(Word(tuple(gens)), memo))
+    swapped = Word(gens[:site] + (y, x) + gens[site + 2:])
+    return multiply(factor, correlator_recursive(swapped, c.memo))
 
 
-def suite_swap_consistency(max_n: int, words: dict, memo: dict) -> SuiteResult:
+def suite_swap_consistency(cases) -> SuiteResult:
     """Swapping adjacent annihilators costs exactly one inverse oscillation.
 
     The state is only well defined on the quotient by the exchange
     relation, so the correlator of a word and of its first-adjacent-swap
     must differ by the explicit scalar factor and nothing else.
     """
-    routes = (("direct", lambda w: correlator_recursive(w, memo)),
-              ("swapped*factor", lambda w: _swapped_times_factor(w, memo)))
-    cases = (key for key in _keys(max_n, ("scalar",)) if "aa" in key[0])
-    return _agree("swap-consistency", cases, words, routes)
+    routes = (("direct", lambda c: c.recursion),
+              ("swapped*factor", _swapped_times_factor))
+    cases = (c for c in cases if c.key[1] == "scalar" and "aa" in c.key[0])
+    return _agree("swap-consistency", cases, routes)
 
 
 MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
@@ -248,24 +250,28 @@ MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
 def run_all(max_n: int) -> list:
     """All suites at the given size bound, in fixed order.
 
-    The suites share one word table and one sub-word memo for every
-    recursion of the run; the closed form and the limit routes never see
-    the memo.
+    One word table serves every suite.  The four equivalence suites walk
+    it once, together: each word's case goes to each of them in turn, so
+    its recursion and pairing sum are computed once and dropped before the
+    next word.  Every recursion of the run shares one sub-word memo; the
+    closed form and the limit routes never see it.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be between 1 and {MAX_N}")
     memo: dict = {}
     words = _words(max_n)
-    return [
-        suite_closed_form_vs_recursion(max_n, words, memo),
-        suite_limit_triple_agreement(max_n, words),
-        suite_catalan_count(max_n, words),
-        suite_noncrossing_uniqueness(max_n, words),
-        suite_pairing_existence(max_n, words),
-        suite_block_word_count(max_n, words),
-        suite_adjoint_symmetry(max_n, words, memo),
-        suite_swap_consistency(max_n, words, memo),
-    ]
+    suites = (suite_closed_form_vs_recursion, suite_limit_triple_agreement,
+              suite_adjoint_symmetry, suite_swap_consistency)
+    # a suite's total starts as its run on no case, then adds each word's run
+    totals = closed_form, limit_triple, adjoint_symmetry, swap = [s(()) for s in suites]
+    for case in _cases(words, memo):
+        for total, r in zip(totals, [s((case,)) for s in suites]):
+            total.cases += r.cases
+            total.failures += r.failures
+    return [closed_form, limit_triple, suite_catalan_count(max_n, words),
+            suite_noncrossing_uniqueness(max_n, words),
+            suite_pairing_existence(max_n, words), suite_block_word_count(max_n, words),
+            adjoint_symmetry, swap]
 
 
 def report(results) -> str:

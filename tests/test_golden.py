@@ -21,8 +21,10 @@ documents and `to_json_str` shared one JSON writer.  A sixth digest
 covers the five routes on two words whose momentum labels carry
 punctuation ("k(" and "k,"), where the text order of phase atoms and
 their structural order disagree; it was computed before phase atoms
-became plain tuples.  When a change is meant to move output, recompute
-the digest and say why.
+became plain tuples.  A seventh digest covers the whole `verify --max-n
+4` report as the CLI prints it, the run the benchmark times; it was
+computed before the equivalence suites walked the word table together.
+When a change is meant to move output, recompute the digest and say why.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ CONVERGE_SHA256 = "42019040a0e1a6fe09bdaa5ab85853d28f4c0f41b1d6ba77a22b96dd17cda
 ANNOTATED_SHA256 = "275e83dbabb265b2cf10afa91072f160374d20e7a9dd82e7cce4ad9830243189"
 CLI_DOCUMENTS_SHA256 = "80c7215db499e47e5ec0e450e482e0ca34aa7ba3ab67fc3bf94bf6778200a05a"
 ODD_LABEL_SHA256 = "eb5cb971283d06c4bdbbed411d399edce98ccac22014a2ae5a8a94db5aee8718"
+VERIFY_4_SHA256 = "0d7fc3c8e57927448b6ea8004ecb96e698db0df9095f34a0569f294e6e3e6741"
 
 # "E(k()" sorts before "E(k)" as text although "k" < "k(": the canonical
 # order of atoms, phases and deltas follows the text, so these labels
@@ -128,6 +131,12 @@ def test_cli_documents_match_their_golden_digest(cli_run, write_json):
             assert (code, err) == (0, ""), (pattern, mode, request)
             h.update(f"{pattern} {mode} {' '.join(request)}\n{out}".encode())
     assert h.hexdigest() == CLI_DOCUMENTS_SHA256
+
+
+def test_verify_report_matches_its_golden_digest(cli_run):
+    code, out, err = cli_run(["verify", "--max-n", "4"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_SHA256
 
 
 def test_converge_matches_its_golden_digest(cli_run, write_json):

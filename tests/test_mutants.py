@@ -100,12 +100,12 @@ def _delta_kernel_against_cubature() -> bool:
 
 
 # every gate returns True when it passes; the suites look their routes up
-# in `modwick.verify` when they run, and each gets a fresh memo
+# in `modwick.verify` when they run, and each gets fresh cases and memo
 GATES = {
     "closed-form-vs-recursion":
-        lambda: verify.suite_closed_form_vs_recursion(MAX_N, WORDS, {}).passed(),
+        lambda: verify.suite_closed_form_vs_recursion(verify._cases(WORDS, {})).passed(),
     "limit-triple-agreement":
-        lambda: verify.suite_limit_triple_agreement(MAX_N, WORDS).passed(),
+        lambda: verify.suite_limit_triple_agreement(verify._cases(WORDS, {})).passed(),
     "catalan-count": lambda: verify.suite_catalan_count(MAX_N, WORDS).passed(),
     "noncrossing-uniqueness":
         lambda: verify.suite_noncrossing_uniqueness(MAX_N, WORDS).passed(),
@@ -114,9 +114,9 @@ GATES = {
     "block-word-count":
         lambda: verify.suite_block_word_count(MAX_N, WORDS).passed(),
     "adjoint-symmetry":
-        lambda: verify.suite_adjoint_symmetry(MAX_N, WORDS, {}).passed(),
+        lambda: verify.suite_adjoint_symmetry(verify._cases(WORDS, {})).passed(),
     "swap-consistency":
-        lambda: verify.suite_swap_consistency(MAX_N, WORDS, {}).passed(),
+        lambda: verify.suite_swap_consistency(verify._cases(WORDS, {})).passed(),
     "limit-is-real": _limit_is_real,
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,

@@ -34,10 +34,17 @@ def test_tracer_names_exist_and_reach_the_verify_routes(monkeypatch):
         tracer.uninstall()
 
     names = [span[1] for span in tracer.spans]
-    parents = {names[span[0]] for span in tracer.spans
-               if span[1] == "pairings.correlator_pairing_sum" and span[0] >= 0}
-    assert {"verify.closed_form_vs_recursion",
-            "verify.limit_triple_agreement"} <= parents
+
+    def parents(name):
+        return {names[span[0]] for span in tracer.spans
+                if span[1] == name and span[0] >= 0}
+
+    # each word's pairing sum is computed once, by the first suite that
+    # reads it, and the limit suite maps the shared value
+    assert parents("pairings.correlator_pairing_sum") == {
+        "verify.closed_form_vs_recursion"}
+    assert "verify.limit_triple_agreement" in parents(
+        "limits.limit_of_pairing_sum")
 
     # the recursion on generator tuples still calls the expansion through
     # the module attribute the tracer rebinds, so every call is counted

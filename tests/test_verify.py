@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from modwick import verify
-from modwick.pairings import crossing_count, enumerate_pairings, pairing_term
+from modwick.pairings import (
+    correlator_pairing_sum, crossing_count, enumerate_pairings, pairing_term,
+)
 from modwick.scalars import (
     EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm, canonicalize,
 )
@@ -11,7 +15,7 @@ from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
     suite_adjoint_symmetry, suite_catalan_count, suite_closed_form_vs_recursion,
     suite_limit_triple_agreement, suite_swap_consistency, _bracket_balanced,
-    _words,
+    _cases, _words,
 )
 from modwick.words import Word, correlator_recursive, word_from_pattern
 
@@ -71,7 +75,7 @@ def test_equivalence_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", corrupted)
-    res = suite_closed_form_vs_recursion(2, _words(2), {})
+    res = suite_closed_form_vs_recursion(_cases(_words(2), {}))
     assert not res.passed()
     assert res.failures
     text = report([res])
@@ -96,7 +100,7 @@ def test_equivalence_suite_detects_a_dropped_crossing_phase(monkeypatch):
         return e
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", dropped)
-    res = suite_closed_form_vs_recursion(2, _words(2), {})
+    res = suite_closed_form_vs_recursion(_cases(_words(2), {}))
     # aa++ has the only crossing pairing; cyclic polarizations kill it
     assert [f.split(":")[0] for f in res.failures] == [
         "pattern=aa++ mode=scalar", "pattern=aa++ mode=uniform"]
@@ -107,7 +111,7 @@ def test_triple_agreement_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_wick_limit", corrupted)
-    res = suite_limit_triple_agreement(2, _words(2))
+    res = suite_limit_triple_agreement(_cases(_words(2), {}))
     assert not res.passed()
 
 
@@ -117,7 +121,7 @@ def _failed_links(res) -> set:
 
 def test_triple_agreement_suite_detects_a_corrupted_rewrite(monkeypatch):
     monkeypatch.setattr(verify, "correlator_limit_rewrite", lambda w: EXPR_ONE)
-    res = suite_limit_triple_agreement(2, _words(2))
+    res = suite_limit_triple_agreement(_cases(_words(2), {}))
     assert _failed_links(res) == {"direct-wick != rewrite"}
 
 
@@ -135,7 +139,7 @@ def test_adjoint_suite_detects_a_recursion_scaled_by_i(monkeypatch):
         return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
 
     monkeypatch.setattr(verify, "correlator_recursive", scaled)
-    res = suite_adjoint_symmetry(2, _words(2), {})
+    res = suite_adjoint_symmetry(_cases(_words(2), {}))
     assert _failed_links(res) == {"adjoint != conjugate"}
 
 
@@ -145,7 +149,7 @@ def test_swap_suite_detects_a_recursion_blind_to_the_swap(monkeypatch):
         return correlator_recursive(Word(tuple(sorted(w.gens))))
 
     monkeypatch.setattr(verify, "correlator_recursive", blind)
-    res = suite_swap_consistency(2, _words(2), {})
+    res = suite_swap_consistency(_cases(_words(2), {}))
     assert _failed_links(res) == {"direct != swapped*factor"}
 
 
@@ -154,3 +158,53 @@ def test_suite_result_passed_flag():
     bad = SuiteResult("demo", 3, ["case x"])
     assert ok.passed() and not bad.passed()
     assert not all_passed([ok, bad])
+
+
+def test_run_all_computes_each_route_once_per_word(monkeypatch):
+    # the four equivalence suites share each word's recursion and pairing
+    # sum: one pairing sum per table word, and one recursion per table word
+    # plus the adjoint word of each adjoint case and the swapped word of
+    # each swap case
+    calls = {"recursion": 0, "pairing sum": 0}
+
+    def counted(name, route):
+        def wrapper(*args):
+            calls[name] += 1
+            return route(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "correlator_recursive",
+                        counted("recursion", correlator_recursive))
+    monkeypatch.setattr(verify, "correlator_pairing_sum",
+                        counted("pairing sum", correlator_pairing_sum))
+    results = {r.name: r for r in run_all(3)}
+    table = len(_words(3))
+    assert table == 378
+    assert calls["pairing sum"] == table
+    assert calls["recursion"] == (table + results["adjoint-symmetry"].cases
+                                  + results["swap-consistency"].cases)
+
+
+def _recursion_times_i(w, memo=None):
+    i = ScalarTerm(RationalComplex.of(0, 1))
+    return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
+
+
+def _pairing_sum_times_2(w):
+    two = ScalarTerm(RationalComplex.of(2))
+    return ScalarExpr(tuple(t.times(two) for t in correlator_pairing_sum(w).terms))
+
+
+# sha256 of report(run_all(3)) under each corruption, recorded when each
+# suite still walked the whole table on its own: failure order, labels and
+# the first link that differs must not depend on the order of the work
+@pytest.mark.parametrize("route, corrupted, digest", [
+    ("correlator_recursive", _recursion_times_i,
+     "c77060e1f944084f69d95038993911a5b5dc07d3aadf0d5490912da0d65f00db"),
+    ("correlator_pairing_sum", _pairing_sum_times_2,
+     "ca7a73509588c360fd9fa01edb0b2eb944e08b928429538c64583d928cad75a6"),
+], ids=["recursion-times-i", "pairing-sum-times-2"])
+def test_failure_report_is_byte_identical(monkeypatch, route, corrupted, digest):
+    monkeypatch.setattr(verify, route, corrupted)
+    text = report(run_all(3))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
