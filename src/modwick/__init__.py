@@ -8,15 +8,15 @@ and checks the limit numerically with Gaussian-smeared kernels.
 """
 
 from .scalars import (
-    Dot, Energy, PDot, RationalComplex, ScalarExpr, ScalarTerm, atom_text,
-    canonicalize, canonically_equal, comb, conjugate, merged_exponent,
-    multiply, oscillation, term_signature, time_difference,
+    Dot, Energy, PDot, ScalarExpr, ScalarTerm, atom_text, canonicalize,
+    canonically_equal, comb, conjugate, merged_exponent, multiply,
+    oscillation, term_signature, time_difference, times,
 )
 from .serialize import (
     from_json_dict, from_json_str, to_json_dict, to_json_str, to_latex,
 )
 from .words import (
-    Generator, Word, WordError, adjoint, annihilate, correlator_recursive,
+    Word, WordError, adjoint, annihilate, correlator_recursive,
     create, expand_leading_annihilator, word, word_from_json_dict,
     word_from_pattern, word_to_json_dict,
 )

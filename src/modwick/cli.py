@@ -35,7 +35,9 @@ from .pairings import (
     enumerate_pairings,
 )
 from .scalars import canonically_equal
-from .serialize import from_json_dict, indented_json, to_json_str, to_latex
+from .serialize import (
+    from_json_dict, indented_json, json_term, to_json_str, to_latex,
+)
 from .verify import MAX_N, all_passed, report, run_all
 from .words import (
     WordError, correlator_recursive, word_from_json_dict, word_from_pattern,
@@ -116,7 +118,7 @@ def _pairing_entry(pairing, crossings: int, term=None) -> dict:
 def _pairing_entries(w, annotate: bool) -> list:
     """One entry per pairing; only `annotate` builds the pairing's term."""
     if annotate:
-        return [_pairing_entry(at.pairing, at.crossings, at.term)
+        return [_pairing_entry(at.pairing, at.crossings, json_term(at.term))
                 for at in annotated_pairing_terms(w)]
     return [_pairing_entry(p, crossing_count(p)) for p in enumerate_pairings(w)]
 
@@ -224,8 +226,9 @@ def _converge_csv(data, lambdas: str) -> str:
         term = strip_momentum_deltas(at.term)
         lines.append(f"# study={tag}_4pt")
         if at.crossings:
+            _, _, _, phases, _ = term
             osc = [abs(arg_value(arg, assignment))
-                   for _, arg, _ in term.unweighted_phases()]
+                   for _, arg, weighted in phases if not weighted]
             flag = "active" if any(v > 1e-12 for v in osc) \
                 else "none (zero phase)"
             lines.append(f"# suppression={flag}")

@@ -265,28 +265,29 @@ class ConvergenceRow:
         return abs(self.value - self.target)
 
 
-def strip_momentum_deltas(term: ScalarTerm) -> ScalarTerm:
+def strip_momentum_deltas(term: tuple) -> tuple:
     """Drop momentum delta factors once an assignment has honored them.
 
     Canonicalization already rewrote every phase in terms of class
     representatives, so for numeric work the deltas carry no further
     information beyond "these labels denote equal vectors".
     """
-    kept = tuple(d for d in term.deltas if d[0] != MOMENTUM)
-    return ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
-                      term.phases, kept)
+    coeff, two_pi_power, lambda_power, phases, deltas = term
+    kept = tuple(d for d in deltas if d[0] != MOMENTUM)
+    return ScalarTerm(coeff, two_pi_power, lambda_power, phases, kept)
 
 
-def _require_smearable(term: ScalarTerm, tests: dict, a: Assignment) -> None:
+def _require_smearable(term: tuple, tests: dict, a: Assignment) -> None:
     """Entry check of every term evaluator, closed form and grid oracle alike.
 
     The term carries no deltas, every time label has a test function and
     every momentum label has a vector.
     """
-    if term.deltas:
+    _, _, _, phases, deltas = term
+    if deltas:
         raise ValueError(
             "term still carries delta factors; apply them before smearing")
-    for time, arg, _ in term.phases:
+    for time, arg, _ in phases:
         for t, _ in time:
             if t not in tests:
                 raise UnassignedLabelError(
@@ -294,23 +295,25 @@ def _require_smearable(term: ScalarTerm, tests: dict, a: Assignment) -> None:
         arg_value(arg, a)  # raises on an unassigned momentum label
 
 
-def _coeff_complex(term: ScalarTerm) -> complex:
-    return complex(float(term.coeff.re), float(term.coeff.im))
+def _coeff_complex(term: tuple) -> complex:
+    re, im = term[0]
+    return complex(float(re), float(im))
 
 
 # The two readings of a term.  Each builder returns the integrand as
 # (groups, phase_data, prefactor): the integration variables and the kept
 # oscillations in the shape both integrators take, and the constant in front.
 
-def _literal(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
+def _literal(term: tuple, tests: dict, a: Assignment) -> tuple:
     """The term as written: each time label its own variable, each phase kept."""
     _require_smearable(term, tests, a)
-    phase_data = [(time, arg_value(arg, a)) for time, arg, _ in term.phases]
+    _, two_pi_power, _, phases, _ = term
+    phase_data = [(time, arg_value(arg, a)) for time, arg, _ in phases]
     return ({label: [label] for label in tests}, phase_data,
-            _coeff_complex(term) * TWO_PI ** term.two_pi_power)
+            _coeff_complex(term) * TWO_PI ** two_pi_power)
 
 
-def _contracted(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
+def _contracted(term: tuple, tests: dict, a: Assignment) -> tuple:
     """The term read as its contraction.
 
     Each weighted phase applies its time delta exactly: it pins its two
@@ -327,12 +330,13 @@ def _contracted(term: ScalarTerm, tests: dict, a: Assignment) -> tuple:
     groups: dict = {}
     for label in sorted(tests):
         groups.setdefault(time_map.get(label, label), []).append(label)
+    _, two_pi_power, _, phases, _ = term
     phase_data = [
         (tuple((time_map.get(t, t), c) for t, c in time), arg_value(arg, a))
-        for time, arg, _ in term.unweighted_phases()
+        for time, arg, is_weighted in phases if not is_weighted
     ]
     return (groups, phase_data,
-            _coeff_complex(term) * TWO_PI ** (term.two_pi_power + len(weighted)))
+            _coeff_complex(term) * TWO_PI ** (two_pi_power + len(weighted)))
 
 
 def _closed_integral(groups: dict, tests: dict, phase_data: list,
@@ -359,7 +363,7 @@ def _closed_integral(groups: dict, tests: dict, phase_data: list,
     return scale
 
 
-def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
+def term_convergence(term: tuple, tests: dict, a: Assignment,
                      lambdas) -> list:
     """Ladder of smeared values for one finite-coupling correlator term.
 
@@ -381,7 +385,7 @@ def term_convergence(term: ScalarTerm, tests: dict, a: Assignment,
     return rows
 
 
-def term_value(term: ScalarTerm, tests: dict, a: Assignment,
+def term_value(term: tuple, tests: dict, a: Assignment,
                lam: float) -> complex:
     """Literal smeared value of a term at one finite coupling.
 
@@ -392,8 +396,9 @@ def term_value(term: ScalarTerm, tests: dict, a: Assignment,
     """
     groups, phase_data, prefactor = _literal(term, tests, a)
     _require_positive(lam)
+    _, _, lambda_power, _, _ = term
     return _closed_integral(groups, tests, phase_data, lam,
-                            prefactor * lam ** term.lambda_power)
+                            prefactor * lam ** lambda_power)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +468,7 @@ def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,
     return _tensor_quadrature(bounds, integrand, points)
 
 
-def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
+def term_value_quadrature(term: tuple, tests: dict, a: Assignment,
                           lam: float, points: int = 96) -> complex:
     """Brute-force grid quadrature of the literal smeared term.
 
@@ -473,11 +478,12 @@ def term_value_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
     """
     groups, phase_data, prefactor = _literal(term, tests, a)
     _require_positive(lam)
-    return (prefactor * lam ** term.lambda_power
+    _, _, lambda_power, _, _ = term
+    return (prefactor * lam ** lambda_power
             * _grid_integral(groups, tests, phase_data, lam, points))
 
 
-def term_convergence_quadrature(term: ScalarTerm, tests: dict, a: Assignment,
+def term_convergence_quadrature(term: tuple, tests: dict, a: Assignment,
                                 lam: float, points: int = 96) -> complex:
     """Brute-force companion to one term_convergence ladder entry.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .scalars import (
     C_ONE, Dot, Energy, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm, canonicalize,
     comb, contraction_phases, label_classes, merged_exponent, momentum_delta,
-    phase_delta, substituted, time_delta, time_difference,
+    phase_delta, substituted, time_delta, time_difference, times,
 )
 from .words import Word, contraction_arg
 
@@ -41,8 +41,8 @@ def noncrossing_match(w: Word):
     stack = []
     pairs = []
     for pos in range(len(w.gens), 0, -1):
-        g = w.gens[pos - 1]
-        if g.dagger:
+        dagger, _, _, _ = w.gens[pos - 1]
+        if dagger:
             stack.append(pos)
         else:
             if not stack:
@@ -53,8 +53,9 @@ def noncrossing_match(w: Word):
     return tuple(reversed(pairs))
 
 
-def _limit_term(term: ScalarTerm):
+def _limit_term(term: tuple):
     """Apply the singular-limit map to one canonicalized structural term."""
+    coeff, two_pi_power, _, phases, deltas = term
     weighted = contraction_phases(term)
     if any(not arg for _, arg, _ in weighted):
         raise ValueError("weighted phase with zero argument has no limit")
@@ -63,15 +64,15 @@ def _limit_term(term: ScalarTerm):
     # a residual oscillation with nonzero exponent kills the term
     residual = ScalarTerm(phases=tuple(
         (substituted(time, time_map), arg, False)
-        for time, arg, _ in term.unweighted_phases()))
+        for time, arg, is_weighted in phases if not is_weighted))
     if merged_exponent(residual):
         return None
 
-    new_deltas = list(term.deltas)
+    new_deltas = list(deltas)
     for time, arg, _ in weighted:
         new_deltas.append(time_delta(time))
         new_deltas.append(phase_delta(arg))
-    return ScalarTerm(term.coeff, term.two_pi_power + len(weighted), 0,
+    return ScalarTerm(coeff, two_pi_power + len(weighted), 0,
                       (), tuple(new_deltas))
 
 
@@ -101,20 +102,21 @@ def correlator_wick_limit(w: Word) -> ScalarExpr:
     """
     stack, deltas = [], []
     for x in reversed(w.gens):
-        if x.dagger:
+        dagger, t, k, pol = x
+        if dagger:
             stack.append(x)
             continue
         if not stack:
             return EXPR_ZERO
-        y = stack.pop()
-        if x.pol != y.pol:
+        _, y_t, y_k, y_pol = stack.pop()
+        if pol != y_pol:
             return EXPR_ZERO
-        arg = {Energy(x.k): 1, PDot(x.k): 1}
+        arg = {Energy(k): 1, PDot(k): 1}
         for c in stack:
-            d = Dot(c.k, x.k)
+            d = Dot(c[2], k)  # the enclosing creator's momentum
             arg[d] = arg.get(d, 0) + 1
-        deltas += (momentum_delta(x.k, y.k),
-                   time_delta(time_difference(x.t, y.t)),
+        deltas += (momentum_delta(k, y_k),
+                   time_delta(time_difference(t, y_t)),
                    phase_delta(comb(arg)))
     if stack:
         return EXPR_ZERO
@@ -136,21 +138,23 @@ def correlator_limit_rewrite(w: Word) -> ScalarExpr:
     while True:
         site = None
         for i in range(len(gens) - 1):
-            if not gens[i].dagger and gens[i + 1].dagger:
+            if not gens[i][0] and gens[i + 1][0]:  # an annihilator, then a creator
                 site = i
                 break
         if site is None:
             break
-        x, y = gens[site], gens[site + 1]
-        if x.pol != y.pol:
+        x = gens[site]
+        _, t, k, pol = x
+        _, y_t, y_k, y_pol = gens[site + 1]
+        if pol != y_pol:
             return EXPR_ZERO
         del gens[site:site + 2]
         deltas = (
-            momentum_delta(x.k, y.k),
-            time_delta(time_difference(x.t, y.t)),
+            momentum_delta(k, y_k),
+            time_delta(time_difference(t, y_t)),
             phase_delta(contraction_arg(x, gens[site:])),
         )
-        acc = acc.times(ScalarTerm(C_ONE, 1, 0, (), deltas))
+        acc = times(acc, ScalarTerm(C_ONE, 1, 0, (), deltas))
     if gens:
         return EXPR_ZERO
     return canonicalize(ScalarExpr((acc,)))

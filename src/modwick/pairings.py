@@ -31,8 +31,8 @@ from .words import Word, WordError
 def enumerate_pairings(w: Word) -> list:
     """All pairings of each annihilator to a later creator of its polarization,
     each the sorted tuple of its 1-based (annihilator, creator) positions."""
-    anns = [(i, g.pol) for i, g in enumerate(w.gens, 1) if not g.dagger]
-    cres = [(i, g.pol) for i, g in enumerate(w.gens, 1) if g.dagger]
+    anns = [(i, pol) for i, (dagger, _, _, pol) in enumerate(w.gens, 1) if not dagger]
+    cres = [(i, pol) for i, (dagger, _, _, pol) in enumerate(w.gens, 1) if dagger]
     if len(anns) != len(cres):
         return []
 
@@ -76,32 +76,34 @@ def crossing_count(pairing: tuple) -> int:
     return len(crossing_patterns(pairing))
 
 
-def pairing_term(w: Word, pairing: tuple) -> ScalarTerm:
+def pairing_term(w: Word, pairing: tuple) -> tuple:
     """Closed-form term of one pairing, built without running the recursion."""
     gens = w.gens
     n = len(pairing)
     if sorted(i for p in pairing for i in p) != list(range(1, len(gens) + 1)):
         raise WordError("pairing must use every position of the word once")
 
+    ts = [t for _, t, _, _ in gens]
+    ks = [k for _, _, k, _ in gens]
     phases = []
     deltas = []
     for m, m2 in pairing:
-        x, y = gens[m - 1], gens[m2 - 1]
-        if m > m2 or x.dagger or not y.dagger:
+        x_dagger, x_t, x_k, x_pol = gens[m - 1]
+        y_dagger, y_t, y_k, y_pol = gens[m2 - 1]
+        if m > m2 or x_dagger or not y_dagger:
             raise WordError(f"pair {(m, m2)} is not an annihilator before a creator")
-        if x.pol != y.pol:
+        if x_pol != y_pol:
             raise WordError(f"pair {(m, m2)} joins two polarizations")
-        arg = {Energy(x.k): 1, PDot(x.k): 1}
+        arg = {Energy(x_k): 1, PDot(x_k): 1}
         for a, _ in enclosing_pairs(pairing, (m, m2)):
-            d = Dot(gens[a - 1].k, x.k)
+            d = Dot(ks[a - 1], x_k)
             arg[d] = arg.get(d, 0) + 1
-        phases.append((time_difference(x.t, y.t), comb(arg), True))
-        deltas.append(momentum_delta(x.k, y.k))
+        phases.append((time_difference(x_t, y_t), comb(arg), True))
+        deltas.append(momentum_delta(x_k, y_k))
 
     for (a, a2), (b, _b2) in crossing_patterns(pairing):
-        ka, kb = gens[a - 1].k, gens[b - 1].k
-        phases.append((time_difference(gens[b - 1].t, gens[a2 - 1].t),
-                       ((Dot(ka, kb), 1),), False))
+        phases.append((time_difference(ts[b - 1], ts[a2 - 1]),
+                       ((Dot(ks[a - 1], ks[b - 1]), 1),), False))
 
     return ScalarTerm(C_ONE, 0, -2 * n, tuple(phases), tuple(deltas))
 
@@ -116,7 +118,7 @@ def correlator_pairing_sum(w: Word) -> ScalarExpr:
 class AnnotatedTerm:
     pairing: tuple
     crossings: int
-    term: ScalarTerm
+    term: tuple
 
 
 def annotated_pairing_terms(w: Word) -> list:

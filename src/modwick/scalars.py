@@ -3,7 +3,12 @@
 Scalars produced by normal ordering are finite products of a rational
 complex coefficient, integer powers of 2*pi and of the coupling constant
 lambda, oscillating exponential factors, and distributional delta factors.
-A phase factor
+A term is the plain tuple (coeff, two_pi_power, lambda_power, phases,
+deltas) that `ScalarTerm` builds, and `times` multiplies two of them.
+Its coefficient is the plain pair (re, im) of Python rationals: ints on
+every route, since each pairing contributes with unit weight, and a
+Fraction only for a non-integral part that `serialize.from_json_dict`
+reads.  A phase factor
 
     q(t - t', x) = exp(-i ((t - t') / lambda^2) x)
 
@@ -24,53 +29,15 @@ compare equal even when they factor differently.
 A momentum atom is the plain tuple (kind, a, b) that `Energy`, `Dot` or
 `PDot` builds; `atom_text` is its stable text key, E(k), D(a,b) or P(k),
 on which phases, deltas and terms sort first.  Atoms stay symbolic until
-the numeric layer assigns concrete vectors.  Phases, deltas and atoms
-hold only strings, ints, bools and such tuples, so full collections of
-the cyclic collector untrack them, innermost first, for good.
+the numeric layer assigns concrete vectors.  Terms, coefficients,
+phases, deltas and atoms hold only strings, ints, bools and such
+tuples, so full collections of the cyclic collector untrack them,
+innermost first, for good.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-
-@dataclass(frozen=True)
-class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(re, im=0) -> "RationalComplex":
-        return RationalComplex(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "RationalComplex") -> "RationalComplex":
-        # every rewrite coefficient is C_ONE, so skip the Fraction arithmetic
-        if other is C_ONE:
-            return self
-        if self is C_ONE:
-            return other
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-
-C_ONE = RationalComplex.of(1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,50 +167,39 @@ def delta_key(d: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # terms and expressions
 
-@dataclass(frozen=True)
-class ScalarTerm:
-    coeff: RationalComplex = C_ONE
-    two_pi_power: int = 0
-    lambda_power: int = 0
-    phases: tuple = ()
-    deltas: tuple = ()
+C_ONE = (1, 0)
 
-    def times(self, other: "ScalarTerm") -> "ScalarTerm":
-        return ScalarTerm(
-            self.coeff * other.coeff,
-            self.two_pi_power + other.two_pi_power,
-            self.lambda_power + other.lambda_power,
-            self.phases + other.phases,
-            self.deltas + other.deltas,
-        )
 
-    def conjugated(self) -> "ScalarTerm":
-        phases = tuple((time, negated(arg), weighted)
-                       for time, arg, weighted in self.phases)
-        return ScalarTerm(self.coeff.conjugate(), self.two_pi_power,
-                          self.lambda_power, phases, self.deltas)
-
-    def weighted_phases(self) -> tuple:
-        return tuple(ph for ph in self.phases if ph[2])
-
-    def unweighted_phases(self) -> tuple:
-        return tuple(ph for ph in self.phases if not ph[2])
+def ScalarTerm(coeff: tuple = C_ONE, two_pi_power: int = 0, lambda_power: int = 0,
+               phases: tuple = (), deltas: tuple = ()) -> tuple:
+    """The term tuple; by default the constant 1."""
+    return (coeff, two_pi_power, lambda_power, phases, deltas)
 
 
 TERM_ONE = ScalarTerm()
 
 
-def contraction_phases(term: ScalarTerm) -> tuple:
+def times(s: tuple, t: tuple) -> tuple:
+    """The product of two terms: coefficients multiply, powers add, factors join."""
+    (s_re, s_im), s_two_pi, s_lambda, s_phases, s_deltas = s
+    (t_re, t_im), t_two_pi, t_lambda, t_phases, t_deltas = t
+    return ((s_re * t_re - s_im * t_im, s_re * t_im + s_im * t_re),
+            s_two_pi + t_two_pi, s_lambda + t_lambda,
+            s_phases + t_phases, s_deltas + t_deltas)
+
+
+def contraction_phases(term: tuple) -> tuple:
     """The weighted phases of a term, each carrying one 1/lambda^2."""
-    weighted = term.weighted_phases()
-    if term.lambda_power != -2 * len(weighted):
+    _, _, lambda_power, phases, _ = term
+    weighted = tuple(ph for ph in phases if ph[2])
+    if lambda_power != -2 * len(weighted):
         raise ValueError(
             "term weight mismatch: lambda power "
-            f"{term.lambda_power} with {len(weighted)} weighted phases")
+            f"{lambda_power} with {len(weighted)} weighted phases")
     return weighted
 
 
-def merged_exponent(term: ScalarTerm) -> dict:
+def merged_exponent(term: tuple) -> dict:
     """Sparse bilinear exponent over (time label, atom), summed over phases.
 
     q(t1 - t2, x) contributes +1 at (t1, x) and -1 at (t2, x); products of
@@ -251,7 +207,8 @@ def merged_exponent(term: ScalarTerm) -> dict:
     oscillation content of the term regardless of how it factors.
     """
     acc: dict = {}
-    for time, arg, _ in term.phases:
+    _, _, _, phases, _ = term
+    for time, arg, _ in phases:
         for t, ct in time:
             for a, ca in arg:
                 key = (t, a)
@@ -265,16 +222,17 @@ def _exponent_entries(ph: tuple) -> tuple:
     return tuple(((t, atom_text(a), a), ct * ca) for t, ct in time for a, ca in arg)
 
 
-def _signature(term: ScalarTerm, delta_keys, entry_lists) -> tuple:
+def _signature(term: tuple, delta_keys, entry_lists) -> tuple:
     acc: dict = {}
     for entries in entry_lists:
         for k, v in entries:
             acc[k] = acc.get(k, 0) + v
     entries = sorted(kv for kv in acc.items() if kv[1])
-    return (term.lambda_power, term.two_pi_power, tuple(delta_keys), tuple(entries))
+    _, two_pi_power, lambda_power, _, _ = term
+    return (lambda_power, two_pi_power, tuple(delta_keys), tuple(entries))
 
 
-def term_signature(term: ScalarTerm) -> tuple:
+def term_signature(term: tuple) -> tuple:
     """Key of a term up to its coefficient, text first ("t10" before "t2").
 
     Like terms share it: structural phase lists that multiply to the same
@@ -282,8 +240,9 @@ def term_signature(term: ScalarTerm) -> tuple:
     string keeps terms whose label strings collide apart.
     `canonicalize` merges and sorts on it; `canonically_equal` compares it.
     """
-    return _signature(term, sorted(map(delta_key, term.deltas)),
-                      map(_exponent_entries, term.phases))
+    _, _, _, phases, deltas = term
+    return _signature(term, sorted(map(delta_key, deltas)),
+                      map(_exponent_entries, phases))
 
 
 @dataclass(frozen=True)
@@ -401,12 +360,13 @@ def _clean_phases(phases, subst, memo: _PhaseMemo) -> list:
     return out
 
 
-def _canonical_term(term: ScalarTerm, memo: _PhaseMemo):
+def _canonical_term(term: tuple, memo: _PhaseMemo):
     """The canonical form of one term and its signature, or None if it is zero."""
-    if term.coeff.is_zero():
+    coeff, two_pi_power, lambda_power, phases, deltas = term
+    if coeff == (0, 0):
         return None
 
-    momentum, others, subst = _canonical_deltas_and_subst(term.deltas)
+    momentum, others, subst = _canonical_deltas_and_subst(deltas)
     for i, d in enumerate(others if subst else ()):
         if d[0] == PHASE:
             arg = substituted(d[1], subst)
@@ -416,8 +376,8 @@ def _canonical_term(term: ScalarTerm, memo: _PhaseMemo):
             if arg and arg != d[1]:
                 others[i] = phase_delta(arg)
     deltas = sorted((delta_key(d), d) for d in momentum + others)
-    phases = _clean_phases(term.phases, subst, memo)
-    ct = ScalarTerm(term.coeff, term.two_pi_power, term.lambda_power,
+    phases = _clean_phases(phases, subst, memo)
+    ct = ScalarTerm(coeff, two_pi_power, lambda_power,
                     tuple(ph for _, ph, _ in phases), tuple(d for _, d in deltas))
     return ct, _signature(ct, (k for k, _ in deltas), (e for _, _, e in phases))
 
@@ -452,11 +412,11 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
         ct, sig = done
         prev = merged.get(sig)
         if prev is not None:
-            first = min(prev, ct, key=lambda t: [phase_key(ph) for ph in t.phases])
-            ct = ScalarTerm(prev.coeff + ct.coeff, first.two_pi_power,
-                            first.lambda_power, first.phases, first.deltas)
+            (prev_re, prev_im), (re, im) = prev[0], ct[0]
+            first = min(prev, ct, key=lambda t: [phase_key(ph) for ph in t[3]])
+            ct = ScalarTerm((prev_re + re, prev_im + im), *first[1:])
         merged[sig] = ct
-    survivors = sorted(((s, t) for s, t in merged.items() if not t.coeff.is_zero()),
+    survivors = sorted(((s, t) for s, t in merged.items() if t[0] != (0, 0)),
                        key=lambda item: item[0])
     out = ScalarExpr(tuple(t for _, t in survivors))
     object.__setattr__(out, "signatures", tuple(s for s, _ in survivors))
@@ -473,12 +433,18 @@ EXPR_ONE = canonicalize(ScalarExpr((TERM_ONE,)))
 
 
 def multiply(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    terms = tuple(ta.times(tb) for ta in a.terms for tb in b.terms)
+    terms = tuple(times(ta, tb) for ta in a.terms for tb in b.terms)
     return canonicalize(ScalarExpr(terms))
 
 
 def conjugate(e: ScalarExpr) -> ScalarExpr:
-    return canonicalize(ScalarExpr(tuple(t.conjugated() for t in e.terms)))
+    """Each coefficient conjugated and each phase argument negated."""
+    return canonicalize(ScalarExpr(tuple(
+        ScalarTerm((re, -im), two_pi_power, lambda_power,
+                   tuple((time, negated(arg), weighted)
+                         for time, arg, weighted in phases),
+                   deltas)
+        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
 
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
@@ -487,4 +453,4 @@ def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:
     # signature tuples pair each term with its like term
     a, b = canonicalize(a), canonicalize(b)
     return a.signatures == b.signatures and all(
-        s.coeff == t.coeff for s, t in zip(a.terms, b.terms))
+        s[0] == t[0] for s, t in zip(a.terms, b.terms))

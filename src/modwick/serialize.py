@@ -1,8 +1,9 @@
 """JSON and LaTeX serialization of scalar expressions.
 
 The JSON AST is a plain dictionary tree mirroring the structural term
-representation; `from_json_dict(to_json_dict(e))` reproduces `e` exactly.
-`indented_json` writes the text of `json.dumps(x, indent=2)` from the terms.
+representation; `from_json_dict(to_json_dict(e))` reproduces `e` exactly,
+a whole-number coefficient part read back as an int.  `indented_json`
+writes the text of `json.dumps(x, indent=2)` from the terms.
 LaTeX output renders phases as q_{\\lambda}(.., ..) and delta factors as
 \\delta(..) for side-by-side reading against handwritten normal forms.
 `indented_json` and `to_latex` render each distinct phase and delta once
@@ -18,9 +19,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .scalars import (
-    DOT, ENERGY, MOMENTUM, TIME, Dot, Energy, PDot, RationalComplex,
-    ScalarExpr, ScalarTerm, comb, momentum_delta, negated, phase_delta,
-    time_delta,
+    DOT, ENERGY, MOMENTUM, TIME, Dot, Energy, PDot, ScalarExpr, ScalarTerm,
+    comb, momentum_delta, negated, phase_delta, time_delta,
 )
 
 
@@ -40,9 +40,11 @@ def _json_label(value) -> str:
     return value
 
 
-def _json_fraction(pair) -> Fraction:
+def _json_rational(pair):
+    """A [numerator, denominator] pair as an int if it is whole, else a Fraction."""
     num, den = pair
-    return Fraction(_json_int(num, "coefficient"), _json_int(den, "coefficient"))
+    x = Fraction(_json_int(num, "coefficient"), _json_int(den, "coefficient"))
+    return x.numerator if x.denominator == 1 else x
 
 
 # JSON name of each kind of plain (kind, a, b) atom; its text key is `atom_text`
@@ -109,28 +111,25 @@ def _delta_from_json(d: dict) -> tuple:
     raise ValueError(f"unknown delta kind: {kind!r}")
 
 
-def _frac_pair(x: Fraction) -> list:
-    return [x.numerator, x.denominator]
-
-
 def _phase_to_json(ph: tuple) -> dict:
     time, arg, weighted = ph
     return {"time": _time_to_json(time), "arg": _arg_to_json(arg),
             "weighted": weighted}
 
 
-def _term_fields(term: ScalarTerm, phases: list, deltas: list) -> dict:
-    return {"coeff": [_frac_pair(term.coeff.re), _frac_pair(term.coeff.im)],
-            "two_pi_power": term.two_pi_power, "lambda_power": term.lambda_power,
-            "phases": phases, "deltas": deltas}
+def _term_fields(term: tuple, phase, delta) -> dict:
+    """A term's JSON fields, `phase` and `delta` applied to each of its factors."""
+    (re, im), two_pi_power, lambda_power, phases, deltas = term
+    return {"coeff": [[re.numerator, re.denominator], [im.numerator, im.denominator]],
+            "two_pi_power": two_pi_power, "lambda_power": lambda_power,
+            "phases": list(map(phase, phases)), "deltas": list(map(delta, deltas))}
 
 
-def term_to_json_dict(term: ScalarTerm) -> dict:
-    return _term_fields(term, [_phase_to_json(ph) for ph in term.phases],
-                        [_delta_to_json(d) for d in term.deltas])
+def term_to_json_dict(term: tuple) -> dict:
+    return _term_fields(term, _phase_to_json, _delta_to_json)
 
 
-def _term_from_json(d: dict, memo: dict) -> ScalarTerm:
+def _term_from_json(d: dict, memo: dict) -> tuple:
     re, im = d["coeff"]
     phases = []
     for ph in d["phases"]:
@@ -145,14 +144,10 @@ def _term_from_json(d: dict, memo: dict) -> ScalarTerm:
                          ph["weighted"])
         phases.append(memo[key])
     deltas = tuple(_delta_from_json(x) for x in d["deltas"])
-    return ScalarTerm(RationalComplex(_json_fraction(re), _json_fraction(im)),
+    return ScalarTerm((_json_rational(re), _json_rational(im)),
                       _json_int(d["two_pi_power"], "two_pi_power"),
                       _json_int(d["lambda_power"], "lambda_power"),
                       tuple(phases), deltas)
-
-
-def term_from_json_dict(d: dict) -> ScalarTerm:
-    return _term_from_json(d, {})
 
 
 def to_json_dict(expr: ScalarExpr) -> dict:
@@ -164,7 +159,21 @@ def from_json_dict(d: dict) -> ScalarExpr:
     return ScalarExpr(tuple(_term_from_json(t, memo) for t in d["terms"]))
 
 
-_DUMPS = (_phase_to_json, _delta_to_json)
+def _marked_term_fields(term: tuple) -> dict:
+    """A term's JSON fields, each phase and delta paired with its dump."""
+    return _term_fields(term, lambda ph: (_phase_to_json, ph),
+                        lambda d: (_delta_to_json, d))
+
+
+def json_term(term: tuple) -> tuple:
+    """A term marked for `indented_json`, which writes its `term_to_json_dict`."""
+    return (_marked_term_fields, term)
+
+
+# terms, phases and deltas are plain tuples: `indented_json` reads each
+# paired with its dump, as (dump, value), so a bare tuple stays no JSON
+# value; the dumps are private, so no rebinding of a public name hides one
+_DUMPS = (_marked_term_fields, _phase_to_json, _delta_to_json)
 
 
 def _indented(x, pad: str, memo: dict) -> str:
@@ -174,18 +183,15 @@ def _indented(x, pad: str, memo: dict) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, ScalarTerm):
-        # phases and deltas are plain tuples: a term pairs each with its
-        # dump, so a bare tuple stays no JSON value
-        x = _term_fields(x, [(_phase_to_json, ph) for ph in x.phases],
-                         [(_delta_to_json, d) for d in x.deltas])
-    elif isinstance(x, tuple) and x and x[0] in _DUMPS:
-        # a phase or delta under one pad always prints the same lines
-        text = memo.get((x, pad))
-        if text is None:
-            dump, value = x
-            text = memo[x, pad] = _indented(dump(value), pad, memo)
-        return text
+    if isinstance(x, tuple) and x and x[0] in _DUMPS:
+        dump, value = x
+        if dump is _marked_term_fields:  # terms seldom repeat: not memoized
+            x = dump(value)
+        else:  # a phase or delta under one pad always prints the same lines
+            text = memo.get((x, pad))
+            if text is None:
+                text = memo[x, pad] = _indented(dump(value), pad, memo)
+            return text
     inner = pad + "  "
     if isinstance(x, dict):
         if not x:
@@ -202,13 +208,13 @@ def _indented(x, pad: str, memo: dict) -> str:
 
 
 def indented_json(x) -> str:
-    """`json.dumps(x, indent=2)`, a ScalarTerm at any depth standing for its
-    `term_to_json_dict`; each distinct phase and delta is rendered once."""
+    """`json.dumps(x, indent=2)`, a `json_term` at any depth standing for
+    its `term_to_json_dict`; each distinct phase and delta is rendered once."""
     return _indented(x, "", {})
 
 
 def to_json_str(expr: ScalarExpr) -> str:
-    return indented_json({"terms": list(expr.terms)})
+    return indented_json({"terms": list(map(json_term, expr.terms))})
 
 
 def from_json_str(s: str) -> ScalarExpr:
@@ -276,38 +282,40 @@ def _delta_tex(d: tuple) -> str:
     return rf"\delta\!\left({_arg_tex(items)}\right)"
 
 
-def _coeff_tex(c: RationalComplex) -> str:
-    def frac(x: Fraction) -> str:
+def _coeff_tex(c: tuple) -> str:
+    def frac(x) -> str:
         if x.denominator == 1:
             return str(x.numerator)
         return rf"\tfrac{{{x.numerator}}}{{{x.denominator}}}"
 
-    if c.im == 0:
-        return frac(c.re)
-    if c.re == 0:
-        return frac(c.im) + "i"
-    return rf"\left({frac(c.re)} + {frac(c.im)}i\right)"
+    re, im = c
+    if im == 0:
+        return frac(re)
+    if re == 0:
+        return frac(im) + "i"
+    return rf"\left({frac(re)} + {frac(im)}i\right)"
 
 
-def _term_tex(term: ScalarTerm, phase_tex, delta_tex) -> str:
+def _term_tex(term: tuple, phase_tex, delta_tex) -> str:
+    coeff, two_pi_power, lambda_power, phases, deltas = term
     factors = []
-    coeff = _coeff_tex(term.coeff)
-    if coeff != "1" or (not term.phases and not term.deltas
-                        and term.two_pi_power == 0 and term.lambda_power == 0):
-        factors.append(coeff)
-    if term.two_pi_power:
-        factors.append(rf"(2\pi)^{{{term.two_pi_power}}}"
-                       if term.two_pi_power != 1 else r"2\pi")
+    coeff_text = _coeff_tex(coeff)
+    if coeff_text != "1" or (not phases and not deltas
+                             and two_pi_power == 0 and lambda_power == 0):
+        factors.append(coeff_text)
+    if two_pi_power:
+        factors.append(rf"(2\pi)^{{{two_pi_power}}}"
+                       if two_pi_power != 1 else r"2\pi")
     # weighted phases carry their own 1/lambda^2 marker; show any remainder
-    residual = term.lambda_power + 2 * len(term.weighted_phases())
+    residual = lambda_power + 2 * sum(1 for ph in phases if ph[2])
     if residual:
         factors.append(rf"\lambda^{{{residual}}}")
-    factors.extend(map(phase_tex, term.phases))
-    factors.extend(map(delta_tex, term.deltas))
+    factors.extend(map(phase_tex, phases))
+    factors.extend(map(delta_tex, deltas))
     return r" \, ".join(factors)
 
 
-def term_to_latex(term: ScalarTerm) -> str:
+def term_to_latex(term: tuple) -> str:
     return _term_tex(term, _phase_tex, _delta_tex)
 
 

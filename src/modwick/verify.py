@@ -183,8 +183,8 @@ def suite_noncrossing_uniqueness(max_n: int, words: dict) -> SuiteResult:
 def _bracket_balanced(w: Word) -> bool:
     # reversed reading: creators open, annihilators close
     depth = 0
-    for g in reversed(w.gens):
-        depth += 1 if g.dagger else -1
+    for dagger, _, _, _ in reversed(w.gens):
+        depth += 1 if dagger else -1
         if depth < 0:
             return False
     return depth == 0
@@ -225,7 +225,8 @@ def _swapped_times_factor(c: _Case) -> ScalarExpr:
     """q^-1 times the correlator of the case's word with its first "aa" swapped."""
     site, gens = c.key[0].index("aa"), c.word.gens
     x, y = gens[site:site + 2]
-    phase = oscillation(x.t, y.t, comb({Dot(x.k, y.k): 1}), power=-1)
+    (_, x_t, x_k, _), (_, y_t, y_k, _) = x, y
+    phase = oscillation(x_t, y_t, comb({Dot(x_k, y_k): 1}), power=-1)
     factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
     swapped = Word(gens[:site] + (y, x) + gens[site + 2:])
     return multiply(factor, correlator_recursive(swapped, c.memo))

@@ -1,8 +1,11 @@
 """Operator words and the normal-ordering recursion.
 
 A word is a finite product of time- and momentum-indexed generators
-a(t, k) and adag(t, k), optionally carrying polarization indices.  The
-module rewrite rules are
+a(t, k) and adag(t, k), optionally carrying polarization indices.  A
+generator is the plain tuple (dagger, t, k, pol) that `create` and
+`annihilate` build: a bool that is True for adag, the time and momentum
+labels, and a polarization index 1, 2 or 3 or None.  The module rewrite
+rules are
 
     a(t,k) a(t',k')    = q^{-1}(t - t', k.k') adag-free swap
     a(t,k) adag(t',k') = q(t - t', k.k') adag(t',k') a(t,k)
@@ -20,11 +23,10 @@ the recursion for vacuum correlators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .scalars import (
     C_ONE, Dot, Energy, PDot, ScalarExpr, ScalarTerm, TERM_ONE, canonicalize,
-    comb, momentum_delta, time_difference,
+    comb, momentum_delta, time_difference, times,
 )
 
 MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
@@ -34,19 +36,12 @@ class WordError(ValueError):
     """Structurally invalid operator word."""
 
 
-class Generator(NamedTuple):
-    dagger: bool
-    t: str
-    k: str
-    pol: int | None = None
+def create(t: str, k: str, pol: int | None = None) -> tuple:
+    return (True, t, k, pol)
 
 
-def create(t: str, k: str, pol: int | None = None) -> Generator:
-    return Generator(True, t, k, pol)
-
-
-def annihilate(t: str, k: str, pol: int | None = None) -> Generator:
-    return Generator(False, t, k, pol)
+def annihilate(t: str, k: str, pol: int | None = None) -> tuple:
+    return (False, t, k, pol)
 
 
 @dataclass(frozen=True)
@@ -55,15 +50,23 @@ class Word:
 
     def __post_init__(self):
         for g in self.gens:
-            if not (isinstance(g.t, str) and isinstance(g.k, str)):
-                raise WordError(f"labels must be strings, got {g.t!r} and {g.k!r}")
-        times = [g.t for g in self.gens]
-        if len(set(times)) != len(times):
+            if type(g) is not tuple:
+                raise WordError(f"generator must be a tuple, got {type(g).__name__}")
+            if len(g) != 4:
+                raise WordError("generator must be (dagger, t, k, pol), "
+                                f"got {len(g)} entries")
+            dagger, t, k, _ = g
+            if type(dagger) is not bool:
+                raise WordError(f"generator dagger must be a bool, got {dagger!r}")
+            if not (isinstance(t, str) and isinstance(k, str)):
+                raise WordError(f"labels must be strings, got {t!r} and {k!r}")
+        time_labels = [t for _, t, _, _ in self.gens]
+        if len(set(time_labels)) != len(time_labels):
             raise WordError("repeated time label in word")
-        momenta = [g.k for g in self.gens]
+        momenta = [k for _, _, k, _ in self.gens]
         if len(set(momenta)) != len(momenta):
             raise WordError("repeated momentum label in word")
-        pols = [g.pol for g in self.gens]
+        pols = [pol for _, _, _, pol in self.gens]
         if any(p is not None for p in pols) and any(p is None for p in pols):
             raise WordError("mixed polarized and unpolarized generators")
         for p in pols:
@@ -82,17 +85,17 @@ class Word:
         return len(self.gens)
 
     def polarized(self) -> bool:
-        return bool(self.gens) and self.gens[0].pol is not None
+        return bool(self.gens) and self.gens[0][3] is not None
 
 
-def word(*gens: Generator) -> Word:
+def word(*gens: tuple) -> Word:
     return Word(tuple(gens))
 
 
 def adjoint(w: Word) -> Word:
     """Reverse the word and exchange creators with annihilators."""
     return Word(tuple(
-        Generator(not g.dagger, g.t, g.k, g.pol) for g in reversed(w.gens)
+        (not dagger, t, k, pol) for dagger, t, k, pol in reversed(w.gens)
     ))
 
 
@@ -110,7 +113,7 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
         if ch not in "a+":
             raise WordError(f"bad pattern character {ch!r}")
         pol = None if pols is None else pols[i]
-        gens.append(Generator(ch == "+", f"t{i + 1}", f"k{i + 1}", pol))
+        gens.append((ch == "+", f"t{i + 1}", f"k{i + 1}", pol))
     return Word(tuple(gens))
 
 
@@ -120,10 +123,10 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
 def word_to_json_dict(w: Word) -> dict:
     mode = "polarized" if w.polarized() else "scalar"
     out = []
-    for g in w.gens:
-        entry = {"op": "adag" if g.dagger else "a", "t": g.t, "k": g.k}
-        if g.pol is not None:
-            entry["pol"] = g.pol
+    for dagger, t, k, pol in w.gens:
+        entry = {"op": "adag" if dagger else "a", "t": t, "k": k}
+        if pol is not None:
+            entry["pol"] = pol
         out.append(entry)
     return {"mode": mode, "word": out}
 
@@ -154,24 +157,25 @@ def word_from_json_dict(d: dict) -> Word:
                 raise WordError(f"word entry {i}: 'pol' must be an integer")
         elif pol is not None:
             raise WordError(f"word entry {i}: 'pol' given in scalar mode")
-        gens.append(Generator(op == "adag", t, k, pol))
+        gens.append((op == "adag", t, k, pol))
     return Word(tuple(gens))
 
 
 # ---------------------------------------------------------------------------
 # rewrite rules
 
-def contraction_arg(x: Generator, right) -> tuple:
+def contraction_arg(x: tuple, right) -> tuple:
     """Phase argument E(k) + k.p of annihilator x, moved past `right`.
 
     The contraction scalar depends on p and migrates to the far end of
     the word: a(t,k) f(p) = f(p + k) a(t,k), so passing a creator with
     momentum g adds +k.g and passing an annihilator subtracts it.
     """
-    acc = {Energy(x.k): 1, PDot(x.k): 1}
-    for g in right:
-        d = Dot(x.k, g.k)
-        acc[d] = acc.get(d, 0) + (1 if g.dagger else -1)
+    _, _, k, _ = x
+    acc = {Energy(k): 1, PDot(k): 1}
+    for dagger, _, other_k, _ in right:
+        d = Dot(k, other_k)
+        acc[d] = acc.get(d, 0) + (1 if dagger else -1)
     return comb(acc)
 
 
@@ -189,25 +193,26 @@ def expand_leading_annihilator(gens: tuple) -> list:
     scalar migrates to the far end of the word.  Each term is a pair
     (scalar, rest), rest the remaining generators in their order.
     """
-    if not gens or gens[0].dagger:
+    if not gens or gens[0][0]:
         raise WordError("word must start with an annihilator")
     lead, tail = gens[0], gens[1:]
-    creators = [j for j, g in enumerate(tail) if g.dagger and g.pol == lead.pol]
+    _, t, k, pol = lead
+    creators = [j for j, (dagger, _, _, p) in enumerate(tail) if dagger and p == pol]
     if not creators:
         return []
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
     swaps = tuple(
-        (time_difference(lead.t, other.t),
-         ((Dot(lead.k, other.k), 1 if other.dagger else -1),), False)
-        for other in tail[:creators[-1]]
+        (time_difference(t, other_t),
+         ((Dot(k, other_k), 1 if other_dagger else -1),), False)
+        for other_dagger, other_t, other_k, _ in tail[:creators[-1]]
     )
     out = []
     for j in creators:
-        y = tail[j]
-        phase = (time_difference(lead.t, y.t),
+        _, y_t, y_k, _ = tail[j]
+        phase = (time_difference(t, y_t),
                  contraction_arg(lead, tail[j + 1:]), True)
         scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
-                            (momentum_delta(lead.k, y.k),))
+                            (momentum_delta(k, y_k),))
         out.append((scalar, tail[:j] + tail[j + 1:]))
     return out
 
@@ -218,11 +223,11 @@ def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
     if terms is None:
         if not gens:
             terms = (TERM_ONE,)
-        elif gens[0].dagger:
+        elif gens[0][0]:
             terms = ()  # a leading creator has vanishing vacuum expectation
         else:
             terms = tuple(
-                scalar.times(t)
+                times(scalar, t)
                 for scalar, rest in expand_leading_annihilator(gens)
                 for t in _raw_correlator_terms(rest, memo)
             )

@@ -71,8 +71,8 @@ def test_criterion_3_catalan_counts_and_noncrossing_uniqueness():
 
 def test_criterion_4_straddle_phase_shifts_are_exact():
     def frequency_args(e):
-        (term,) = e.terms
-        return {d[1] for d in term.deltas if d[0] == PHASE}
+        ((_, _, _, _, deltas),) = e.terms
+        return {d[1] for d in deltas if d[0] == PHASE}
 
     nested_inner = comb(
         {Energy("k2"): 1, PDot("k2"): 1, Dot("k1", "k2"): 1})

@@ -27,7 +27,7 @@ from modwick.scalars import (
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _bracket_balanced
 from modwick.words import (
-    Generator, Word, adjoint, correlator_recursive, word_from_pattern,
+    Word, adjoint, correlator_recursive, word_from_pattern,
 )
 
 LABEL_CHARS = "tkxyz,;:()019é"
@@ -55,7 +55,7 @@ def words(draw, patterns=dyck_patterns(), modes=MODES) -> Word:
                            min_size=2 * n, max_size=2 * n, unique=True))
     pols = {"scalar": [None] * n, "uniform": [1] * n,
             "cyclic": [i % 3 + 1 for i in range(n)]}[draw(st.sampled_from(modes))]
-    return Word(tuple(Generator(ch == "+", t, k, p) for ch, t, k, p
+    return Word(tuple((ch == "+", t, k, p) for ch, t, k, p
                       in zip(pattern, labels[:n], labels[n:], pols)))
 
 
@@ -142,19 +142,20 @@ def renamed(e: ScalarExpr, sigma: dict) -> ScalarExpr:
         return phase_delta(substituted(items, sigma))
 
     return ScalarExpr(tuple(ScalarTerm(
-        t.coeff, t.two_pi_power, t.lambda_power,
+        coeff, two_pi_power, lambda_power,
         tuple((substituted(time, sigma), substituted(arg, sigma), weighted)
-              for time, arg, weighted in t.phases),
-        tuple(delta(d) for d in t.deltas)) for t in e.terms))
+              for time, arg, weighted in phases),
+        tuple(delta(d) for d in deltas))
+        for coeff, two_pi_power, lambda_power, phases, deltas in e.terms))
 
 
 @st.composite
 def relabelled_words(draw) -> tuple:
     w = draw(words(dyck_patterns((5, 6))))
-    labels = [x for g in w.gens for x in (g.t, g.k)]
+    labels = [x for _, t, k, _ in w.gens for x in (t, k)]
     sigma = dict(zip(labels, draw(st.permutations(labels))))
-    return w, sigma, Word(tuple(Generator(g.dagger, sigma[g.t], sigma[g.k], g.pol)
-                                for g in w.gens))
+    return w, sigma, Word(tuple((dagger, sigma[t], sigma[k], pol)
+                                for dagger, t, k, pol in w.gens))
 
 
 @settings(max_examples=12, deadline=None)

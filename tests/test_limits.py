@@ -105,9 +105,9 @@ def test_adjacent_blocks_do_not_shift_each_other():
     # in a+a+ the first contraction migrates through the second block
     # and the two momentum shifts cancel exactly
     e = correlator_limit_rewrite(word_from_pattern("a+a+"))
-    (term,) = e.terms
-    assert phase_delta({Energy("k1"): 1, PDot("k1"): 1}) in term.deltas
-    assert phase_delta({Energy("k3"): 1, PDot("k3"): 1}) in term.deltas
+    ((_, _, _, _, deltas),) = e.terms
+    assert phase_delta({Energy("k1"): 1, PDot("k1"): 1}) in deltas
+    assert phase_delta({Energy("k3"): 1, PDot("k3"): 1}) in deltas
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from scipy import integrate
 from modwick import kernels, limits, pairings, verify
 from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
 from modwick.scalars import (
-    EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm,
-    canonically_equal, conjugate,
+    EXPR_ONE, EXPR_ZERO, ScalarExpr, ScalarTerm, canonically_equal, conjugate,
+    times,
 )
 from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
 
@@ -125,8 +125,8 @@ GATES = {
 
 
 def _recursion_times_i(w, memo=None):
-    i = ScalarTerm(RationalComplex.of(0, 1))
-    return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
+    i = ScalarTerm((0, 1))
+    return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
 
 def _recursion_blind_to_order(w, memo=None):
@@ -160,22 +160,22 @@ MUTANTS = [
            "taken.remove(c)", "pass"),
     # the recursion: the p-shift of the contraction and the swap phases
     Mutant("words.contraction_arg", "closed-form-vs-recursion",
-           "for g in right:", "for g in ():"),
+           "for dagger, _, other_k, _ in right:", "for dagger, _, other_k, _ in ():"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
            "(phase,) + swaps[:j]", "(phase,)"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
-           "1 if other.dagger else -1", "-1 if other.dagger else 1"),
+           "1 if other_dagger else -1", "-1 if other_dagger else 1"),
     # the three limit routes
     Mutant("limits.contraction_arg", "limit-triple-agreement",
-           "for g in right:", "for g in ():"),
+           "for dagger, _, other_k, _ in right:", "for dagger, _, other_k, _ in ():"),
     Mutant("limits._limit_term", "limit-triple-agreement",
            "if merged_exponent(residual):", "if False:"),
     Mutant("limits._limit_term", "limit-triple-agreement",
-           "term.two_pi_power + len(weighted)", "term.two_pi_power"),
+           "two_pi_power + len(weighted)", "two_pi_power"),
     Mutant("verify.correlator_wick_limit", "limit-triple-agreement",
            "for c in stack:", "for c in ():"),
     Mutant("verify.correlator_wick_limit", "limit-triple-agreement",
-           "y = stack.pop()", "y = stack.pop(0)"),
+           "y_pol = stack.pop()", "y_pol = stack.pop(0)"),
     Mutant("verify.noncrossing_match", "noncrossing-uniqueness",
            "stack.pop()", "stack.pop(0)"),
     # canonical forms

@@ -12,7 +12,8 @@ import importlib
 import os
 
 import modwick.cli  # the tracer wraps cli.main
-from modwick import kernels, limits, verify
+from modwick import kernels, limits, serialize, verify
+from modwick.words import correlator_recursive, word_from_pattern
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
@@ -54,3 +55,25 @@ def test_tracer_names_exist_and_reach_the_verify_routes(monkeypatch):
     assert {names[span[0]] for span in expansions} == {"words.correlator_recursive"}
     calls = tracer.metrics(1)["words.expand_leading_annihilator.calls"]
     assert calls == len(expansions)
+
+
+def test_traced_serializers_write_the_same_json(monkeypatch):
+    # the tracer rebinds `serialize.term_to_json_dict`, so the JSON writer
+    # must not recognise a term by that public function's identity
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    w = word_from_pattern("aa++")
+    e = correlator_recursive(w)
+
+    def documents():
+        return (serialize.to_json_str(e),
+                serialize.indented_json(modwick.cli._pairing_entries(w, True)))
+
+    untraced = documents()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = documents()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced

@@ -16,32 +16,43 @@ from hypothesis import example, given, settings, strategies as st
 
 from modwick.scalars import (
     C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, MOMENTUM, PHASE, PDot, TIME,
-    RationalComplex, ScalarExpr, ScalarTerm, atom_text, canonicalize,
+    ScalarExpr, ScalarTerm, TERM_ONE, atom_text, canonicalize,
     canonically_equal, comb, conjugate, delta_key, label_classes,
     merged_exponent, momentum_delta, multiply, negated, oscillation,
     phase_delta, substituted, term_signature, time_delta, time_difference,
+    times,
 )
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
 from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
 from modwick.serialize import from_json_str, to_json_str
-from modwick.verify import MODES, _build, patterns_up_to
+from modwick.verify import MODES, _build, _words, patterns_up_to
 from modwick.words import correlator_recursive, word_from_pattern
 
 
 # ---------------------------------------------------------------------------
 # coefficients and atoms
 
+def _constant(re, im=0) -> tuple:
+    """The term that is this coefficient alone."""
+    return ScalarTerm((re, im))
+
+
 def test_rational_complex_arithmetic():
-    a = RationalComplex.of(Fraction(1, 2), 3)
-    b = RationalComplex.of(2, Fraction(-1, 3))
-    assert a + b == RationalComplex.of(Fraction(5, 2), Fraction(8, 3))
+    a, b = _constant(Fraction(1, 2), 3), _constant(2, Fraction(-1, 3))
     # (1/2 + 3i)(2 - i/3) = 1 + 1 + (6 - 1/6)i
-    assert a * b == RationalComplex.of(2, Fraction(35, 6))
-    assert a * RationalComplex.of(-1) == RationalComplex.of(Fraction(-1, 2), -3)
-    assert a.conjugate() == RationalComplex.of(Fraction(1, 2), -3)
-    assert RationalComplex.of(0).is_zero() and not C_ONE.is_zero()
+    assert times(a, b) == _constant(2, Fraction(35, 6))
+    assert times(a, _constant(-1)) == _constant(Fraction(-1, 2), -3)
+    # like terms add their coefficients, and a sum of zero drops the term
+    (total,) = canonicalize(ScalarExpr((a, b))).terms
+    assert total == _constant(Fraction(5, 2), Fraction(8, 3))
+    assert canonicalize(ScalarExpr((a, times(a, _constant(-1))))) == EXPR_ZERO
+    assert conjugate(ScalarExpr((a,))).terms == (_constant(Fraction(1, 2), -3),)
+    # ints stay ints: the unit coefficient, its products and its sums
+    assert C_ONE == (1, 0) and TERM_ONE == (C_ONE, 0, 0, (), ())
+    (two,) = canonicalize(ScalarExpr((times(TERM_ONE, TERM_ONE), TERM_ONE))).terms
+    assert two[0] == (2, 0) and all(type(x) is int for x in two[0])
 
 
 def test_dot_orders_labels():
@@ -74,7 +85,7 @@ def test_phase_arg_merging_and_shift():
 
     def merged(*factors):
         term = ScalarTerm(phases=tuple((t12, a, False) for a in factors))
-        return canonicalize(ScalarExpr((term,))).terms[0].phases
+        return canonicalize(ScalarExpr((term,))).terms[0][3]
 
     assert merged(arg, negated(arg)) == ()
     assert merged(arg, shift) == ((t12, comb(
@@ -88,26 +99,26 @@ def test_phase_arg_merging_and_shift():
 
 
 def _factors(e: ScalarExpr):
-    for term in e.terms:
-        yield from term.phases
-        yield from term.deltas
+    for _, _, _, phases, deltas in e.terms:
+        yield from phases
+        yield from deltas
 
 
 def _combinations(e: ScalarExpr):
-    for term in e.terms:
-        for time, arg, _ in term.phases:
+    for _, _, _, phases, deltas in e.terms:
+        for time, arg, _ in phases:
             yield time
             yield arg
-        for d in term.deltas:
+        for d in deltas:
             if d[0] != MOMENTUM:
                 yield d[1]
 
 
 def _atoms(e: ScalarExpr):
-    for term in e.terms:
-        for _, arg, _ in term.phases:
+    for _, _, _, phases, deltas in e.terms:
+        for _, arg, _ in phases:
             yield from (a for a, _ in arg)
-        for d in term.deltas:
+        for d in deltas:
             if d[0] == PHASE:
                 yield from (a for a, _ in d[1])
 
@@ -146,29 +157,40 @@ def test_every_route_holds_combinations_as_sorted_tuples():
         for x in (*_factors(e), *_factors(read)):
             assert type(x) is tuple, (key, x)
             factors += 1
+        # and a term and its (re, im) coefficient, of ints on every route
+        for t in (*e.terms, *read.terms):
+            assert type(t) is tuple and len(t) == 5, (key, t)
+            assert type(t[0]) is tuple and [type(x) for x in t[0]] == [int, int], key
     assert seen > 0 and atoms > 0 and factors > 0
 
 
 def test_block_word_factors_and_atoms_are_untracked_after_a_collection():
     # the collector untracks an exact tuple of strings, ints and bools, so
-    # the phases, deltas and atoms of big outputs, and the tuples of a
-    # term that hold them, cost later collections nothing
+    # the terms, coefficients, phases, deltas and atoms of big outputs, a
+    # recursion memo and the generators of words cost later collections
+    # nothing; a Fraction coefficient would stay tracked, so this also pins
+    # every route coefficient to a pair of ints
     w = word_from_pattern("aaaaaa++++++")
-    recursion = correlator_recursive(w)
+    memo: dict = {}
+    recursion = correlator_recursive(w, memo)
     exprs = (recursion, correlator_pairing_sum(w),
              limit_of_pairing_sum(recursion))
-    held = [x for e in exprs for t in e.terms for x in (t.phases, t.deltas)]
+    held = [x for e in exprs for t in e.terms for x in (t, t[0], t[3], t[4])]
     factors = [x for e in exprs for x in _factors(e)]
     atoms = [a for e in exprs for a in _atoms(e)]
-    assert factors and atoms
+    memo_items = [x for item in memo.items() for x in item]
+    gens = [g for word in _words(3).values() for g in word.gens]
+    assert factors and atoms and len(memo) > 1 and gens
     gc.collect()
     assert not any(gc.is_tracked(a) for a in atoms)
-    # a collection untracks a tuple once all it holds is untracked, and an
-    # atom, an (atom, coefficient) entry, a combination, a phase or delta
-    # and a term's tuple nest five deep: five collections untrack them all
-    for _ in range(4):
+    # a collection untracks a tuple once all it holds is untracked, and a
+    # memo value holds terms that hold phases, so an atom, an (atom,
+    # coefficient) entry, a combination, a phase, a term's phases, the term
+    # and the value nest seven deep: seven collections untrack them all
+    for _ in range(6):
         gc.collect()
-    assert not [x for x in (*held, *factors) if gc.is_tracked(x)]
+    tracked = [x for x in (*held, *factors, *memo_items, *gens) if gc.is_tracked(x)]
+    assert not tracked, tracked[:3]
 
 
 def test_every_route_carries_its_signatures():
@@ -250,10 +272,9 @@ def test_canonicalize_merges_like_terms_to_zero():
     term = ScalarTerm(C_ONE, 0, -2,
                       (oscillation("t1", "t2", comb({Energy("k1"): 1})),),
                       (momentum_delta("k1", "k2"),))
-    e = ScalarExpr((term, term.times(ScalarTerm(RationalComplex.of(-1)))))
+    e = ScalarExpr((term, times(term, ScalarTerm((-1, 0)))))
     assert canonicalize(e) == EXPR_ZERO
-    assert canonicalize(ScalarExpr((term, term))).terms[0].coeff \
-        == RationalComplex.of(2)
+    assert canonicalize(ScalarExpr((term, term))).terms[0][0] == (2, 0)
 
 
 def test_canonicalize_star_normalizes_delta_chains():
@@ -262,9 +283,9 @@ def test_canonicalize_star_normalizes_delta_chains():
         phases=((time_difference("t1", "t2"), comb({Energy("k3"): 1}), False),),
         deltas=chain)
     out = canonicalize(ScalarExpr((term,))).terms[0]
-    assert out.deltas == (momentum_delta("k1", "k2"), momentum_delta("k1", "k3"))
+    assert out[4] == (momentum_delta("k1", "k2"), momentum_delta("k1", "k3"))
     # phases rewritten onto the class representative
-    assert out.phases[0][1] == comb({Energy("k1"): 1})
+    assert out[3][0][1] == comb({Energy("k1"): 1})
 
 
 def test_canonicalize_merges_unweighted_oscillations():
@@ -275,7 +296,7 @@ def test_canonicalize_merges_unweighted_oscillations():
         oscillation("t1", "t3", x),
     ))
     out = canonicalize(ScalarExpr((term,))).terms[0]
-    assert out.phases == (
+    assert out[3] == (
         (time_difference("t1", "t3"), x, False),)
 
 
@@ -297,25 +318,25 @@ def test_merged_term_keeps_the_phases_that_sort_first():
     split, joint = _two_factorizations()
     for terms in ((split, joint), (joint, split)):
         (merged,) = canonicalize(ScalarExpr(terms)).terms
-        assert merged.coeff == RationalComplex.of(2)
-        assert merged.phases == split.phases
+        assert merged[0] == (2, 0)
+        assert merged[3] == split[3]
 
 
 def test_repeated_momentum_deltas_stay_repeated():
     d12 = momentum_delta("k1", "k2")
     (squared,) = canonicalize(ScalarExpr((ScalarTerm(deltas=(d12, d12)),))).terms
-    assert squared.deltas == (d12, d12)
+    assert squared[4] == (d12, d12)
     # a closed loop of three deltas is the star of its class and one more
     loop = (momentum_delta("k2", "k3"), momentum_delta("k1", "k3"), d12)
     (star,) = canonicalize(ScalarExpr((ScalarTerm(deltas=loop),))).terms
-    assert star.deltas == (d12, d12, momentum_delta("k1", "k3"))
+    assert star[4] == (d12, d12, momentum_delta("k1", "k3"))
 
 
 def test_a_zero_term_leaves_the_canonical_form_alone():
     # the zero term is like the live one and its phases sort first: were it
     # merged, the live coefficient would come out with the zero term's phases
     split, joint = _two_factorizations()
-    zero = split.times(ScalarTerm(RationalComplex.of(0)))
+    zero = times(split, ScalarTerm((0, 0)))
     live = canonicalize(ScalarExpr((joint,)))
     for terms in ((joint, zero), (zero, joint)):
         assert to_json_str(canonicalize(ScalarExpr(terms))) == to_json_str(live)
@@ -334,7 +355,7 @@ def test_a_shared_phase_renames_by_each_terms_deltas():
     alone = sorted((ct for t in terms for ct in canonicalize(ScalarExpr((t,))).terms),
                    key=term_signature)
     assert together == tuple(alone)
-    args = {ct.deltas: [arg for _, arg, _ in ct.phases] for ct in together}
+    args = {ct[4]: [arg for _, arg, _ in ct[3]] for ct in together}
     assert args == {
         (momentum_delta("k1", "k2"),): [((Dot("k1", "k3"), 1),), ((Energy("k3"), -1),)],
         (momentum_delta("k1", "k3"),): [((Dot("k1", "k2"), 1),), ((Energy("k1"), -1),)],
@@ -363,13 +384,13 @@ def test_only_canonicalize_marks_an_expression():
     with pytest.raises(TypeError):
         ScalarExpr((term,), canonical=True)
     canon = canonicalize(raw)
-    assert canon.canonical and canon.terms[0].coeff == RationalComplex.of(2)
+    assert canon.canonical and canon.terms[0][0] == (2, 0)
     assert canon == ScalarExpr(canon.terms)  # the mark takes no part in ==
     assert canonicalize(canon) is canon
     assert EXPR_ZERO.canonical and EXPR_ONE.canonical
     # what did not come out of canonicalize is canonicalized again
     for unmarked in (from_json_str(to_json_str(raw)),
-                     ScalarExpr((term.times(ScalarTerm(RationalComplex.of(2))),))):
+                     ScalarExpr((times(term, ScalarTerm((2, 0))),))):
         assert not unmarked.canonical
         assert canonicalize(unmarked) == canon
         assert canonically_equal(unmarked, canon)
@@ -380,7 +401,7 @@ def test_canonically_equal_sees_one_changed_coefficient():
     assert e.canonical and len(e.terms) == 2
     for i in range(len(e.terms)):
         terms = list(e.terms)
-        terms[i] = terms[i].times(ScalarTerm(RationalComplex.of(1, 1)))
+        terms[i] = times(terms[i], ScalarTerm((1, 1)))
         bumped = canonicalize(ScalarExpr(tuple(terms)))
         assert bumped.canonical
         assert not canonically_equal(e, bumped)
@@ -388,9 +409,9 @@ def test_canonically_equal_sees_one_changed_coefficient():
     assert canonically_equal(e, canonicalize(ScalarExpr(e.terms[::-1])))
     # the same terms and the same coefficients, paired the other way round
     a, b = e.terms
-    two, three = (ScalarTerm(RationalComplex.of(c)) for c in (2, 3))
-    one = canonicalize(ScalarExpr((a.times(two), b.times(three))))
-    swapped = canonicalize(ScalarExpr((a.times(three), b.times(two))))
+    two, three = (ScalarTerm((c, 0)) for c in (2, 3))
+    one = canonicalize(ScalarExpr((times(a, two), times(b, three))))
+    swapped = canonicalize(ScalarExpr((times(a, three), times(b, two))))
     assert not canonically_equal(one, swapped)
     assert not canonically_equal(swapped, one)
 
@@ -407,10 +428,11 @@ def test_canonically_equal_reads_the_stored_signatures(monkeypatch):
     assert not canonically_equal(a, EXPR_ZERO)
 
 
-def _identity(term: ScalarTerm) -> tuple:
+def _identity(term: tuple) -> tuple:
     """Reference key of a canonical term, built without any string: its
     powers, its deltas and the set of its merged exponent's entries."""
-    return (term.lambda_power, term.two_pi_power, term.deltas,
+    _, two_pi_power, lambda_power, _, deltas = term
+    return (lambda_power, two_pi_power, deltas,
             frozenset(merged_exponent(term).items()))
 
 
@@ -457,7 +479,7 @@ def test_colliding_label_strings_stay_two_terms():
     a, b = COLLIDING
     assert atom_text(COLLIDING_ARGS[0][0][0]) == atom_text(COLLIDING_ARGS[1][0][0])
     out = canonicalize(ScalarExpr((a, b)))
-    assert [t.coeff for t in out.terms] == [C_ONE, C_ONE]
+    assert [t[0] for t in out.terms] == [C_ONE, C_ONE]
     assert canonicalize(ScalarExpr((b, a))) == out
 
 
@@ -476,16 +498,16 @@ def test_canonical_order_is_text_first(flip):
     term = ScalarTerm(C_ONE, 0, -4, tuple(
         (T12, x, True) for x in ordered((E1, D12))))
     (out,) = canonicalize(ScalarExpr((term,))).terms
-    assert [arg for _, arg, _ in out.phases] == [D12, E1]
+    assert [arg for _, arg, _ in out[3]] == [D12, E1]
     # (b) terms that differ in one unweighted phase
     terms = tuple(ScalarTerm(phases=((T12, x, False),))
                   for x in ordered((E1, D12)))
     out = canonicalize(ScalarExpr(terms)).terms
-    assert [t.phases[0][1] for t in out] == [D12, E1]
+    assert [t[3][0][1] for t in out] == [D12, E1]
     # (c) phase deltas of one term
     term = ScalarTerm(deltas=tuple(phase_delta(x) for x in ordered((EK, EK_OPEN))))
     (out,) = canonicalize(ScalarExpr((term,))).terms
-    assert out.deltas == (phase_delta(EK_OPEN), phase_delta(EK))
+    assert out[4] == (phase_delta(EK_OPEN), phase_delta(EK))
 
 
 def test_canonically_equal_tells_colliding_label_strings_apart():
@@ -520,8 +542,7 @@ deltas = st.one_of(
     time_combs.map(time_delta),
     args.map(phase_delta),
 )
-coeffs = st.builds(
-    RationalComplex.of,
+coeffs = st.tuples(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
@@ -539,9 +560,9 @@ COLLAPSING = ScalarExpr((ScalarTerm(deltas=(
 
 def _scrambled(e: ScalarExpr) -> ScalarExpr:
     return ScalarExpr(tuple(
-        ScalarTerm(t.coeff, t.two_pi_power, t.lambda_power,
-                   tuple(reversed(t.phases)), tuple(reversed(t.deltas)))
-        for t in reversed(e.terms)
+        ScalarTerm(coeff, two_pi_power, lambda_power,
+                   tuple(reversed(phases)), tuple(reversed(deltas)))
+        for coeff, two_pi_power, lambda_power, phases, deltas in reversed(e.terms)
     ))
 
 
@@ -575,8 +596,8 @@ def test_conjugate_involution(e):
 @settings(max_examples=80, deadline=None)
 @given(exprs)
 def test_add_negate_cancels(e):
-    minus_one = ScalarTerm(RationalComplex.of(-1))
-    opposite = tuple(t.times(minus_one) for t in e.terms)
+    minus_one = ScalarTerm((-1, 0))
+    opposite = tuple(times(t, minus_one) for t in e.terms)
     assert canonicalize(ScalarExpr(e.terms + opposite)) == EXPR_ZERO
 
 
@@ -596,7 +617,7 @@ def test_equality_is_a_congruence_for_multiply(a, c):
 @settings(max_examples=80, deadline=None)
 @given(terms, terms)
 def test_merged_exponent_additive_under_times(t1, t2):
-    prod = merged_exponent(t1.times(t2))
+    prod = merged_exponent(times(t1, t2))
     acc = dict(merged_exponent(t1))
     for key, c in merged_exponent(t2).items():
         acc[key] = acc.get(key, 0) + c
@@ -610,7 +631,7 @@ def test_identity_agrees_with_signature(ts):
     # powers, phases and deltas taken from different terms give pairs that
     # agree in some parts of the signature and differ in others
     mixed = ScalarExpr(tuple(
-        ScalarTerm(a.coeff, a.two_pi_power, a.lambda_power, b.phases, c.deltas)
+        ScalarTerm(*a[:3], b[3], c[4])  # a's coefficient and powers
         for a in ts for b in ts for c in ts))
     keys = [(_identity(t), term_signature(t))
             for term in mixed.terms

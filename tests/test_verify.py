@@ -9,7 +9,7 @@ from modwick.pairings import (
     correlator_pairing_sum, crossing_count, enumerate_pairings, pairing_term,
 )
 from modwick.scalars import (
-    EXPR_ONE, EXPR_ZERO, RationalComplex, ScalarExpr, ScalarTerm, canonicalize,
+    EXPR_ONE, EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize, times,
 )
 from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
@@ -92,8 +92,8 @@ def test_equivalence_suite_detects_a_dropped_crossing_phase(monkeypatch):
         for p in enumerate_pairings(w):
             t = pairing_term(w, p)
             if crossing_count(p):
-                t = ScalarTerm(t.coeff, t.two_pi_power, t.lambda_power,
-                               t.phases[:-1], t.deltas)
+                coeff, two_pi_power, lambda_power, phases, deltas = t
+                t = ScalarTerm(coeff, two_pi_power, lambda_power, phases[:-1], deltas)
             terms.append(t)
         e = canonicalize(ScalarExpr(tuple(terms)))
         assert e.canonical
@@ -135,8 +135,8 @@ def test_catalan_suite_detects_a_limit_that_never_vanishes(monkeypatch):
 
 def test_adjoint_suite_detects_a_recursion_scaled_by_i(monkeypatch):
     def scaled(w, memo=None):
-        i = ScalarTerm(RationalComplex.of(0, 1))
-        return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
+        i = ScalarTerm((0, 1))
+        return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
     monkeypatch.setattr(verify, "correlator_recursive", scaled)
     res = suite_adjoint_symmetry(_cases(_words(2), {}))
@@ -186,13 +186,13 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
 
 
 def _recursion_times_i(w, memo=None):
-    i = ScalarTerm(RationalComplex.of(0, 1))
-    return ScalarExpr(tuple(t.times(i) for t in correlator_recursive(w).terms))
+    i = ScalarTerm((0, 1))
+    return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
 
 def _pairing_sum_times_2(w):
-    two = ScalarTerm(RationalComplex.of(2))
-    return ScalarExpr(tuple(t.times(two) for t in correlator_pairing_sum(w).terms))
+    two = ScalarTerm((2, 0))
+    return ScalarExpr(tuple(times(t, two) for t in correlator_pairing_sum(w).terms))
 
 
 # sha256 of report(run_all(3)) under each corruption, recorded when each

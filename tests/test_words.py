@@ -5,15 +5,15 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot,
-    RationalComplex, ScalarExpr, ScalarTerm, TERM_ONE, canonicalize,
-    canonically_equal, comb, momentum_delta, oscillation, phase_delta,
-    phase_key, term_signature, time_difference,
+    C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr,
+    ScalarTerm, TERM_ONE, canonicalize, canonically_equal, comb,
+    momentum_delta, oscillation, phase_delta, phase_key, term_signature,
+    time_difference, times,
 )
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    Generator, Word, WordError, adjoint, annihilate,
+    Word, WordError, adjoint, annihilate,
     contraction_arg, correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
@@ -21,7 +21,7 @@ from modwick.words import (
 
 def pattern_of(w: Word) -> str:
     """The creator/annihilator pattern of a word, inverse of word_from_pattern."""
-    return "".join("+" if g.dagger else "a" for g in w.gens)
+    return "".join("+" if dagger else "a" for dagger, _, _, _ in w.gens)
 
 
 def weighted_phase(t_from, t_to, arg_dict):
@@ -52,19 +52,31 @@ def test_word_rejects_polarizations_no_word_file_can_hold():
     # True == 1.0 == 1, yet a word file holds only an integer "pol"
     for pol in (True, 1.0):
         _one_line_word_error(
-            lambda: word(Generator(False, "t1", "k1", pol),
-                         Generator(True, "t2", "k2", pol)),
+            lambda: word((False, "t1", "k1", pol), (True, "t2", "k2", pol)),
             f"^polarization index must be an integer, got {pol!r}$")
     w = word_from_pattern("a+", pols=[1, 1])
     assert word_from_json_dict(word_to_json_dict(w)) == w
 
 
 def test_word_rejects_non_string_labels():
-    _one_line_word_error(lambda: word(Generator(False, 1, "k1")),
+    _one_line_word_error(lambda: word((False, 1, "k1", None)),
                          "^labels must be strings, got 1 and 'k1'$")
     _one_line_word_error(
         lambda: word(annihilate("t1", "k1"), create("t2", ("k", 2))),
         r"^labels must be strings, got 't2' and \('k', 2\)$")
+
+
+def test_word_checks_the_shape_of_each_generator():
+    # a generator is the plain tuple (dagger, t, k, pol), checked in order
+    assert Word(((False, "t1", "k1", None),)).gens == (annihilate("t1", "k1"),)
+    _one_line_word_error(lambda: Word(((False, "t1", "k1"),)),
+                         r"^generator must be \(dagger, t, k, pol\), got 3 entries$")
+    _one_line_word_error(lambda: Word((("yes", "t1", "k1", None),)),
+                         "^generator dagger must be a bool, got 'yes'$")
+    _one_line_word_error(lambda: Word(([False, "t1", "k1", None],)),
+                         "^generator must be a tuple, got list$")
+    _one_line_word_error(lambda: word(annihilate("t1", "k1"), (1, "t2", "k2", None)),
+                         "^generator dagger must be a bool, got 1$")
 
 
 def test_pattern_polarizations_match_its_length():
@@ -94,8 +106,8 @@ def test_expansion_sub_words_equal_checked_words():
 def test_pattern_round_trip():
     w = word_from_pattern("aa+a++")
     assert pattern_of(w) == "aa+a++"
-    assert [g.t for g in w.gens] == [f"t{i}" for i in range(1, 7)]
-    assert [g.k for g in w.gens] == [f"k{i}" for i in range(1, 7)]
+    assert [t for _, t, _, _ in w.gens] == [f"t{i}" for i in range(1, 7)]
+    assert [k for _, _, k, _ in w.gens] == [f"k{i}" for i in range(1, 7)]
     with pytest.raises(WordError):
         word_from_pattern("ab+")
 
@@ -103,7 +115,7 @@ def test_pattern_round_trip():
 def test_polarized_pattern():
     w = word_from_pattern("a+", pols=[2, 2])
     assert w.polarized()
-    assert [g.pol for g in w.gens] == [2, 2]
+    assert [pol for _, _, _, pol in w.gens] == [2, 2]
     assert not word_from_pattern("a+").polarized()
 
 
@@ -111,7 +123,7 @@ def test_adjoint_reverses_and_flips():
     w = word_from_pattern("aa+")
     aw = adjoint(w)
     assert pattern_of(aw) == "a++"
-    assert [g.t for g in aw.gens] == ["t3", "t2", "t1"]
+    assert [t for _, t, _, _ in aw.gens] == ["t3", "t2", "t1"]
     assert adjoint(aw) == w
 
 
@@ -158,19 +170,17 @@ def test_expand_leading_annihilator_two_creators():
 
     # contraction with the nearer creator feels the far creator's momentum
     assert first_rest == (create("t3", "k3"),)
-    assert first.phases == (
+    assert first == ScalarTerm(C_ONE, 0, -2, (
         weighted_phase("t1", "t2",
-                       {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1}),)
-    assert first.deltas == (momentum_delta("k1", "k2"),)
+                       {Energy("k1"): 1, PDot("k1"): 1, Dot("k1", "k3"): 1}),),
+        (momentum_delta("k1", "k2"),))
 
     # contraction with the far creator picks up a swap phase instead
     assert second_rest == (create("t2", "k2"),)
-    assert len(second.phases) == 2
-    assert second.phases[0] == weighted_phase(
-        "t1", "t3", {Energy("k1"): 1, PDot("k1"): 1})
-    assert second.phases[1] == (
-        time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)
-    assert second.deltas == (momentum_delta("k1", "k3"),)
+    assert second == ScalarTerm(C_ONE, 0, -2, (
+        weighted_phase("t1", "t3", {Energy("k1"): 1, PDot("k1"): 1}),
+        (time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)),
+        (momentum_delta("k1", "k3"),))
 
     with pytest.raises(WordError):
         expand_leading_annihilator(word_from_pattern("+a").gens)
@@ -185,18 +195,20 @@ def test_rewrite_a_adag_polarization():
         (annihilate("t1", "k1", 1), create("t2", "k2", 2))) == []
     ((kept, kept_rest),) = expand_leading_annihilator(
         (annihilate("t1", "k1", 2), create("t2", "k2", 2)))
-    assert kept.coeff == C_ONE
-    assert kept.deltas == (momentum_delta("k1", "k2"),)
+    coeff, _, _, _, deltas = kept
+    assert coeff == C_ONE
+    assert deltas == (momentum_delta("k1", "k2"),)
     assert kept_rest == ()
 
     # the mismatched creator forms no term but still passes by: it stays
     # in the remaining word and its swap phase reaches the matched term
     ((matched, rest),) = expand_leading_annihilator(
         word_from_pattern("a++", pols=[2, 1, 2]).gens)
-    assert matched.coeff == C_ONE
-    assert matched.deltas == (momentum_delta("k1", "k3"),)
+    coeff, _, _, phases, deltas = matched
+    assert coeff == C_ONE
+    assert deltas == (momentum_delta("k1", "k3"),)
     assert rest == (create("t2", "k2", 1),)
-    assert matched.phases[1] == (
+    assert phases[1] == (
         time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)
 
 
@@ -220,12 +232,13 @@ def test_recursion_base_cases():
 def test_recursion_two_point():
     e = correlator_recursive(word_from_pattern("a+"))
     (term,) = e.terms
-    assert term.coeff == C_ONE
-    assert term.lambda_power == -2
-    assert term.two_pi_power == 0
-    assert term.phases == (
+    coeff, two_pi_power, lambda_power, phases, deltas = term
+    assert coeff == C_ONE
+    assert lambda_power == -2
+    assert two_pi_power == 0
+    assert phases == (
         weighted_phase("t1", "t2", {Energy("k1"): 1, PDot("k1"): 1}),)
-    assert term.deltas == (momentum_delta("k1", "k2"),)
+    assert deltas == (momentum_delta("k1", "k2"),)
 
 
 def test_recursion_term_counts_match_pairings():
@@ -250,9 +263,9 @@ def test_recursion_respects_generator_identity():
     # same structure, different labels: relabeling is a bijection on terms
     w1 = word(annihilate("s1", "q1"), create("s2", "q2"))
     e = correlator_recursive(w1)
-    (term,) = e.terms
-    assert term.deltas == (momentum_delta("q1", "q2"),)
-    assert term.phases[0][0] == time_difference("s1", "s2")
+    ((_, _, _, phases, deltas),) = e.terms
+    assert deltas == (momentum_delta("q1", "q2"),)
+    assert phases[0][0] == time_difference("s1", "s2")
 
 
 # ---------------------------------------------------------------------------
@@ -268,56 +281,61 @@ def _reference_shifted(arg: tuple, momentum: str, sign: int) -> tuple:
     return comb(acc)
 
 
-def _reference_shift_p(s: ScalarTerm, g: Generator) -> ScalarTerm:
+def _reference_shift_p(s: tuple, g: tuple) -> tuple:
     """Move a p-dependent scalar rightward past one generator."""
-    sign = 1 if g.dagger else -1
+    coeff, two_pi_power, lambda_power, phases, deltas = s
+    dagger, _, k, _ = g
+    sign = 1 if dagger else -1
     phases = tuple(
-        (time, _reference_shifted(arg, g.k, sign), weighted)
-        for time, arg, weighted in s.phases
+        (time, _reference_shifted(arg, k, sign), weighted)
+        for time, arg, weighted in phases
     )
     deltas = tuple(
-        phase_delta(_reference_shifted(d[1], g.k, sign))
+        phase_delta(_reference_shifted(d[1], k, sign))
         if d[0] == PHASE else d
-        for d in s.deltas
+        for d in deltas
     )
-    return ScalarTerm(s.coeff, s.two_pi_power, s.lambda_power, phases, deltas)
+    return ScalarTerm(coeff, two_pi_power, lambda_power, phases, deltas)
 
 
-def _reference_contraction(x: Generator, y: Generator) -> ScalarTerm:
+def _reference_contraction(x: tuple, y: tuple) -> tuple:
     """Contract annihilator x against creator y, in place."""
-    if x.pol != y.pol:
-        return ScalarTerm(RationalComplex.of(0))
-    arg = comb({Energy(x.k): 1, PDot(x.k): 1})
-    phase = (time_difference(x.t, y.t), arg, True)
-    return ScalarTerm(C_ONE, 0, -2, (phase,), (momentum_delta(x.k, y.k),))
+    (_, x_t, x_k, x_pol), (_, y_t, y_k, y_pol) = x, y
+    if x_pol != y_pol:
+        return ScalarTerm((0, 0))
+    arg = comb({Energy(x_k): 1, PDot(x_k): 1})
+    phase = (time_difference(x_t, y_t), arg, True)
+    return ScalarTerm(C_ONE, 0, -2, (phase,), (momentum_delta(x_k, y_k),))
 
 
 def _reference_expand(gens: tuple) -> list:
     """One p-shift per generator to the right, one times() per swap."""
     lead, tail = gens[0], gens[1:]
+    _, lead_t, lead_k, _ = lead
     out = []
     for j, g in enumerate(tail):
-        if not g.dagger:
+        if not g[0]:
             continue
         scalar = _reference_contraction(lead, g)
-        if not scalar.coeff.is_zero():
+        if scalar[0] != (0, 0):
             for other in tail[j + 1:]:
                 scalar = _reference_shift_p(scalar, other)
-            for other in tail[:j]:
-                swap = oscillation(lead.t, other.t,
-                                   comb({Dot(lead.k, other.k): 1}),
-                                   power=1 if other.dagger else -1)
-                scalar = scalar.times(ScalarTerm(C_ONE, 0, 0, (swap,), ()))
+            for other_dagger, other_t, other_k, _ in tail[:j]:
+                swap = oscillation(lead_t, other_t,
+                                   comb({Dot(lead_k, other_k): 1}),
+                                   power=1 if other_dagger else -1)
+                scalar = times(scalar, ScalarTerm(C_ONE, 0, 0, (swap,), ()))
         out.append((scalar, tail[:j] + tail[j + 1:]))
     return out
 
 
-def _term_sort_key(term: ScalarTerm) -> tuple:
+def _term_sort_key(term: tuple) -> tuple:
     """The full sort key canonicalize used before it merged on the identity."""
+    (re, im), _, _, phases, _ = term
     return (
         term_signature(term),
-        tuple(phase_key(ph) for ph in term.phases),
-        (str(term.coeff.re), str(term.coeff.im)),
+        tuple(phase_key(ph) for ph in phases),
+        (str(re), str(im)),
     )
 
 
@@ -329,12 +347,12 @@ def _reference_canonicalize(terms) -> ScalarExpr:
     combined = []
     for term in cleaned:
         if combined and term_signature(combined[-1]) == term_signature(term):
-            prev = combined[-1]
-            combined[-1] = ScalarTerm(prev.coeff + term.coeff, prev.two_pi_power,
-                                      prev.lambda_power, prev.phases, prev.deltas)
+            (prev_re, prev_im), *rest = combined[-1]
+            (re, im), *_ = term
+            combined[-1] = ScalarTerm((prev_re + re, prev_im + im), *rest)
         else:
             combined.append(term)
-    return ScalarExpr(tuple(t for t in combined if not t.coeff.is_zero()))
+    return ScalarExpr(tuple(t for t in combined if t[0] != (0, 0)))
 
 
 def _reference_recursive(w: Word) -> ScalarExpr:
@@ -344,10 +362,10 @@ def _reference_recursive(w: Word) -> ScalarExpr:
     def descend(prefix, rest):
         if not rest:
             collected.append(prefix)
-        elif not rest[0].dagger:
+        elif not rest[0][0]:
             for scalar, sub in _reference_expand(rest):
-                if not scalar.coeff.is_zero():
-                    descend(prefix.times(scalar), sub)
+                if scalar[0] != (0, 0):
+                    descend(times(prefix, scalar), sub)
 
     descend(TERM_ONE, w.gens)
     return _reference_canonicalize(collected) if collected else EXPR_ZERO
@@ -363,4 +381,4 @@ def test_recursion_is_byte_identical_to_the_tree_walk():
         # one memo across every pattern and mode: the key must tell
         # polarizations and labels apart
         assert to_json_str(correlator_recursive(w, shared)) == expected, \
-            (pattern_of(w), w.gens[0].pol)
+            (pattern_of(w), w.gens[0][3])
