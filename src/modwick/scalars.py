@@ -283,17 +283,16 @@ def label_classes(edges) -> dict:
     return {x: find(x) for x in parent}
 
 
-def _canonical_deltas_and_subst(deltas):
-    """Star-normalize momentum deltas and build the label substitution map."""
-    reps = label_classes(d[1:] for d in deltas if d[0] == MOMENTUM)
+def _star_normal(momentum: list):
+    """Star-normal momentum deltas of any shape, and the label substitution map."""
+    reps = label_classes(d[1:] for d in momentum)
     classes: dict = {}
     counts: dict = {}
     for label, rep in reps.items():
         classes.setdefault(rep, set()).add(label)
-    for d in deltas:
-        if d[0] == MOMENTUM:
-            rep = reps[d[1]]
-            counts[rep] = counts.get(rep, 0) + 1
+    for d in momentum:
+        rep = reps[d[1]]
+        counts[rep] = counts.get(rep, 0) + 1
 
     new_momentum = []
     for rep in sorted(classes):
@@ -302,10 +301,18 @@ def _canonical_deltas_and_subst(deltas):
         new_momentum.extend(edges)
         for _ in range(counts.get(rep, 0) - len(edges)):
             new_momentum.append(edges[0])
+    return new_momentum, {label: rep for label, rep in reps.items() if label != rep}
 
-    subst = {label: rep for label, rep in reps.items() if label != rep}
+
+def _canonical_deltas_and_subst(deltas):
+    """Star-normalize momentum deltas and build the label substitution map;
+    disjoint pairs are star-normal already, others go through `_star_normal`."""
+    momentum = [d for d in deltas if d[0] == MOMENTUM]
     others = [d for d in deltas if d[0] != MOMENTUM]
-    return new_momentum, others, subst
+    subst = {b: a for _, a, b in momentum}
+    if len(subst.keys() | subst.values()) != 2 * len(momentum):
+        momentum, subst = _star_normal(momentum)
+    return momentum, others, subst
 
 
 class _PhaseMemo(dict):
@@ -386,13 +393,22 @@ EXPR_ZERO = ScalarExpr(())
 object.__setattr__(EXPR_ZERO, "signatures", ())  # the one marked zero
 
 
+def _marked(survivors) -> ScalarExpr:
+    """The terms of (signature, term) pairs, sorted by signature, marked canonical."""
+    survivors = sorted(survivors, key=lambda item: item[0])
+    out = ScalarExpr(tuple(t for _, t in survivors))
+    object.__setattr__(out, "signatures", tuple(s for s, _ in survivors))
+    return out
+
+
 def canonicalize(expr: ScalarExpr) -> ScalarExpr:
     """Canonical form: substitutions applied, like terms combined, sorted.
 
     Idempotent, and insensitive to the order in which terms and momentum
-    deltas were recorded: label identification runs through a union-find
-    with the smallest label as representative, like terms merge on
-    `term_signature` and keep the phases that sort first, and the
+    deltas were recorded: label identification takes the smallest label
+    of each class, directly for disjoint pairs and through a union-find
+    otherwise, like terms merge on `term_signature` and keep the phases
+    that sort first, and the
     survivors sort by it.  A zero term is dropped before it can merge, so
     it never lends its phases to a like term.  The result carries the
     survivors' signatures, which mark it canonical, and a marked input is
@@ -416,11 +432,7 @@ def canonicalize(expr: ScalarExpr) -> ScalarExpr:
             first = min(prev, ct, key=lambda t: [phase_key(ph) for ph in t[3]])
             ct = ScalarTerm((prev_re + re, prev_im + im), *first[1:])
         merged[sig] = ct
-    survivors = sorted(((s, t) for s, t in merged.items() if t[0] != (0, 0)),
-                       key=lambda item: item[0])
-    out = ScalarExpr(tuple(t for _, t in survivors))
-    object.__setattr__(out, "signatures", tuple(s for s, _ in survivors))
-    return out
+    return _marked((s, t) for s, t in merged.items() if t[0] != (0, 0))
 
 
 def canonicalize_each(terms) -> list:
@@ -429,22 +441,25 @@ def canonicalize_each(terms) -> list:
     return [done and done[0] for done in (_canonical_term(t, memo) for t in terms)]
 
 
-EXPR_ONE = canonicalize(ScalarExpr((TERM_ONE,)))
-
-
 def multiply(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     terms = tuple(times(ta, tb) for ta in a.terms for tb in b.terms)
     return canonicalize(ScalarExpr(terms))
 
 
 def conjugate(e: ScalarExpr) -> ScalarExpr:
-    """Each coefficient conjugated and each phase argument negated."""
-    return canonicalize(ScalarExpr(tuple(
-        ScalarTerm((re, -im), two_pi_power, lambda_power,
-                   tuple((time, negated(arg), weighted)
-                         for time, arg, weighted in phases),
-                   deltas)
-        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
+    """Each coefficient conjugated and each phase argument negated.
+
+    A marked input stays canonical with its phases re-sorted and its
+    signature values negated: negation is injective, so no like terms meet."""
+    terms = [((re, -im), two_pi_power, lambda_power,
+              tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
+              deltas)
+             for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms]
+    if not e.canonical:
+        return canonicalize(ScalarExpr(tuple(terms)))
+    return _marked(((*sig[:3], negated(sig[3])),
+                    (*term[:3], tuple(sorted(term[3], key=phase_key)), term[4]))
+                   for sig, term in zip(e.signatures, terms))
 
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:

@@ -315,10 +315,6 @@ def _term_tex(term: tuple, phase_tex, delta_tex) -> str:
     return r" \, ".join(factors)
 
 
-def term_to_latex(term: tuple) -> str:
-    return _term_tex(term, _phase_tex, _delta_tex)
-
-
 def to_latex(expr: ScalarExpr) -> str:
     if not expr.terms:
         return "0"

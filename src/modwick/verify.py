@@ -104,6 +104,14 @@ class _Case:
     def closed_form(self) -> ScalarExpr:  # the pairing sum never sees the memo
         return correlator_pairing_sum(self.word)
 
+    @cached_property
+    def wick_limit(self) -> ScalarExpr:
+        return correlator_wick_limit(self.word)
+
+    @cached_property
+    def pairings(self) -> list:
+        return enumerate_pairings(self.word)
+
 
 def _cases(words: dict, memo: dict):
     """A case of its own for every word of the table, in order, sharing `memo`."""
@@ -136,7 +144,7 @@ def suite_closed_form_vs_recursion(cases) -> SuiteResult:
 def suite_limit_triple_agreement(cases) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
     routes = (("mapped-limit", lambda c: limit_of_pairing_sum(c.closed_form)),
-              ("direct-wick", lambda c: correlator_wick_limit(c.word)),
+              ("direct-wick", lambda c: c.wick_limit),
               ("rewrite", lambda c: correlator_limit_rewrite(c.word)))
     return _agree("limit-triple-agreement", cases, routes)
 
@@ -144,11 +152,11 @@ def suite_limit_triple_agreement(cases) -> SuiteResult:
 CATALAN = (1, 2, 5, 14, 42, 132)
 
 
-def suite_catalan_count(max_n: int, words: dict) -> SuiteResult:
-    """Counts of patterns with nonzero limit, against the Catalan numbers."""
+def suite_catalan_count(max_n: int, limits: dict) -> SuiteResult:
+    """Patterns with nonzero limit in `limits`, counted against the Catalan numbers."""
     def check(n):
         live = [p for p in patterns_up_to(2 * n) if len(p) == 2 * n
-                and not correlator_wick_limit(words[p, "scalar"]).is_zero()]
+                and not limits[p].is_zero()]
         expect = CATALAN[n - 1]
         if len(live) != expect:
             return f"n={n}: {len(live)} patterns with nonzero limit, expected {expect}"
@@ -156,17 +164,16 @@ def suite_catalan_count(max_n: int, words: dict) -> SuiteResult:
     return _run("catalan-count", range(1, max_n + 1), check)
 
 
-def suite_noncrossing_uniqueness(max_n: int, words: dict) -> SuiteResult:
-    """Each pattern admits at most one crossing-free pairing.
+def suite_noncrossing_uniqueness(cases) -> SuiteResult:
+    """Each scalar pattern admits at most one crossing-free pairing.
 
     The stack-scan match must agree with brute-force filtering, and a
     pairing set is nonempty exactly when a crossing-free pairing exists.
     """
-    def check(pattern):
-        w = words[pattern, "scalar"]
-        all_pairings = enumerate_pairings(w)
+    def check(case):
+        pattern, all_pairings = case.key[0], case.pairings
         flat = [p for p in all_pairings if crossing_count(p) == 0]
-        match = noncrossing_match(w)
+        match = noncrossing_match(case.word)
         if len(flat) > 1:
             return f"pattern={pattern}: {len(flat)} crossing-free pairings"
         if bool(all_pairings) != bool(flat):
@@ -177,7 +184,8 @@ def suite_noncrossing_uniqueness(max_n: int, words: dict) -> SuiteResult:
         if flat and match != flat[0]:
             return f"pattern={pattern}: stack scan {match}, filter {flat[0]}"
 
-    return _run("noncrossing-uniqueness", patterns_up_to(2 * max_n), check)
+    return _run("noncrossing-uniqueness", (c for c in cases if c.key[1] == "scalar"),
+                check)
 
 
 def _bracket_balanced(w: Word) -> bool:
@@ -190,17 +198,16 @@ def _bracket_balanced(w: Word) -> bool:
     return depth == 0
 
 
-def suite_pairing_existence(max_n: int, words: dict) -> SuiteResult:
-    """Pairings exist exactly for bracket-balanced reversed words."""
-    def check(pattern):
-        w = words[pattern, "scalar"]
-        has = bool(enumerate_pairings(w))
-        ok = _bracket_balanced(w)
+def suite_pairing_existence(cases) -> SuiteResult:
+    """Pairings exist exactly for bracket-balanced reversed scalar words."""
+    def check(case):
+        has = bool(case.pairings)
+        ok = _bracket_balanced(case.word)
         if has != ok:
-            return (f"pattern={pattern}: pairings={'yes' if has else 'no'} "
+            return (f"pattern={case.key[0]}: pairings={'yes' if has else 'no'} "
                     f"balanced={'yes' if ok else 'no'}")
 
-    return _run("pairing-existence", patterns_up_to(2 * max_n), check)
+    return _run("pairing-existence", (c for c in cases if c.key[1] == "scalar"), check)
 
 
 def suite_block_word_count(max_n: int, words: dict) -> SuiteResult:
@@ -251,27 +258,32 @@ MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
 def run_all(max_n: int) -> list:
     """All suites at the given size bound, in fixed order.
 
-    One word table serves every suite.  The four equivalence suites walk
-    it once, together: each word's case goes to each of them in turn, so
-    its recursion and pairing sum are computed once and dropped before the
-    next word.  Every recursion of the run shares one sub-word memo; the
-    closed form and the limit routes never see it.
+    One word table serves every suite.  The suites that read one word at
+    a time walk it once, together: each word's case goes to each of them
+    in turn, so its routes are computed once and dropped before the next
+    word, but for the scalar Wick limits that catalan-count reads.  Every
+    recursion of the run shares one sub-word memo; the closed form and
+    the limit routes never see it.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be between 1 and {MAX_N}")
     memo: dict = {}
     words = _words(max_n)
     suites = (suite_closed_form_vs_recursion, suite_limit_triple_agreement,
+              suite_noncrossing_uniqueness, suite_pairing_existence,
               suite_adjoint_symmetry, suite_swap_consistency)
     # a suite's total starts as its run on no case, then adds each word's run
-    totals = closed_form, limit_triple, adjoint_symmetry, swap = [s(()) for s in suites]
+    totals = [s(()) for s in suites]
+    limits = {}
     for case in _cases(words, memo):
         for total, r in zip(totals, [s((case,)) for s in suites]):
             total.cases += r.cases
             total.failures += r.failures
-    return [closed_form, limit_triple, suite_catalan_count(max_n, words),
-            suite_noncrossing_uniqueness(max_n, words),
-            suite_pairing_existence(max_n, words), suite_block_word_count(max_n, words),
+        if case.key[1] == "scalar":
+            limits[case.key[0]] = case.wick_limit
+    closed_form, limit_triple, noncrossing, existence, adjoint_symmetry, swap = totals
+    return [closed_form, limit_triple, suite_catalan_count(max_n, limits),
+            noncrossing, existence, suite_block_word_count(max_n, words),
             adjoint_symmetry, swap]
 
 

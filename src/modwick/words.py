@@ -200,17 +200,21 @@ def expand_leading_annihilator(gens: tuple) -> list:
     creators = [j for j, (dagger, _, _, p) in enumerate(tail) if dagger and p == pol]
     if not creators:
         return []
+    # each tail generator's atom k.g and sign, shared by its swap phase and
+    # the p-shift of every creator to its left
+    atoms = [(Dot(k, other_k), 1 if other_dagger else -1)
+             for other_dagger, _, other_k, _ in tail]
     # term j takes the swap phases of tail[:j] as a prefix of this one tuple
-    swaps = tuple(
-        (time_difference(t, other_t),
-         ((Dot(k, other_k), 1 if other_dagger else -1),), False)
-        for other_dagger, other_t, other_k, _ in tail[:creators[-1]]
-    )
+    swaps = tuple((time_difference(t, other_t), ((d, c),), False)
+                  for (_, other_t, _, _), (d, c) in zip(tail[:creators[-1]], atoms))
+    # term j's p-shift: E(k) + k.p, tagged -1, and the atoms of tail[j + 1:]
+    shift = sorted([(Energy(k), 1, -1), (PDot(k), 1, -1)]
+                   + [(d, c, i) for i, (d, c) in enumerate(atoms)])
     out = []
     for j in creators:
         _, y_t, y_k, _ = tail[j]
         phase = (time_difference(t, y_t),
-                 contraction_arg(lead, tail[j + 1:]), True)
+                 tuple((d, c) for d, c, i in shift if i < 0 or i > j), True)
         scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
                             (momentum_delta(k, y_k),))
         out.append((scalar, tail[:j] + tail[j + 1:]))
@@ -218,13 +222,14 @@ def expand_leading_annihilator(gens: tuple) -> list:
 
 
 def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
-    """Raw terms C(gens) of the vacuum correlator of a sub-word, memoized."""
+    """Raw terms C(gens) of the vacuum correlator of a sub-word, memoized;
+    none where the vacuum kills a leading creator or a trailing annihilator."""
     terms = memo.get(gens)
     if terms is None:
         if not gens:
             terms = (TERM_ONE,)
-        elif gens[0][0]:
-            terms = ()  # a leading creator has vanishing vacuum expectation
+        elif gens[0][0] or not gens[-1][0]:
+            terms = ()
         else:
             terms = tuple(
                 times(scalar, t)

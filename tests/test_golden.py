@@ -24,6 +24,11 @@ their structural order disagree; it was computed before phase atoms
 became plain tuples.  A seventh digest covers the whole `verify --max-n
 4` report as the CLI prints it, the run the benchmark times; it was
 computed before the equivalence suites walked the word table together.
+An eighth digest covers the `verify --max-n 5` report, computed in
+process, where canonicalize, conjugate and the recursion meet the most
+term shapes; it was recorded before momentum deltas over distinct labels
+skipped the union-find, `conjugate` kept a canonical input canonical and
+the recursion stopped expanding sub-words that end with an annihilator.
 When a change is meant to move output, recompute the digest and say why.
 """
 
@@ -53,6 +58,7 @@ ANNOTATED_SHA256 = "275e83dbabb265b2cf10afa91072f160374d20e7a9dd82e7cce4ad983024
 CLI_DOCUMENTS_SHA256 = "80c7215db499e47e5ec0e450e482e0ca34aa7ba3ab67fc3bf94bf6778200a05a"
 ODD_LABEL_SHA256 = "eb5cb971283d06c4bdbbed411d399edce98ccac22014a2ae5a8a94db5aee8718"
 VERIFY_4_SHA256 = "0d7fc3c8e57927448b6ea8004ecb96e698db0df9095f34a0569f294e6e3e6741"
+VERIFY_5_SHA256 = "52d9432a6647d578b1e98250e66006ed89b84c76711d35be221903cc9d80f5af"
 
 # "E(k()" sorts before "E(k)" as text although "k" < "k(": the canonical
 # order of atoms, phases and deltas follows the text, so these labels
@@ -136,6 +142,11 @@ def test_verify_report_matches_its_golden_digest(cli_run):
     code, out, err = cli_run(["verify", "--max-n", "4"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_SHA256
+
+
+def test_verify_5_report_matches_its_golden_digest():
+    text = report(run_all(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_5_SHA256
 
 
 def test_converge_matches_its_golden_digest(cli_run, write_json):

@@ -17,11 +17,14 @@ from modwick.limits import (
 from modwick.pairings import correlator_pairing_sum, pairing_term
 from modwick import scalars
 from modwick.scalars import (
-    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
+    C_ONE, Dot, Energy, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
     canonicalize, canonically_equal, comb, contraction_phases, momentum_delta,
     time_difference,
 )
 from modwick.words import word, word_from_pattern
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 
 def phase_delta(arg_dict):

@@ -1,8 +1,9 @@
 """Every gate can fail: a matrix of one-line mutants of the formulas under test.
 
 Each row names one formula, a mutant of it and the cheap gate that must
-catch it.  A gate is a `verify` suite at n <= 3, an identity of the limit
-or a closed form against an independent quadrature, as in
+catch it.  A gate is a `verify` suite at n <= 3, an identity of the limit,
+a fast path of `scalars` against the general path it stands in for, or a
+closed form against an independent quadrature, as in
 `tests/test_kernels.py`.  The mutant is installed with monkeypatch where
 the caller looks the formula up, so a function imported by name into a
 second module is mutated there alone.  A row either replaces the function
@@ -26,13 +27,16 @@ from dataclasses import dataclass
 import pytest
 from scipy import integrate
 
-from modwick import kernels, limits, pairings, verify
+from modwick import kernels, limits, pairings, scalars, verify, words
 from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
 from modwick.scalars import (
-    EXPR_ONE, EXPR_ZERO, ScalarExpr, ScalarTerm, canonically_equal, conjugate,
-    times,
+    C_ONE, Dot, EXPR_ZERO, Energy, ScalarExpr, ScalarTerm, canonicalize,
+    canonically_equal, comb, conjugate, negated, time_difference, times,
 )
 from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 MAX_N = 3
 WORDS = verify._words(MAX_N)
@@ -99,6 +103,46 @@ def _delta_kernel_against_cubature() -> bool:
     return abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
+def _fast_path_against_union_find() -> bool:
+    """Disjoint momentum pairs give what the union-find gives.
+
+    Recursion and pairing sum name their representatives through the same
+    map, so no suite sees a fast path that picks the larger label.
+    """
+    for w in WORDS.values():
+        for _, _, _, _, deltas in (
+                *words._raw_correlator_terms(w.gens, {}),
+                *(pairings.pairing_term(w, p) for p in pairings.enumerate_pairings(w))):
+            momentum, _, subst = scalars._canonical_deltas_and_subst(deltas)
+            if (sorted(momentum), subst) != scalars._star_normal(list(deltas)):
+                return False
+    return True
+
+
+def _termwise_conjugate(e: ScalarExpr) -> ScalarExpr:
+    return canonicalize(ScalarExpr(tuple(
+        ((re, -im), two_pi_power, lambda_power,
+         tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
+         deltas)
+        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
+
+
+# two weighted phases over one time whose arguments differ in the sign of
+# one entry: conjugation swaps their order, which no route output shows
+SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
+    (time_difference("t1", "t2"), comb({Energy("k1"): 1, Dot("k1", "k2"): s}), True)
+    for s in (1, -1))),)))
+
+
+def _conjugate_keeps_canonical_form() -> bool:
+    """A canonical input's conjugate is its term-wise conjugate canonicalized."""
+    for e in (SAME_TIME, *map(correlator_recursive, WORDS.values())):
+        got, want = scalars.conjugate(e), _termwise_conjugate(e)
+        if (got.terms, got.signatures) != (want.terms, want.signatures):
+            return False
+    return True
+
+
 # every gate returns True when it passes; the suites look their routes up
 # in `modwick.verify` when they run, and each gets fresh cases and memo
 GATES = {
@@ -106,11 +150,13 @@ GATES = {
         lambda: verify.suite_closed_form_vs_recursion(verify._cases(WORDS, {})).passed(),
     "limit-triple-agreement":
         lambda: verify.suite_limit_triple_agreement(verify._cases(WORDS, {})).passed(),
-    "catalan-count": lambda: verify.suite_catalan_count(MAX_N, WORDS).passed(),
+    "catalan-count": lambda: verify.suite_catalan_count(MAX_N, {
+        c.key[0]: c.wick_limit for c in verify._cases(WORDS, {})
+        if c.key[1] == "scalar"}).passed(),
     "noncrossing-uniqueness":
-        lambda: verify.suite_noncrossing_uniqueness(MAX_N, WORDS).passed(),
+        lambda: verify.suite_noncrossing_uniqueness(verify._cases(WORDS, {})).passed(),
     "pairing-existence":
-        lambda: verify.suite_pairing_existence(MAX_N, WORDS).passed(),
+        lambda: verify.suite_pairing_existence(verify._cases(WORDS, {})).passed(),
     "block-word-count":
         lambda: verify.suite_block_word_count(MAX_N, WORDS).passed(),
     "adjoint-symmetry":
@@ -121,6 +167,8 @@ GATES = {
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,
     "delta-kernel-vs-cubature": _delta_kernel_against_cubature,
+    "fast-path-vs-union-find": _fast_path_against_union_find,
+    "conjugate-keeps-canonical-form": _conjugate_keeps_canonical_form,
 }
 
 
@@ -158,13 +206,16 @@ MUTANTS = [
            "c > m and ", ""),
     Mutant("verify.enumerate_pairings", "block-word-count",
            "taken.remove(c)", "pass"),
-    # the recursion: the p-shift of the contraction and the swap phases
-    Mutant("words.contraction_arg", "closed-form-vs-recursion",
-           "for dagger, _, other_k, _ in right:", "for dagger, _, other_k, _ in ():"),
+    # the recursion: the p-shift of the contraction, the swap phases and
+    # the vacuum
+    Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
+           "i < 0 or i > j", "i < 0"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
            "(phase,) + swaps[:j]", "(phase,)"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
-           "1 if other_dagger else -1", "-1 if other_dagger else 1"),
+           "((d, c),)", "((d, -c),)"),
+    Mutant("words._raw_correlator_terms", "closed-form-vs-recursion",
+           "not gens[-1][0]", "gens[-1][0]"),
     # the three limit routes
     Mutant("limits.contraction_arg", "limit-triple-agreement",
            "for dagger, _, other_k, _ in right:", "for dagger, _, other_k, _ in ():"),
@@ -185,6 +236,12 @@ MUTANTS = [
            "if arg[0][1] < 0 else", "if False else"),
     Mutant("scalars._PhaseMemo.rename", "swap-consistency",
            "negated(time), negated(arg)", "negated(time), arg"),
+    # the disjoint-pair fast path naming the larger label of each pair
+    Mutant("scalars._canonical_deltas_and_subst", "fast-path-vs-union-find",
+           "{b: a for _, a, b in momentum}", "{a: b for _, a, b in momentum}"),
+    # conjugate keeping a canonical input canonical without the phase re-sort
+    Mutant("scalars.conjugate", "conjugate-keeps-canonical-form",
+           "sorted(term[3], key=phase_key)", "term[3]"),
     # canonicalize's per-call memo: a phase renamed without its labels'
     # representatives in the key reuses another term's renaming
     Mutant("scalars._PhaseMemo.rename", "closed-form-vs-recursion",

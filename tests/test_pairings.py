@@ -19,7 +19,7 @@ from modwick.pairings import (
 )
 from modwick.limits import noncrossing_match
 from modwick.scalars import (
-    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
+    C_ONE, Dot, Energy, EXPR_ZERO, PDot, ScalarExpr, ScalarTerm,
     canonicalize, canonically_equal, comb, momentum_delta, term_signature,
     time_difference,
 )
@@ -28,6 +28,9 @@ from modwick.words import (
     WordError, _raw_correlator_terms, correlator_recursive, word,
     word_from_pattern,
 )
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 
 def weighted_phase(t_from, t_to, arg_dict):

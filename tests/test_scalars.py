@@ -15,20 +15,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modwick.scalars import (
-    C_ONE, Dot, Energy, EXPR_ONE, EXPR_ZERO, MOMENTUM, PHASE, PDot, TIME,
+    C_ONE, Dot, Energy, EXPR_ZERO, MOMENTUM, PHASE, PDot, TIME,
     ScalarExpr, ScalarTerm, TERM_ONE, atom_text, canonicalize,
     canonically_equal, comb, conjugate, delta_key, label_classes,
     merged_exponent, momentum_delta, multiply, negated, oscillation,
     phase_delta, substituted, term_signature, time_delta, time_difference,
-    times,
+    times, _canonical_deltas_and_subst, _star_normal,
 )
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
-from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
+from modwick.pairings import (
+    annotated_pairing_terms, correlator_pairing_sum, enumerate_pairings, pairing_term,
+)
 from modwick.serialize import from_json_str, to_json_str
 from modwick.verify import MODES, _build, _words, patterns_up_to
-from modwick.words import correlator_recursive, word_from_pattern
+from modwick.words import (
+    _raw_correlator_terms, correlator_recursive, word_from_pattern,
+)
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +379,64 @@ def test_label_classes_map_to_the_smallest_label():
     assert label_classes([]) == {}
 
 
+def _union_find_path(deltas) -> tuple:
+    """The union-find path's deltas and map, its momentum deltas sorted."""
+    momentum, subst = _star_normal([d for d in deltas if d[0] == MOMENTUM])
+    return sorted(momentum), [d for d in deltas if d[0] != MOMENTUM], subst
+
+
+def test_disjoint_momentum_pairs_give_the_union_find_result():
+    # every raw recursion and pairing term of the n <= 4 table has disjoint
+    # pairs, and so has every Wick limit term, next to its other deltas
+    renamed = 0
+    for w in _words(4).values():
+        for t in (*_raw_correlator_terms(w.gens, {}),
+                  *(pairing_term(w, p) for p in enumerate_pairings(w)),
+                  *correlator_wick_limit(w).terms):
+            momentum, others, subst = _canonical_deltas_and_subst(t[4])
+            assert (sorted(momentum), others, subst) == _union_find_path(t[4]), t
+            renamed += bool(subst)
+    assert renamed > 0
+    # a shared label, a repeat and a chain take the union-find path
+    d12, d13, d23 = (momentum_delta(*ab) for ab in (("k1", "k2"), ("k1", "k3"),
+                                                    ("k2", "k3")))
+    for deltas in ((d12, d13), (d12, d12), (d23, d12)):
+        momentum, subst = _star_normal(list(deltas))
+        assert _canonical_deltas_and_subst(deltas) == (momentum, [], subst)
+    assert _canonical_deltas_and_subst((d23, d12))[2] == {"k2": "k1", "k3": "k1"}
+
+
+def _termwise_conjugate(e: ScalarExpr) -> ScalarExpr:
+    """The conjugate canonicalized afresh: each term conjugated, unmarked."""
+    return canonicalize(ScalarExpr(tuple(
+        ((re, -im), two_pi_power, lambda_power,
+         tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
+         deltas)
+        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
+
+
+# two weighted phases over one time whose arguments differ in the sign of
+# one entry, so conjugation swaps their order; no route puts two phases of
+# one weight on one time, so route outputs keep their order either way
+SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
+    (time_difference("t1", "t2"), comb({Energy("k1"): 1, Dot("k1", "k2"): s}), True)
+    for s in (1, -1))),)))
+
+
+def test_conjugate_keeps_a_canonical_input_canonical():
+    memo: dict = {}
+    exprs = [SAME_TIME, correlator_recursive(word_from_pattern("aaaaaa++++++")),
+             *(correlator_recursive(w, memo) for w in _words(4).values())]
+    for e in exprs:
+        if e.terms:
+            got, want = conjugate(e), _termwise_conjugate(e)
+            assert got.canonical
+            assert (got.terms, got.signatures) == (want.terms, want.signatures)
+    (swapped,) = conjugate(SAME_TIME).terms
+    assert [arg for _, arg, _ in swapped[3]] == [
+        negated(arg) for _, arg, _ in reversed(SAME_TIME.terms[0][3])]
+
+
 # ---------------------------------------------------------------------------
 # the canonical mark
 
@@ -591,6 +656,16 @@ def test_canonicalize_order_insensitive(e):
 @example(COLLAPSING)
 def test_conjugate_involution(e):
     assert conjugate(conjugate(e)) == canonicalize(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs)
+@example(COLLAPSING)
+@example(SAME_TIME)
+def test_conjugate_of_a_canonical_input_is_its_canonical_conjugate(e):
+    e = canonicalize(e)
+    got, want = conjugate(e), _termwise_conjugate(e)
+    assert (got.terms, got.signatures) == (want.terms, want.signatures)
 
 
 @settings(max_examples=80, deadline=None)

@@ -15,9 +15,14 @@ from modwick.scalars import (
 )
 from modwick.serialize import (
     from_json_dict, from_json_str, indented_json, json_term, term_to_json_dict,
-    term_to_latex, to_json_dict, to_json_str, to_latex,
+    to_json_dict, to_json_str, to_latex,
 )
 from modwick.words import correlator_recursive, word_from_pattern
+
+
+def term_to_latex(term: tuple) -> str:
+    # a one-term sum renders as its term
+    return to_latex(ScalarExpr((term,)))
 
 
 SAMPLE_EXPRS = [

@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 
 from modwick import verify
+from modwick.limits import correlator_wick_limit
 from modwick.pairings import (
     correlator_pairing_sum, crossing_count, enumerate_pairings, pairing_term,
 )
 from modwick.scalars import (
-    EXPR_ONE, EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize, times,
+    EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize, times,
 )
 from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
@@ -20,6 +21,9 @@ from modwick.verify import (
 from modwick.words import Word, correlator_recursive, word_from_pattern
 
 import pytest
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 
 def test_patterns_up_to_counts_and_order():
@@ -61,8 +65,13 @@ def test_modes_cover_polarization_space():
     assert MODES == ("scalar", "uniform", "cyclic")
 
 
+def _wick_limits(words: dict) -> dict:
+    """The direct Wick limit of each scalar pattern, as run_all hands it on."""
+    return {c.key[0]: c.wick_limit for c in _cases(words, {}) if c.key[1] == "scalar"}
+
+
 def test_catalan_table_matches_suite():
-    res = suite_catalan_count(4, _words(4))
+    res = suite_catalan_count(4, _wick_limits(_words(4)))
     assert res.passed()
     assert CATALAN[:4] == (1, 2, 5, 14)
 
@@ -127,7 +136,7 @@ def test_triple_agreement_suite_detects_a_corrupted_rewrite(monkeypatch):
 
 def test_catalan_suite_detects_a_limit_that_never_vanishes(monkeypatch):
     monkeypatch.setattr(verify, "correlator_wick_limit", lambda w: EXPR_ONE)
-    res = suite_catalan_count(2, _words(2))
+    res = suite_catalan_count(2, _wick_limits(_words(2)))
     assert res.failures == [
         "n=1: 4 patterns with nonzero limit, expected 1",
         "n=2: 16 patterns with nonzero limit, expected 2"]
@@ -161,11 +170,12 @@ def test_suite_result_passed_flag():
 
 
 def test_run_all_computes_each_route_once_per_word(monkeypatch):
-    # the four equivalence suites share each word's recursion and pairing
-    # sum: one pairing sum per table word, and one recursion per table word
-    # plus the adjoint word of each adjoint case and the swapped word of
-    # each swap case
-    calls = {"recursion": 0, "pairing sum": 0}
+    # the suites that walk the table share each word's routes: one pairing
+    # sum and one direct Wick limit per table word, one enumeration of
+    # pairings per scalar word besides block-word-count's one per size, and
+    # one recursion per table word plus the adjoint word of each adjoint
+    # case and the swapped word of each swap case
+    calls = {"recursion": 0, "pairing sum": 0, "wick limit": 0, "pairings": 0}
 
     def counted(name, route):
         def wrapper(*args):
@@ -177,10 +187,15 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
                         counted("recursion", correlator_recursive))
     monkeypatch.setattr(verify, "correlator_pairing_sum",
                         counted("pairing sum", correlator_pairing_sum))
+    monkeypatch.setattr(verify, "correlator_wick_limit",
+                        counted("wick limit", correlator_wick_limit))
+    monkeypatch.setattr(verify, "enumerate_pairings",
+                        counted("pairings", enumerate_pairings))
     results = {r.name: r for r in run_all(3)}
     table = len(_words(3))
     assert table == 378
-    assert calls["pairing sum"] == table
+    assert calls["pairing sum"] == calls["wick limit"] == table
+    assert calls["pairings"] == results["pairing-existence"].cases + 3 == table // 3 + 3
     assert calls["recursion"] == (table + results["adjoint-symmetry"].cases
                                   + results["swap-consistency"].cases)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from modwick.scalars import (
-    C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ONE, EXPR_ZERO, PDot, ScalarExpr,
+    C_ONE, PDOT, PHASE, Dot, Energy, EXPR_ZERO, PDot, ScalarExpr,
     ScalarTerm, TERM_ONE, canonicalize, canonically_equal, comb,
     momentum_delta, oscillation, phase_delta, phase_key, term_signature,
     time_difference, times,
@@ -17,6 +17,9 @@ from modwick.words import (
     contraction_arg, correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
+
+# the constant 1, canonical
+EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 
 def pattern_of(w: Word) -> str:
