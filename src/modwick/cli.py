@@ -16,6 +16,7 @@ fully deterministic: the same invocation produces the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,10 +249,13 @@ def cmd_render(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # fixed at the width argparse picks off a terminal: none is asked its size
+    fmt = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
-        prog="modwick",
+        prog="modwick", formatter_class=fmt,
         description="Correlators and limits for the deformed field-atom algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=fmt)
 
     def add_word_flags(p):
         p.add_argument("word", help="word file (JSON)")
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="assert the word file's mode")
         p.add_argument("--out", help="write output to this path")
 
-    p = sub.add_parser("correlate", help="finite-coupling correlator")
+    p = add_parser("correlate", help="finite-coupling correlator")
     add_word_flags(p)
     p.add_argument("--method", choices=("recursion", "theorem1"),
                    default="recursion")
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit per-pairing terms with crossing tags")
     p.set_defaults(fn=cmd_correlate)
 
-    p = sub.add_parser("limit", help="limit correlator")
+    p = add_parser("limit", help="limit correlator")
     add_word_flags(p)
     p.add_argument("--method",
                    choices=("wick", "rewrite", "limit-of-theorem1"),
@@ -278,26 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the other routes and demand agreement")
     p.set_defaults(fn=cmd_limit)
 
-    p = sub.add_parser("pairings", help="enumerate pairings of a word")
+    p = add_parser("pairings", help="enumerate pairings of a word")
     add_word_flags(p)
     p.add_argument("--annotate", action="store_true",
                    help="include the closed-form term of each pairing")
     p.set_defaults(fn=cmd_pairings)
 
-    p = sub.add_parser("verify", help="run the cross-method suites")
+    p = add_parser("verify", help="run the cross-method suites")
     p.add_argument("--max-n", type=int, default=4,
                    help=f"pattern length bound 2n (n between 1 and {MAX_N})")
     p.add_argument("--out", help="write report to this path")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("converge", help="numeric convergence ladders (CSV)")
+    p = add_parser("converge", help="numeric convergence ladders (CSV)")
     p.add_argument("assignment", help="assignment file (JSON)")
     p.add_argument("--lambdas", default="1.0,0.4,0.2,0.1,0.05",
                    help="comma-separated strictly decreasing ladder")
     p.add_argument("--out", help="write CSV to this path")
     p.set_defaults(fn=cmd_converge)
 
-    p = sub.add_parser("render", help="re-render a serialized expression")
+    p = add_parser("render", help="re-render a serialized expression")
     p.add_argument("expr", help="expression file (JSON)")
     p.add_argument("--format", choices=("json", "latex"), default="latex")
     p.add_argument("--out", help="write output to this path")

@@ -227,7 +227,8 @@ def _signature(term: tuple, delta_keys, entry_lists) -> tuple:
     for entries in entry_lists:
         for k, v in entries:
             acc[k] = acc.get(k, 0) + v
-    entries = sorted(kv for kv in acc.items() if kv[1])
+    # flat entries skip comparing a nested key; distinct keys leave v out of the order
+    entries = sorted([(t, text, a, v) for (t, text, a), v in acc.items() if v])
     _, two_pi_power, lambda_power, _, _ = term
     return (lambda_power, two_pi_power, tuple(delta_keys), tuple(entries))
 
@@ -235,6 +236,8 @@ def _signature(term: tuple, delta_keys, entry_lists) -> tuple:
 def term_signature(term: tuple) -> tuple:
     """Key of a term up to its coefficient, text first ("t10" before "t2").
 
+    It is (lambda_power, two_pi_power, delta keys, entries): one flat entry
+    (t, atom_text(atom), atom, v) per nonzero merged-exponent value, sorted.
     Like terms share it: structural phase lists that multiply to the same
     exponential share a signature, and the structural value after each
     string keeps terms whose label strings collide apart.
@@ -457,7 +460,7 @@ def conjugate(e: ScalarExpr) -> ScalarExpr:
              for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms]
     if not e.canonical:
         return canonicalize(ScalarExpr(tuple(terms)))
-    return _marked(((*sig[:3], negated(sig[3])),
+    return _marked(((*sig[:3], tuple([(t, s, a, -v) for t, s, a, v in sig[3]])),
                     (*term[:3], tuple(sorted(term[3], key=phase_key)), term[4]))
                    for sig, term in zip(e.signatures, terms))
 

@@ -3,11 +3,12 @@
 The JSON AST is a plain dictionary tree mirroring the structural term
 representation; `from_json_dict(to_json_dict(e))` reproduces `e` exactly,
 a whole-number coefficient part read back as an int.  `indented_json`
-writes the text of `json.dumps(x, indent=2)` from the terms.
+writes the text of `json.dumps(x, indent=2)`, each term through one
+template, rendering each distinct phase and delta once per call and pad.
 LaTeX output renders phases as q_{\\lambda}(.., ..) and delta factors as
 \\delta(..) for side-by-side reading against handwritten normal forms.
-`indented_json` and `to_latex` render each distinct phase and delta once
-per call, and `from_json_dict` reads each distinct phase once.
+`to_latex` renders each distinct phase and delta once per call, and
+`from_json_dict` reads each distinct phase once.
 """
 
 from __future__ import annotations
@@ -117,16 +118,12 @@ def _phase_to_json(ph: tuple) -> dict:
             "weighted": weighted}
 
 
-def _term_fields(term: tuple, phase, delta) -> dict:
-    """A term's JSON fields, `phase` and `delta` applied to each of its factors."""
+def term_to_json_dict(term: tuple) -> dict:
     (re, im), two_pi_power, lambda_power, phases, deltas = term
     return {"coeff": [[re.numerator, re.denominator], [im.numerator, im.denominator]],
             "two_pi_power": two_pi_power, "lambda_power": lambda_power,
-            "phases": list(map(phase, phases)), "deltas": list(map(delta, deltas))}
-
-
-def term_to_json_dict(term: tuple) -> dict:
-    return _term_fields(term, _phase_to_json, _delta_to_json)
+            "phases": list(map(_phase_to_json, phases)),
+            "deltas": list(map(_delta_to_json, deltas))}
 
 
 def _term_from_json(d: dict, memo: dict) -> tuple:
@@ -159,21 +156,38 @@ def from_json_dict(d: dict) -> ScalarExpr:
     return ScalarExpr(tuple(_term_from_json(t, memo) for t in d["terms"]))
 
 
-def _marked_term_fields(term: tuple) -> dict:
-    """A term's JSON fields, each phase and delta paired with its dump."""
-    return _term_fields(term, lambda ph: (_phase_to_json, ph),
-                        lambda d: (_delta_to_json, d))
+def _factor_list(items: tuple, dump, pad: str, memo: dict) -> str:
+    """A term's phases or deltas under `pad`, each distinct one rendered once."""
+    inner = pad + "  "
+    texts = [memo.get((x, inner))
+             or memo.setdefault((x, inner), _indented(dump(x), inner, memo))
+             for x in items]
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]" if texts else "[]"
+
+
+def _term_json(term: tuple, pad: str, memo: dict) -> str:
+    """`term_to_json_dict(term)` written under `pad` through one template."""
+    (re, im), two_pi_power, lambda_power, phases, deltas = term
+    i1 = pad + "  "
+    template = memo.get(pad)
+    if template is None:  # the term's lines under this pad, its fields left as %s
+        i2, i3 = i1 + "  ", i1 + "    "
+        pair = f"[\n{i3}%s,\n{i3}%s\n{i2}]"
+        template = memo[pad] = (
+            f"{{\n{i1}\"coeff\": [\n{i2}{pair},\n{i2}{pair}\n{i1}],\n"
+            f"{i1}\"two_pi_power\": %s,\n{i1}\"lambda_power\": %s,\n"
+            f"{i1}\"phases\": %s,\n{i1}\"deltas\": %s\n{pad}}}")
+    ints = (re.numerator, re.denominator, im.numerator, im.denominator,
+            two_pi_power, lambda_power)
+    return template % (
+        *[_indented(x, i1, memo) for x in ints],
+        _factor_list(phases, _phase_to_json, i1, memo),
+        _factor_list(deltas, _delta_to_json, i1, memo))
 
 
 def json_term(term: tuple) -> tuple:
     """A term marked for `indented_json`, which writes its `term_to_json_dict`."""
-    return (_marked_term_fields, term)
-
-
-# terms, phases and deltas are plain tuples: `indented_json` reads each
-# paired with its dump, as (dump, value), so a bare tuple stays no JSON
-# value; the dumps are private, so no rebinding of a public name hides one
-_DUMPS = (_marked_term_fields, _phase_to_json, _delta_to_json)
+    return (_term_json, term)
 
 
 def _indented(x, pad: str, memo: dict) -> str:
@@ -183,26 +197,19 @@ def _indented(x, pad: str, memo: dict) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, tuple) and x and x[0] in _DUMPS:
-        dump, value = x
-        if dump is _marked_term_fields:  # terms seldom repeat: not memoized
-            x = dump(value)
-        else:  # a phase or delta under one pad always prints the same lines
-            text = memo.get((x, pad))
-            if text is None:
-                text = memo[x, pad] = _indented(dump(value), pad, memo)
-            return text
+    if isinstance(x, tuple) and x and x[0] is _term_json:
+        return _term_json(x[1], pad, memo)
     inner = pad + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
-        body = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: "
-                          f"{_indented(v, inner, memo)}" for k, v in x.items())
+        body = ",\n".join([f"{inner}{encode_basestring_ascii(k)}: "
+                           f"{_indented(v, inner, memo)}" for k, v in x.items()])
         return f"{{\n{body}\n{pad}}}"
     if isinstance(x, list):
         if not x:
             return "[]"
-        body = ",\n".join(inner + _indented(v, inner, memo) for v in x)
+        body = ",\n".join([inner + _indented(v, inner, memo) for v in x])
         return f"[\n{body}\n{pad}]"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 

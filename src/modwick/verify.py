@@ -210,10 +210,11 @@ def suite_pairing_existence(cases) -> SuiteResult:
     return _run("pairing-existence", (c for c in cases if c.key[1] == "scalar"), check)
 
 
-def suite_block_word_count(max_n: int, words: dict) -> SuiteResult:
-    """The all-annihilators-then-all-creators word has n! pairings."""
+def suite_block_word_count(max_n: int, counts: dict) -> SuiteResult:
+    """The all-annihilators-then-all-creators word has n! pairings; `counts`
+    maps each scalar pattern to the number of pairings enumerated for it."""
     def check(n):
-        got = len(enumerate_pairings(words["a" * n + "+" * n, "scalar"]))
+        got = counts["a" * n + "+" * n]
         if got != math.factorial(n):
             return f"n={n}: {got} pairings, expected {math.factorial(n)}"
 
@@ -261,7 +262,8 @@ def run_all(max_n: int) -> list:
     One word table serves every suite.  The suites that read one word at
     a time walk it once, together: each word's case goes to each of them
     in turn, so its routes are computed once and dropped before the next
-    word, but for the scalar Wick limits that catalan-count reads.  Every
+    word, but for the scalar Wick limits and pairing counts that
+    catalan-count and block-word-count read.  Every
     recursion of the run shares one sub-word memo; the closed form and
     the limit routes never see it.
     """
@@ -274,16 +276,17 @@ def run_all(max_n: int) -> list:
               suite_adjoint_symmetry, suite_swap_consistency)
     # a suite's total starts as its run on no case, then adds each word's run
     totals = [s(()) for s in suites]
-    limits = {}
+    limits, counts = {}, {}
     for case in _cases(words, memo):
         for total, r in zip(totals, [s((case,)) for s in suites]):
             total.cases += r.cases
             total.failures += r.failures
         if case.key[1] == "scalar":
             limits[case.key[0]] = case.wick_limit
+            counts[case.key[0]] = len(case.pairings)
     closed_form, limit_triple, noncrossing, existence, adjoint_symmetry, swap = totals
     return [closed_form, limit_triple, suite_catalan_count(max_n, limits),
-            noncrossing, existence, suite_block_word_count(max_n, words),
+            noncrossing, existence, suite_block_word_count(max_n, counts),
             adjoint_symmetry, swap]
 
 

@@ -450,6 +450,60 @@ def test_word_file_rejects_non_integer_pol(cli_run, write_json):
         assert "'pol' must be an integer" in err and err.count("\n") == 1
 
 
+# argparse's layout on Python 3.11 at width 78, the width it picks when
+# stdout is no terminal
+HELP = {
+    ("--help",): """\
+usage: modwick [-h] {correlate,limit,pairings,verify,converge,render} ...
+
+Correlators and limits for the deformed field-atom algebra.
+
+positional arguments:
+  {correlate,limit,pairings,verify,converge,render}
+    correlate           finite-coupling correlator
+    limit               limit correlator
+    pairings            enumerate pairings of a word
+    verify              run the cross-method suites
+    converge            numeric convergence ladders (CSV)
+    render              re-render a serialized expression
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("correlate", "--help"): """\
+usage: modwick correlate [-h] [--mode {scalar,polarized}] [--out OUT]
+                         [--method {recursion,theorem1}]
+                         [--format {json,latex}] [--annotate]
+                         word
+
+positional arguments:
+  word                  word file (JSON)
+
+options:
+  -h, --help            show this help message and exit
+  --mode {scalar,polarized}
+                        assert the word file's mode
+  --out OUT             write output to this path
+  --method {recursion,theorem1}
+  --format {json,latex}
+  --annotate            emit per-pairing terms with crossing tags
+""",
+}
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize("argv", list(HELP), ids=" ".join)
+def test_help_does_not_depend_on_the_terminal(argv, columns):
+    src = os.path.dirname(os.path.dirname(modwick.cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    env["PYTHONPATH"] = src
+    if columns is not None:
+        env["COLUMNS"] = columns
+    proc = subprocess.run([sys.executable, "-m", "modwick.cli", *argv],
+                          env=env, capture_output=True, check=True)
+    assert proc.stdout.decode() == HELP[argv]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # only the quadrature oracles need scipy, and no command runs one;
     # symbolic commands must not pay for it

@@ -600,6 +600,17 @@ time_combs = (
       .map(lambda ab: time_difference(*ab))
 )
 phases = st.tuples(time_combs, args, st.booleans())
+
+
+def _twins(time: tuple, arg: tuple, i: int) -> tuple:
+    """Two weighted phases over `time`, the second with the sign of one
+    entry of `arg` flipped: negation flips their order, as in SAME_TIME."""
+    i %= len(arg)
+    flipped = arg[:i] + ((arg[i][0], -arg[i][1]),) + arg[i + 1:]
+    return (time, arg, True), (time, flipped, True)
+
+
+twins = st.builds(_twins, time_combs, args, st.integers(0, 2))
 deltas = st.one_of(
     st.tuples(st.sampled_from(K_LABELS), st.sampled_from(K_LABELS))
       .filter(lambda ab: ab[0] != ab[1])
@@ -613,7 +624,8 @@ coeffs = st.tuples(
 )
 terms = st.builds(
     ScalarTerm, coeffs, st.integers(-2, 3), st.integers(-4, 2),
-    st.lists(phases, max_size=3).map(tuple),
+    st.tuples(st.lists(phases, max_size=3), st.lists(twins, max_size=1))
+      .map(lambda ps: tuple(ps[0]) + sum(ps[1], ())),
     st.lists(deltas, max_size=3).map(tuple),
 )
 exprs = st.lists(terms, max_size=3).map(tuple).map(ScalarExpr)

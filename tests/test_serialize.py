@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modwick.cli import _pairing_entry
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
     Dot, EXPR_ZERO, Energy, PDot, ScalarExpr, ScalarTerm, TERM_ONE, comb,
@@ -99,17 +100,45 @@ def exprs(draw):
 @given(e=exprs(), with_term=st.booleans())
 def test_indented_writer_matches_json_dumps(e, with_term):
     assert to_json_str(e) == json.dumps(to_json_dict(e), indent=2)
-    def doc(term):
-        entries = [{"pairs": [[1, 2 + i]], "crossings": i, "tag": "crossing",
-                    **({"term": term(t)} if with_term else {})}
-                   for i, t in enumerate(e.terms)]
-        return {"count": len(entries), "pairings": entries}
 
-    assert indented_json(doc(json_term)) == json.dumps(doc(term_to_json_dict), indent=2)
+    def entries(term):  # as `pairings --annotate` and `correlate --annotate` build them
+        return [_pairing_entry(((1, 2 + i),), i, term(t) if with_term else None)
+                for i, t in enumerate(e.terms)]
+
+    for doc in (lambda term: {"count": len(e.terms), "pairings": entries(term)},
+                lambda term: {"terms": entries(term)}):
+        assert indented_json(doc(json_term)) \
+            == json.dumps(doc(term_to_json_dict), indent=2)
+
+
+class _Tally(int):
+    """An int subclass that prints unlike an int: `json.dumps` writes it
+    through `int.__repr__`, and so must the term template."""
+
+    def __repr__(self) -> str:
+        return f"_Tally({int(self)})"
+
+    __str__ = __repr__
+
+
+ints = st.one_of(big, st.booleans(), big.map(_Tally))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff=st.tuples(ints | fractions, ints | fractions), powers=st.tuples(ints, ints),
+       e=exprs())
+def test_term_template_writes_ints_and_bools_as_json_dumps(coeff, powers, e):
+    # json.dumps writes bools as true and false and ints, subclasses too,
+    # through int.__repr__; the template fills in what the dict holds
+    for _, _, _, phases, deltas in e.terms + (TERM_ONE,):
+        term = ScalarTerm(coeff, *powers, phases, deltas)
+        assert indented_json([json_term(term)]) \
+            == json.dumps([term_to_json_dict(term)], indent=2)
 
 
 def test_indented_writer_refuses_other_types():
-    for bad in (1.5, None, (1, 2), TERM_ONE, {1: 2}):
+    for bad in (1.5, None, (1, 2), TERM_ONE, {1: 2},
+                json_term(ScalarTerm(two_pi_power=1.5))):
         with pytest.raises(TypeError):
             indented_json({"x": [bad]})
 
