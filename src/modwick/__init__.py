@@ -28,14 +28,20 @@ from .limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
     noncrossing_match,
 )
-from .kernels import (
-    Assignment, ConvergenceRow, GaussianTest, STANDARD_GAUSSIAN,
-    UnassignedLabelError, arg_value, delta_kernel, delta_kernel_quadrature,
-    delta_kernel_target, fit_loglog_slope, gauss_fourier, overlap,
-    phase_value, strip_momentum_deltas, term_convergence,
-    term_convergence_quadrature, term_value, term_value_quadrature,
-    vanishing_kernel,
-)
 from .verify import all_passed, report, run_all
 
 __version__ = "0.1.0"
+
+# the numeric layer loads numpy, so its names load on first use (PEP 562)
+_KERNEL_NAMES = frozenset("""Assignment ConvergenceRow GaussianTest STANDARD_GAUSSIAN
+    UnassignedLabelError arg_value delta_kernel delta_kernel_quadrature
+    delta_kernel_target fit_loglog_slope gauss_fourier overlap phase_value
+    strip_momentum_deltas term_convergence term_convergence_quadrature
+    term_value term_value_quadrature vanishing_kernel""".split())
+
+
+def __getattr__(name: str):
+    if name in _KERNEL_NAMES:
+        from . import kernels
+        return getattr(kernels, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,13 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .kernels import (
-    ConvergenceRow, GaussianTest, STANDARD_GAUSSIAN, UnassignedLabelError,
-    arg_value, assignment_from_json_dict, delta_kernel, delta_kernel_target,
-    strip_momentum_deltas, term_convergence, vanishing_kernel,
-)
 from .limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
@@ -184,6 +177,10 @@ def _csv_rows(rows) -> list:
 
 
 def cmd_converge(args) -> tuple:
+    # numpy and the kernels load here, so no other command pays for them
+    import numpy as np
+    from .kernels import UnassignedLabelError
+
     data = _load_json(args.assignment)
     try:
         # an overflow becomes inf or an exception here, never a warning
@@ -196,6 +193,10 @@ def cmd_converge(args) -> tuple:
 
 
 def _converge_csv(data, lambdas: str) -> str:
+    from .kernels import (ConvergenceRow, GaussianTest, STANDARD_GAUSSIAN, arg_value,
+                          assignment_from_json_dict, delta_kernel, delta_kernel_target,
+                          strip_momentum_deltas, term_convergence, vanishing_kernel)
+
     try:
         assignment = assignment_from_json_dict(data)
     except ValueError as e:

@@ -157,10 +157,11 @@ def from_json_dict(d: dict) -> ScalarExpr:
 
 
 def _factor_list(items: tuple, dump, pad: str, memo: dict) -> str:
-    """A term's phases or deltas under `pad`, each distinct one rendered once."""
+    """A term's phases or deltas under `pad`, each object rendered once: the memo
+    keys it by id and keeps it, so no id is reused and 1 never prints as true."""
     inner = pad + "  "
-    texts = [memo.get((x, inner))
-             or memo.setdefault((x, inner), _indented(dump(x), inner, memo))
+    texts = [(memo.get((id(x), inner)) or memo.setdefault(
+                 (id(x), inner), (x, _indented(dump(x), inner, memo))))[1]
              for x in items]
     return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]" if texts else "[]"
 

@@ -118,11 +118,9 @@ def _cases(words: dict, memo: dict):
     return (_Case(key, w, memo) for key, w in words.items())
 
 
-def _agree(name: str, cases, routes) -> SuiteResult:
-    """Each (label, route) of the chain must canonically equal the one before.
-
-    A case fails on the first link that differs, reported by `_mismatch`.
-    """
+def _chain(*routes):
+    """A check that each (label, route) canonically equals the one before: a
+    case fails on the first link that differs, reported by `_mismatch`."""
     def check(case):
         prev_label = prev = None
         for label, route in routes:
@@ -131,22 +129,30 @@ def _agree(name: str, cases, routes) -> SuiteResult:
                 return _mismatch(*case.key, prev_label, prev, label, value)
             prev_label, prev = label, value
 
-    return _run(name, cases, check)
+    return check
+
+
+# built once; a route looks its functions up here when a case runs
+_CLOSED_FORM_VS_RECURSION = _chain(("recursion", lambda c: c.recursion),
+                                   ("closed-form", lambda c: c.closed_form))
+_LIMIT_TRIPLE = _chain(("mapped-limit", lambda c: limit_of_pairing_sum(c.closed_form)),
+                       ("direct-wick", lambda c: c.wick_limit),
+                       ("rewrite", lambda c: correlator_limit_rewrite(c.word)))
+_ADJOINT_SYMMETRY = _chain(
+    ("adjoint", lambda c: correlator_recursive(adjoint(c.word), c.memo)),
+    ("conjugate", lambda c: conjugate(c.recursion)))
+_SWAP_CONSISTENCY = _chain(("direct", lambda c: c.recursion),
+                           ("swapped*factor", lambda c: _swapped_times_factor(c)))
 
 
 def suite_closed_form_vs_recursion(cases) -> SuiteResult:
     """The pairing-sum closed form must reproduce the rewrite recursion."""
-    routes = (("recursion", lambda c: c.recursion),
-              ("closed-form", lambda c: c.closed_form))
-    return _agree("closed-form-vs-recursion", cases, routes)
+    return _run("closed-form-vs-recursion", cases, _CLOSED_FORM_VS_RECURSION)
 
 
 def suite_limit_triple_agreement(cases) -> SuiteResult:
     """Three independent limit routes must coincide on every pattern."""
-    routes = (("mapped-limit", lambda c: limit_of_pairing_sum(c.closed_form)),
-              ("direct-wick", lambda c: c.wick_limit),
-              ("rewrite", lambda c: correlator_limit_rewrite(c.word)))
-    return _agree("limit-triple-agreement", cases, routes)
+    return _run("limit-triple-agreement", cases, _LIMIT_TRIPLE)
 
 
 CATALAN = (1, 2, 5, 14, 42, 132)
@@ -223,10 +229,8 @@ def suite_block_word_count(max_n: int, counts: dict) -> SuiteResult:
 
 def suite_adjoint_symmetry(cases) -> SuiteResult:
     """Vacuum expectation of the adjoint word = complex conjugate (scalar, cyclic)."""
-    routes = (("adjoint", lambda c: correlator_recursive(adjoint(c.word), c.memo)),
-              ("conjugate", lambda c: conjugate(c.recursion)))
-    return _agree("adjoint-symmetry", (c for c in cases if c.key[1] != "uniform"),
-                  routes)
+    return _run("adjoint-symmetry", (c for c in cases if c.key[1] != "uniform"),
+                _ADJOINT_SYMMETRY)
 
 
 def _swapped_times_factor(c: _Case) -> ScalarExpr:
@@ -247,10 +251,8 @@ def suite_swap_consistency(cases) -> SuiteResult:
     relation, so the correlator of a word and of its first-adjacent-swap
     must differ by the explicit scalar factor and nothing else.
     """
-    routes = (("direct", lambda c: c.recursion),
-              ("swapped*factor", _swapped_times_factor))
     cases = (c for c in cases if c.key[1] == "scalar" and "aa" in c.key[0])
-    return _agree("swap-consistency", cases, routes)
+    return _run("swap-consistency", cases, _SWAP_CONSISTENCY)
 
 
 MAX_N = 6  # largest size bound run_all accepts; the smallest is 1

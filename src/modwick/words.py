@@ -17,7 +17,8 @@ particle momentum p, so they are moved to the far right of the remaining
 word before recursing; passing a creator with momentum g adds +k.g to
 every k.p atom, passing an annihilator subtracts it.  The vacuum kills
 words that begin with a creator or end with an annihilator, which closes
-the recursion for vacuum correlators.
+the recursion for vacuum correlators before its memo is asked.  Words
+built from patterns share one set of label strings.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .scalars import (
 )
 
 MAX_GENERATORS = 12  # pairings grow as n!, so longer words are refused
+# the labels (t_i, k_i) of position i, shared by the words of every pattern
+_LABELS = tuple((f"t{i}", f"k{i}") for i in range(1, MAX_GENERATORS + 1))
 
 
 class WordError(ValueError):
@@ -44,41 +47,44 @@ def annihilate(t: str, k: str, pol: int | None = None) -> tuple:
     return (False, t, k, pol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     gens: tuple = ()
 
     def __post_init__(self):
-        for g in self.gens:
-            if type(g) is not tuple:
-                raise WordError(f"generator must be a tuple, got {type(g).__name__}")
-            if len(g) != 4:
-                raise WordError("generator must be (dagger, t, k, pol), "
-                                f"got {len(g)} entries")
-            dagger, t, k, _ = g
-            if type(dagger) is not bool:
-                raise WordError(f"generator dagger must be a bool, got {dagger!r}")
-            if not (isinstance(t, str) and isinstance(k, str)):
-                raise WordError(f"labels must be strings, got {t!r} and {k!r}")
-        time_labels = [t for _, t, _, _ in self.gens]
-        if len(set(time_labels)) != len(time_labels):
+        gens = self.gens  # one look passes a well-formed word; each miss names its fault
+        if not all([type(g) is tuple and len(g) == 4 and type(g[0]) is bool
+                    and type(g[1]) is str and type(g[2]) is str for g in gens]):
+            for g in gens:
+                if type(g) is not tuple:
+                    raise WordError(f"generator must be a tuple, got {type(g).__name__}")
+                if len(g) != 4:
+                    raise WordError("generator must be (dagger, t, k, pol), "
+                                    f"got {len(g)} entries")
+                dagger, t, k, _ = g
+                if type(dagger) is not bool:
+                    raise WordError(f"generator dagger must be a bool, got {dagger!r}")
+                if not (isinstance(t, str) and isinstance(k, str)):
+                    raise WordError(f"labels must be strings, got {t!r} and {k!r}")
+        if len({g[1] for g in gens}) != len(gens):
             raise WordError("repeated time label in word")
-        momenta = [k for _, _, k, _ in self.gens]
-        if len(set(momenta)) != len(momenta):
+        if len({g[2] for g in gens}) != len(gens):
             raise WordError("repeated momentum label in word")
-        pols = [pol for _, _, _, pol in self.gens]
-        if any(p is not None for p in pols) and any(p is None for p in pols):
-            raise WordError("mixed polarized and unpolarized generators")
-        for p in pols:
-            if p is None:
-                continue
-            # bool is an int subclass, and True == 1.0 == 1
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise WordError(f"polarization index must be an integer, got {p!r}")
-            if p not in (1, 2, 3):
-                raise WordError(f"polarization index out of range: {p}")
-        if len(self.gens) > MAX_GENERATORS:
-            raise WordError(f"word has {len(self.gens)} generators, "
+        pols = [g[3] for g in gens]
+        kinds = set(map(type, pols))
+        if not (kinds <= {type(None)} or kinds == {int} and set(pols) <= {1, 2, 3}):
+            if any(p is not None for p in pols) and any(p is None for p in pols):
+                raise WordError("mixed polarized and unpolarized generators")
+            for p in pols:
+                if p is None:
+                    continue
+                # bool is an int subclass, and True == 1.0 == 1
+                if isinstance(p, bool) or not isinstance(p, int):
+                    raise WordError(f"polarization index must be an integer, got {p!r}")
+                if p not in (1, 2, 3):
+                    raise WordError(f"polarization index out of range: {p}")
+        if len(gens) > MAX_GENERATORS:
+            raise WordError(f"word has {len(gens)} generators, "
                             f"limit is {MAX_GENERATORS}")
 
     def __len__(self) -> int:
@@ -113,7 +119,8 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
         if ch not in "a+":
             raise WordError(f"bad pattern character {ch!r}")
         pol = None if pols is None else pols[i]
-        gens.append((ch == "+", f"t{i + 1}", f"k{i + 1}", pol))
+        t, k = _LABELS[i] if i < MAX_GENERATORS else (f"t{i + 1}", f"k{i + 1}")
+        gens.append((ch == "+", t, k, pol))
     return Word(tuple(gens))
 
 
@@ -223,20 +230,19 @@ def expand_leading_annihilator(gens: tuple) -> list:
 
 def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
     """Raw terms C(gens) of the vacuum correlator of a sub-word, memoized;
-    none where the vacuum kills a leading creator or a trailing annihilator."""
+    none, never stored, where the vacuum kills a leading creator or a
+    trailing annihilator."""
+    if not gens:
+        return (TERM_ONE,)
+    if gens[0][0] or not gens[-1][0]:
+        return ()
     terms = memo.get(gens)
     if terms is None:
-        if not gens:
-            terms = (TERM_ONE,)
-        elif gens[0][0] or not gens[-1][0]:
-            terms = ()
-        else:
-            terms = tuple(
-                times(scalar, t)
-                for scalar, rest in expand_leading_annihilator(gens)
-                for t in _raw_correlator_terms(rest, memo)
-            )
-        memo[gens] = terms
+        terms = memo[gens] = tuple(
+            times(scalar, t)
+            for scalar, rest in expand_leading_annihilator(gens)
+            for t in _raw_correlator_terms(rest, memo)
+        )
     return terms
 
 
@@ -255,7 +261,8 @@ def correlator_recursive(w: Word, memo: dict | None = None) -> ScalarExpr:
     `memo` maps generator tuples to raw term tuples.  By default it lives
     for one call; `verify.run_all` passes one memo to all the suites of a
     run.  Entries are valid for any word, so a memo may be shared freely,
-    but it grows with every distinct sub-word it sees.
+    and it grows by one entry per expanded sub-word: none for the empty
+    word or a sub-word the vacuum kills.
     """
     terms = _raw_correlator_terms(w.gens, {} if memo is None else memo)
     return canonicalize(ScalarExpr(terms))

@@ -516,6 +516,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_symbolic_commands_leave_numpy_unloaded(tmp_path):
+    # only converge evaluates a kernel; the package loads the numeric
+    # layer, and numpy with it, on the first kernel name asked for
+    src = os.path.dirname(os.path.dirname(modwick.cli.__file__))
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({"word": [
+        {"op": "a", "t": "t1", "k": "k1"}, {"op": "adag", "t": "t2", "k": "k2"}]}),
+        encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, modwick.cli; imported = 'numpy' in sys.modules; "
+         f"code = modwick.cli.main(['correlate', {str(path)!r}]); "
+         "print(code, imported, 'numpy' in sys.modules, file=sys.stderr)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    assert proc.stderr == "0 False False\n"
+    assert '"terms"' in proc.stdout
+
+
 def test_missing_file_is_a_parse_error(cli_run, tmp_path):
     code, _, err = cli_run(["correlate", str(tmp_path / "absent.json")])
     assert code == 2

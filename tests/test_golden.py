@@ -34,6 +34,7 @@ When a change is meant to move output, recompute the digest and say why.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -42,6 +43,7 @@ import sys
 
 import pytest
 
+import modwick
 from modwick.limits import (
     correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
 )
@@ -149,6 +151,37 @@ def test_verify_5_report_matches_its_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_5_SHA256
 
 
+def _interpreters() -> list:
+    """(path, version) of each pyenv Python at 3.10 or later, by path."""
+    found = []
+    for exe in sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/*/bin/python"))):
+        proc = subprocess.run(
+            [exe, "-c", "import sys; print('%d.%d.%d' % sys.version_info[:3])"],
+            capture_output=True, text=True)
+        if proc.returncode == 0 and tuple(map(int, proc.stdout.split("."))) >= (3, 10):
+            found.append((exe, proc.stdout.strip()))
+    return found
+
+
+def test_verify_report_is_the_same_on_every_interpreter(record_property):
+    # the symbolic core needs no numpy, so every interpreter here imports
+    # it; the report's bytes must not depend on the Python version
+    found = _interpreters()
+    if not found:
+        pytest.skip("no Python 3.10 or later under ~/.pyenv/versions")
+    used = ", ".join(version for _, version in found)
+    record_property("interpreters", used)
+    print(f"verify --max-n 4 under Python {used}")
+    src = os.path.dirname(os.path.dirname(modwick.__file__))
+    for exe, version in found:
+        proc = subprocess.run(
+            [exe, "-c", "import sys; from modwick.cli import main; "
+                        "sys.exit(main(['verify', '--max-n', '4']))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b""), version
+        assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_4_SHA256, version
+
+
 def test_converge_matches_its_golden_digest(cli_run, write_json):
     h = hashlib.sha256()
     for i, data in enumerate(CONVERGE_ASSIGNMENTS):
@@ -162,8 +195,8 @@ def test_converge_matches_its_golden_digest(cli_run, write_json):
 
 @pytest.mark.parametrize("seed", ["0", "4242"])
 def test_digests_hold_under_other_hash_seeds(seed):
-    # the JSON writer memoizes fragments in a dict keyed by value, and
-    # canonicalize merges terms in one; neither may leak hash order
+    # the JSON writer memoizes fragments in a dict keyed by object id,
+    # and canonicalize merges terms in one; neither may leak hash order
     tests = [f"{__file__}::test_outputs_match_the_golden_digest",
              f"{__file__}::test_cli_documents_match_their_golden_digest",
              f"{__file__}::test_odd_labels_match_their_golden_digest"]

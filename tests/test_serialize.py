@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from modwick.cli import _pairing_entry
 from modwick.limits import correlator_wick_limit
 from modwick.scalars import (
-    Dot, EXPR_ZERO, Energy, PDot, ScalarExpr, ScalarTerm, TERM_ONE, comb,
+    Dot, EXPR_ZERO, Energy, PDot, ScalarExpr, ScalarTerm, TERM_ONE, TIME, comb,
     momentum_delta, oscillation, phase_delta, time_delta, time_difference,
 )
 from modwick.serialize import (
@@ -134,6 +134,17 @@ def test_term_template_writes_ints_and_bools_as_json_dumps(coeff, powers, e):
         term = ScalarTerm(coeff, *powers, phases, deltas)
         assert indented_json([json_term(term)]) \
             == json.dumps([term_to_json_dict(term)], indent=2)
+
+
+def test_equal_factors_that_hold_1_and_true_print_apart():
+    # (('t1', 1),) == (('t1', True),), but json.dumps writes 1 and true:
+    # a factor's text is remembered for the object, not for its value
+    arg = comb({Energy("k1"): 1})
+    e = ScalarExpr(tuple(ScalarTerm(phases=(((("t1", one),), arg, False),),
+                                    deltas=((TIME, (("t2", one),)),))
+                         for one in (1, True, 1)))
+    assert to_json_str(e) == json.dumps(to_json_dict(e), indent=2)
+    assert to_json_str(e).count("true") == 2
 
 
 def test_indented_writer_refuses_other_types():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
-from modwick import verify
+from modwick import verify, words
 from modwick.limits import correlator_wick_limit
 from modwick.pairings import (
     correlator_pairing_sum, crossing_count, enumerate_pairings, pairing_term,
@@ -18,7 +18,9 @@ from modwick.verify import (
     suite_limit_triple_agreement, suite_swap_consistency, _bracket_balanced,
     _cases, _words,
 )
-from modwick.words import Word, correlator_recursive, word_from_pattern
+from modwick.words import (
+    Word, correlator_recursive, expand_leading_annihilator, word_from_pattern,
+)
 
 import pytest
 
@@ -198,6 +200,28 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
     assert calls["pairings"] == results["pairing-existence"].cases == table // 3
     assert calls["recursion"] == (table + results["adjoint-symmetry"].cases
                                   + results["swap-consistency"].cases)
+
+
+def test_run_all_memo_holds_one_entry_per_expansion(monkeypatch):
+    # the vacuum rule answers before the memo: no sub-word that starts with
+    # a creator or ends with an annihilator, nor the empty word, gets an
+    # entry, and every entry is the one expansion of its sub-word
+    memos, expansions = [], []
+
+    def cases(table, memo):
+        memos.append(memo)
+        return _cases(table, memo)
+
+    def expand(gens):
+        expansions.append(gens)
+        return expand_leading_annihilator(gens)
+
+    monkeypatch.setattr(verify, "_cases", cases)
+    monkeypatch.setattr(words, "expand_leading_annihilator", expand)
+    assert all_passed(run_all(4))
+    (memo,) = memos
+    assert all(gens and not gens[0][0] and gens[-1][0] for gens in memo)
+    assert len(memo) == len(expansions) == len(set(expansions)) == 1843
 
 
 def _recursion_times_i(w, memo=None):
