@@ -447,41 +447,8 @@ def canonicalize_each(terms) -> list:
     return [done and done[0] for done in (_canonical_term(t, memo) for t in terms)]
 
 
-def _joined(f: tuple, e: ScalarExpr) -> ScalarExpr:
-    """The marked `e` times the one-phase term `f`, kept canonical (see `multiply`)."""
-    ((time, arg, _),) = f[3]
-    if time[0][1] < 0:
-        time, arg = negated(time), negated(arg)
-    out = []
-    for sig, term in zip(e.signatures, e.terms):
-        prod = times(term, f)
-        new = substituted(arg, {d[2]: d[1] for d in term[4] if d[0] == MOMENTUM})
-        sig = _signature(prod, sig[2], ([(x[:3], x[3]) for x in sig[3]],
-                                        _exponent_entries((time, new, False))))
-        phases = []
-        for ph in term[3]:
-            if not ph[2] and ph[0] == time:  # one unweighted phase per time
-                new = substituted(ph[1] + new, {})
-            else:
-                phases.append(ph)
-        if new:
-            phases.append((time, new, False))
-        out.append((sig, (*prod[:3], tuple(sorted(phases, key=phase_key)), term[4])))
-    return _marked(out)
-
-
 def multiply(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    """The canonical product.  A unit term with no powers or deltas and one
-    unweighted phase over a nonempty time joins a marked input directly: its
-    phase, sign-fixed and renamed by each term's momentum identification,
-    merges into the unweighted phase over its time (dropped if it cancels),
-    and its exponent entries join the signature.  No like terms meet."""
-    for f, e in ((a, b), (b, a)):
-        if e.canonical and len(f.terms) == 1:
-            coeff, two_pi_power, lambda_power, phases, deltas = f.terms[0]
-            if (coeff == C_ONE and not (two_pi_power or lambda_power or deltas)
-                    and len(phases) == 1 and not phases[0][2] and phases[0][0]):
-                return _joined(f.terms[0], e)
+    """The canonical form of the term-wise product."""
     terms = tuple(times(ta, tb) for ta in a.terms for tb in b.terms)
     return canonicalize(ScalarExpr(terms))
 

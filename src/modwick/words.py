@@ -52,37 +52,33 @@ class Word:
     gens: tuple = ()
 
     def __post_init__(self):
-        gens = self.gens  # one look passes a well-formed word; each miss names its fault
-        if not all([type(g) is tuple and len(g) == 4 and type(g[0]) is bool
-                    and type(g[1]) is str and type(g[2]) is str for g in gens]):
-            for g in gens:
-                if type(g) is not tuple:
-                    raise WordError(f"generator must be a tuple, got {type(g).__name__}")
-                if len(g) != 4:
-                    raise WordError("generator must be (dagger, t, k, pol), "
-                                    f"got {len(g)} entries")
-                dagger, t, k, _ = g
-                if type(dagger) is not bool:
-                    raise WordError(f"generator dagger must be a bool, got {dagger!r}")
-                if not (isinstance(t, str) and isinstance(k, str)):
-                    raise WordError(f"labels must be strings, got {t!r} and {k!r}")
+        gens = self.gens
+        for g in gens:
+            if type(g) is not tuple:
+                raise WordError(f"generator must be a tuple, got {type(g).__name__}")
+            if len(g) != 4:
+                raise WordError("generator must be (dagger, t, k, pol), "
+                                f"got {len(g)} entries")
+            dagger, t, k, _ = g
+            if type(dagger) is not bool:
+                raise WordError(f"generator dagger must be a bool, got {dagger!r}")
+            if not (isinstance(t, str) and isinstance(k, str)):
+                raise WordError(f"labels must be strings, got {t!r} and {k!r}")
         if len({g[1] for g in gens}) != len(gens):
             raise WordError("repeated time label in word")
         if len({g[2] for g in gens}) != len(gens):
             raise WordError("repeated momentum label in word")
         pols = [g[3] for g in gens]
-        kinds = set(map(type, pols))
-        if not (kinds <= {type(None)} or kinds == {int} and set(pols) <= {1, 2, 3}):
-            if any(p is not None for p in pols) and any(p is None for p in pols):
-                raise WordError("mixed polarized and unpolarized generators")
-            for p in pols:
-                if p is None:
-                    continue
-                # bool is an int subclass, and True == 1.0 == 1
-                if isinstance(p, bool) or not isinstance(p, int):
-                    raise WordError(f"polarization index must be an integer, got {p!r}")
-                if p not in (1, 2, 3):
-                    raise WordError(f"polarization index out of range: {p}")
+        if any(p is not None for p in pols) and any(p is None for p in pols):
+            raise WordError("mixed polarized and unpolarized generators")
+        for p in pols:
+            if p is None:
+                continue
+            # bool is an int subclass, and True == 1.0 == 1
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise WordError(f"polarization index must be an integer, got {p!r}")
+            if p not in (1, 2, 3):
+                raise WordError(f"polarization index out of range: {p}")
         if len(gens) > MAX_GENERATORS:
             raise WordError(f"word has {len(gens)} generators, "
                             f"limit is {MAX_GENERATORS}")
@@ -128,6 +124,10 @@ def word_from_pattern(pattern: str, pols=None) -> Word:
 # JSON word files
 
 def word_to_json_dict(w: Word) -> dict:
+    """The word-file object of `w`, the inverse of `word_from_json_dict`.
+
+    It is the public way to write a word file that the CLI reads.
+    """
     mode = "polarized" if w.polarized() else "scalar"
     out = []
     for dagger, t, k, pol in w.gens:

@@ -29,6 +29,8 @@ process, where canonicalize, conjugate and the recursion meet the most
 term shapes; it was recorded before momentum deltas over distinct labels
 skipped the union-find, `conjugate` kept a canonical input canonical and
 the recursion stopped expanding sub-words that end with an annihilator.
+The second, sixth and seventh digests need no numpy, and they are checked
+again under every pyenv Python 3.10 or later that the host has.
 When a change is meant to move output, recompute the digest and say why.
 """
 
@@ -44,14 +46,12 @@ import sys
 import pytest
 
 import modwick
-from modwick.limits import (
-    correlator_limit_rewrite, correlator_wick_limit, limit_of_pairing_sum,
-)
+from golden_routes import block_word_sha256, odd_label_sha256, routes
 from modwick.cli import _pairing_entry
-from modwick.pairings import annotated_pairing_terms, correlator_pairing_sum
+from modwick.pairings import annotated_pairing_terms
 from modwick.serialize import term_to_json_dict, to_json_str, to_latex
 from modwick.verify import MODES, _build, patterns_up_to, report, run_all
-from modwick.words import Word, correlator_recursive, word_to_json_dict
+from modwick.words import word_to_json_dict
 
 GOLDEN_SHA256 = "6463b8402cc833d0aead8bb40e626c080a2eeec1b74ac4ce3ea72ecce234a41e"
 BLOCK_WORD_SHA256 = "6cec35b100310050d488edca57d121ea09baba87c892b4001fcc399a2e8980f3"
@@ -62,12 +62,6 @@ ODD_LABEL_SHA256 = "eb5cb971283d06c4bdbbed411d399edce98ccac22014a2ae5a8a94db5aee
 VERIFY_4_SHA256 = "0d7fc3c8e57927448b6ea8004ecb96e698db0df9095f34a0569f294e6e3e6741"
 VERIFY_5_SHA256 = "52d9432a6647d578b1e98250e66006ed89b84c76711d35be221903cc9d80f5af"
 
-# "E(k()" sorts before "E(k)" as text although "k" < "k(": the canonical
-# order of atoms, phases and deltas follows the text, so these labels
-# tell it from the structural order
-ODD_LABEL_WORDS = [("aa++", ("k", "k(", "m1", "m2")),
-                   ("aaa+++", ("k", "k(", "k,", "m1", "m2", "m3"))]
-
 # the README assignment, and one with every vector off the axes, a nonzero
 # p and its own vanishing_x, so every phase atom kind evaluates nonzero
 CONVERGE_ASSIGNMENTS = [
@@ -77,18 +71,12 @@ CONVERGE_ASSIGNMENTS = [
 ]
 
 
-def _routes(w) -> list:
-    closed = correlator_pairing_sum(w)
-    return [correlator_recursive(w), closed, limit_of_pairing_sum(closed),
-            correlator_wick_limit(w), correlator_limit_rewrite(w)]
-
-
 def test_outputs_match_the_golden_digest():
     h = hashlib.sha256()
     # the 12-generator word brings labels t10-t12, which sort before t2
     for pattern in [*patterns_up_to(6), "aa+a+a+a+a++"]:
         for mode in MODES:
-            for e in _routes(_build(pattern, mode)):
+            for e in routes(_build(pattern, mode)):
                 h.update(f"{pattern} {mode}\n{to_json_str(e)}\n{to_latex(e)}\n"
                          .encode())
     h.update(report(run_all(3)).encode())
@@ -96,21 +84,11 @@ def test_outputs_match_the_golden_digest():
 
 
 def test_block_word_matches_its_golden_digest():
-    h = hashlib.sha256()
-    for e in _routes(_build("aaaaaa++++++", "scalar")):
-        h.update(f"{to_json_str(e)}\n{to_latex(e)}\n".encode())
-    assert h.hexdigest() == BLOCK_WORD_SHA256
+    assert block_word_sha256() == BLOCK_WORD_SHA256
 
 
 def test_odd_labels_match_their_golden_digest():
-    h = hashlib.sha256()
-    for pattern, momenta in ODD_LABEL_WORDS:
-        w = Word(tuple((ch == "+", f"t{i + 1}", k, None)
-                       for i, (ch, k) in enumerate(zip(pattern, momenta))))
-        for e in _routes(w):
-            h.update(f"{pattern} {' '.join(momenta)}\n{to_json_str(e)}\n"
-                     f"{to_latex(e)}\n".encode())
-    assert h.hexdigest() == ODD_LABEL_SHA256
+    assert odd_label_sha256() == ODD_LABEL_SHA256
 
 
 def test_annotated_pairings_match_their_golden_digest():
@@ -163,23 +141,38 @@ def _interpreters() -> list:
     return found
 
 
+# run under each interpreter: the two route digests, one line each, then
+# the verify --max-n 4 report as the CLI prints it
+_ON_EACH_INTERPRETER = """\
+import sys
+from golden_routes import block_word_sha256, odd_label_sha256
+from modwick.cli import main
+print(block_word_sha256())
+print(odd_label_sha256())
+sys.exit(main(["verify", "--max-n", "4"]))
+"""
+
+
 def test_verify_report_is_the_same_on_every_interpreter(record_property):
     # the symbolic core needs no numpy, so every interpreter here imports
-    # it; the report's bytes must not depend on the Python version
+    # it; the documents' bytes must not depend on the Python version
     found = _interpreters()
     if not found:
         pytest.skip("no Python 3.10 or later under ~/.pyenv/versions")
     used = ", ".join(version for _, version in found)
     record_property("interpreters", used)
-    print(f"verify --max-n 4 under Python {used}")
+    print(f"golden documents under Python {used}")
     src = os.path.dirname(os.path.dirname(modwick.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
     for exe, version in found:
-        proc = subprocess.run(
-            [exe, "-c", "import sys; from modwick.cli import main; "
-                        "sys.exit(main(['verify', '--max-n', '4']))"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        proc = subprocess.run([exe, "-c", _ON_EACH_INTERPRETER],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True)
         assert (proc.returncode, proc.stderr) == (0, b""), version
-        assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_4_SHA256, version
+        block, odd, verify_4 = proc.stdout.split(b"\n", 2)
+        assert block.decode() == BLOCK_WORD_SHA256, version
+        assert odd.decode() == ODD_LABEL_SHA256, version
+        assert hashlib.sha256(verify_4).hexdigest() == VERIFY_4_SHA256, version
 
 
 def test_converge_matches_its_golden_digest(cli_run, write_json):

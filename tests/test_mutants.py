@@ -31,8 +31,7 @@ from modwick import kernels, limits, pairings, scalars, verify, words
 from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
 from modwick.scalars import (
     C_ONE, Dot, EXPR_ZERO, Energy, ScalarExpr, ScalarTerm, canonicalize,
-    canonically_equal, comb, conjugate, negated, oscillation, time_difference,
-    times,
+    canonically_equal, comb, conjugate, negated, time_difference, times,
 )
 from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
 
@@ -144,42 +143,6 @@ def _conjugate_keeps_canonical_form() -> bool:
     return True
 
 
-def _reversed_labels(w: Word) -> Word:
-    """The word with labels t_i, k_i numbered from its right end."""
-    n = len(w.gens)
-    return Word(tuple((dagger, f"t{n - i}", f"k{n - i}", pol)
-                      for i, (dagger, _, _, pol) in enumerate(w.gens)))
-
-
-def _join_keeps_canonical_form() -> bool:
-    """The swap factor times the swapped word's correlator, joined by
-    `multiply`, is the term-wise product canonicalized.
-
-    Reversed labels put each annihilator's momentum label after its
-    partner's and each swapped pair's times out of text order, so the
-    factor is renamed and sign-fixed, which the table's own labels never
-    ask for at n <= 3.  Swap-consistency cannot stand in: its canonical
-    equality reads signatures and coefficients alone, which neither the
-    merge nor the sign-fix changes.
-    """
-    for (pattern, mode), w in WORDS.items():
-        if mode != "scalar" or "aa" not in pattern:
-            continue
-        for v in (w, _reversed_labels(w)):
-            site, gens = pattern.index("aa"), v.gens
-            (_, x_t, x_k, _), (_, y_t, y_k, _) = x, y = gens[site:site + 2]
-            factor = ScalarExpr((ScalarTerm(phases=(
-                oscillation(x_t, y_t, comb({Dot(x_k, y_k): 1}), power=-1),)),))
-            swapped = correlator_recursive(
-                Word(gens[:site] + (y, x) + gens[site + 2:]))
-            got = scalars.multiply(factor, swapped)
-            want = canonicalize(ScalarExpr(tuple(
-                times(s, t) for s in factor.terms for t in swapped.terms)))
-            if (got.terms, got.signatures) != (want.terms, want.signatures):
-                return False
-    return True
-
-
 # every gate returns True when it passes; the suites look their routes up
 # in `modwick.verify` when they run, and each gets fresh cases and memo
 GATES = {
@@ -207,7 +170,6 @@ GATES = {
     "delta-kernel-vs-cubature": _delta_kernel_against_cubature,
     "fast-path-vs-union-find": _fast_path_against_union_find,
     "conjugate-keeps-canonical-form": _conjugate_keeps_canonical_form,
-    "join-keeps-canonical-form": _join_keeps_canonical_form,
 }
 
 
@@ -281,14 +243,6 @@ MUTANTS = [
     # conjugate keeping a canonical input canonical without the phase re-sort
     Mutant("scalars.conjugate", "conjugate-keeps-canonical-form",
            "sorted(term[3], key=phase_key)", "term[3]"),
-    # multiply's one-phase join skipping the factor's renaming, the merge
-    # with the phase over its time, or the sign-fix of that time
-    Mutant("scalars._joined", "join-keeps-canonical-form",
-           "{d[2]: d[1] for d in term[4] if d[0] == MOMENTUM}", "{}"),
-    Mutant("scalars._joined", "join-keeps-canonical-form",
-           "if not ph[2] and ph[0] == time:", "if False:"),
-    Mutant("scalars._joined", "join-keeps-canonical-form",
-           "if time[0][1] < 0:", "if False:"),
     # canonicalize's per-call memo: a phase renamed without its labels'
     # representatives in the key reuses another term's renaming
     Mutant("scalars._PhaseMemo.rename", "closed-form-vs-recursion",

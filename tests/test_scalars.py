@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modwick import scalars
 from modwick.scalars import (
     C_ONE, Dot, Energy, EXPR_ZERO, MOMENTUM, PHASE, PDot, TIME,
     ScalarExpr, ScalarTerm, TERM_ONE, atom_text, canonicalize,
@@ -32,7 +31,7 @@ from modwick.pairings import (
 from modwick.serialize import from_json_str, to_json_str
 from modwick.verify import MODES, _build, _words, patterns_up_to
 from modwick.words import (
-    Word, _raw_correlator_terms, correlator_recursive, word_from_pattern,
+    _raw_correlator_terms, correlator_recursive, word_from_pattern,
 )
 
 # the constant 1, canonical
@@ -439,75 +438,6 @@ def test_conjugate_keeps_a_canonical_input_canonical():
 
 
 # ---------------------------------------------------------------------------
-# the one-phase join of multiply
-
-def _termwise_product(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    """The product canonicalized afresh: every pair of terms multiplied, unmarked."""
-    return canonicalize(ScalarExpr(tuple(times(s, t) for s in a.terms for t in b.terms)))
-
-
-def _swap_factor_and_word(pattern: str, w: Word, memo: dict) -> tuple:
-    """The inverse oscillation of the pattern's first "aa" and the canonical
-    correlator of the word with those two swapped, which
-    `verify._swapped_times_factor` multiplies."""
-    site, gens = pattern.index("aa"), w.gens
-    x, y = gens[site:site + 2]
-    (_, x_t, x_k, _), (_, y_t, y_k, _) = x, y
-    factor = ScalarExpr((ScalarTerm(phases=(
-        oscillation(x_t, y_t, comb({Dot(x_k, y_k): 1}), power=-1),)),))
-    return factor, correlator_recursive(Word(gens[:site] + (y, x) + gens[site + 2:]), memo)
-
-
-def test_join_gives_the_canonical_product_on_every_swap_case(monkeypatch):
-    # at n = 5 the label k10 sorts before k2..k9, so the factor is renamed
-    # there (no swap case needs the sign-fix: a word whose first "aa" ends
-    # it has no terms); the join never calls canonicalize
-    def refused(e):
-        raise AssertionError("the join called canonicalize")
-
-    memo: dict = {}
-    inputs = [_swap_factor_and_word(pattern, w, memo)
-              for (pattern, mode), w in _words(5).items()
-              if mode == "scalar" and "aa" in pattern]
-    assert len(inputs) == 1672
-    monkeypatch.setattr(scalars, "canonicalize", refused)
-    for factor, swapped in inputs:
-        want = _termwise_product(factor, swapped)
-        for got in (multiply(factor, swapped), multiply(swapped, factor)):
-            assert got.canonical
-            assert (got.terms, got.signatures) == (want.terms, want.signatures)
-
-
-def test_multiply_takes_the_general_path_off_the_join(monkeypatch):
-    calls = []
-    monkeypatch.setattr(scalars, "canonicalize",
-                        lambda e: calls.append(e) or canonicalize(e))
-    phase = oscillation("t2", "t1", comb({Dot("k1", "k2"): 1}))
-    factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
-    marked = correlator_recursive(word_from_pattern("aa++"))
-    off_join = [
-        (factor, ScalarExpr(marked.terms)),  # the other side unmarked
-        (ScalarExpr((ScalarTerm(phases=(phase,)), TERM_ONE)), marked),  # two terms
-        (ScalarExpr((ScalarTerm((2, 0), phases=(phase,)),)), marked),  # coefficient 2
-        (ScalarExpr((ScalarTerm(C_ONE, 0, -2, ((phase[0], phase[1], True),)),)),
-         marked),  # weighted
-        (ScalarExpr((ScalarTerm(phases=(phase, phase)),)), marked),  # two phases
-        (ScalarExpr((ScalarTerm(phases=(((), phase[1], False),)),)), marked),  # no time
-    ]
-    for a, b in off_join:
-        calls.clear()
-        got = multiply(a, b)
-        assert len(calls) == 1
-        want = _termwise_product(a, b)
-        assert (got.terms, got.signatures) == (want.terms, want.signatures)
-    calls.clear()
-    got = multiply(factor, marked)
-    assert calls == []
-    want = _termwise_product(factor, marked)
-    assert (got.terms, got.signatures) == (want.terms, want.signatures)
-
-
-# ---------------------------------------------------------------------------
 # the canonical mark
 
 def test_only_canonicalize_marks_an_expression():
@@ -748,25 +678,6 @@ def test_conjugate_of_a_canonical_input_is_its_canonical_conjugate(e):
     e = canonicalize(e)
     got, want = conjugate(e), _termwise_conjugate(e)
     assert (got.terms, got.signatures) == (want.terms, want.signatures)
-
-
-one_phase_factors = st.builds(
-    lambda time, arg: ScalarExpr((ScalarTerm(phases=((time, arg, False),)),)),
-    time_combs, args)
-
-
-@settings(max_examples=80, deadline=None)
-@given(exprs, one_phase_factors)
-@example(COLLAPSING, ScalarExpr((ScalarTerm(phases=(
-    oscillation("t2", "t1", comb({Energy("k4"): 1})),)),)))
-def test_one_phase_factor_joins_a_canonical_input(e, factor):
-    # drawn times run either way, so the factor is sign-fixed about half
-    # the time; drawn momentum deltas rename it, and drawn unweighted
-    # phases over its time merge with it or cancel it
-    e = canonicalize(e)
-    want = _termwise_product(factor, e)
-    for got in (multiply(factor, e), multiply(e, factor)):
-        assert (got.terms, got.signatures) == (want.terms, want.signatures)
 
 
 @settings(max_examples=80, deadline=None)

@@ -82,6 +82,38 @@ def test_word_checks_the_shape_of_each_generator():
                          "^generator dagger must be a bool, got 1$")
 
 
+def _gens(pols, t_labels=None, k_labels=None) -> tuple:
+    """Annihilators with these polarizations, labelled t_i and k_i unless given."""
+    n = len(pols)
+    return tuple(zip([False] * n, t_labels or [f"t{i}" for i in range(n)],
+                     k_labels or [f"k{i}" for i in range(n)], pols))
+
+
+@pytest.mark.parametrize("gens, match", [
+    # a word with two faults names the one checked first: each generator's
+    # shape left to right, repeated time labels, repeated momentum labels,
+    # mixed polarizations, each polarization left to right, the length
+    ((("yes", "t1", "k1", None), [False, "t2", "k2", None]),
+     "^generator dagger must be a bool, got 'yes'$"),
+    (((False, 1, "k1", None), (False, "t2", "k2")),
+     "^labels must be strings, got 1 and 'k1'$"),
+    (((False, "t1", "k1", None), (1, "t1", "k2", None)),
+     "^generator dagger must be a bool, got 1$"),
+    (_gens([7, 7], t_labels=["t1", "t1"]), "^repeated time label in word$"),
+    (_gens([None, None], t_labels=["t1", "t1"], k_labels=["k1", "k1"]),
+     "^repeated time label in word$"),
+    (_gens([None, 1], k_labels=["k1", "k1"]), "^repeated momentum label in word$"),
+    (_gens([None] * 13, k_labels=["k1"] * 13), "^repeated momentum label in word$"),
+    (_gens([None, 5]), "^mixed polarized and unpolarized generators$"),
+    (_gens([1.0, None]), "^mixed polarized and unpolarized generators$"),
+    (_gens([4, 1.0]), "^polarization index out of range: 4$"),
+    (_gens([True, 4]), "^polarization index must be an integer, got True$"),
+    (_gens([0] * 13), "^polarization index out of range: 0$"),
+])
+def test_word_names_its_first_fault(gens, match):
+    _one_line_word_error(lambda: Word(gens), match)
+
+
 def test_pattern_polarizations_match_its_length():
     _one_line_word_error(lambda: word_from_pattern("aa++", pols=[1, 2]),
                          "^pattern has 4 generators but 2 polarizations$")
