@@ -21,6 +21,7 @@ closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -404,20 +405,28 @@ def term_value(term: tuple, tests: dict, a: Assignment,
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
+@functools.cache
+def _legendre_rule(points: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only per size."""
+    from scipy.special import roots_legendre  # no threads, unlike leggauss
+    nodes, weights = roots_legendre(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _tensor_quadrature(bounds, integrand, points: int) -> complex:
-    """Tensor-grid Gauss-Legendre quadrature over a box.
+    """Tensor-grid Gauss-Legendre quadrature over a box, on `_legendre_rule`.
 
     `integrand` receives one node array per variable, along its own axis,
-    and returns the integrand's factors, each over the axes it depends on
-    (0-d for none).  The weights and the factors constant along the first
-    axis multiply into one tail block once; per first-axis node, the other
-    factors' slices multiply in and the block is summed.  So each node's
-    value is the product of all its factors, summed node by node: no
-    factorized shortcut is taken, and this is a genuinely independent
-    check of the closed forms.
+    and returns the integrand's factors, each over the axes it depends on,
+    of length 1 on the rest (0-d for none).  The weights and the factors
+    constant along the first axis multiply into one tail block once; per
+    first-axis node, one fused `einsum` sums the tail against the product
+    of the other factors' slices, never building the full product.  So each
+    node's value is the product of all its factors, summed node by node:
+    no factorized shortcut is taken, an independent check of closed forms.
     """
-    from scipy.special import roots_legendre  # no threads, unlike leggauss
-    base_x, base_w = roots_legendre(points)
+    base_x, base_w = _legendre_rule(points)
     dim = len(bounds)
     axes, weights = [], []
     for i, (lo, hi) in enumerate(bounds):
@@ -426,18 +435,19 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
         axes.append((0.5 * (lo + hi) + half * base_x).reshape(shape))
         weights.append((half * base_w).reshape(shape))
 
-    tail, first = 1.0, []
+    tail, first = np.ones((1,) * dim), []
     for factor in weights + integrand(*axes):
         if np.ndim(factor) and np.shape(factor)[0] > 1:
             first.append(factor)
         else:
             tail = tail * factor
+    subscripts = "{0},{0}->".format("abcdefghijklmnopqrstuvwxyz"[:dim])
     acc = 0.0 + 0.0j
     for i in range(points if bounds else 1):  # a box of no axes is one node
-        node = 1.0
+        node = np.ones((1,) * dim)
         for factor in first:
-            node = node * factor[i]
-        acc += np.sum(tail * node)
+            node = node * factor[i:i + 1]
+        acc += np.einsum(subscripts, tail, node)
     return complex(acc)
 
 

@@ -7,6 +7,7 @@ in any layer shows up as a number, not just a relative drift.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_legendre
 
 from modwick import kernels
 from modwick.kernels import (
@@ -362,6 +364,25 @@ def test_grid_oracles_on_a_term_without_time_variables():
     assert term_convergence_quadrature(ScalarTerm(), {}, a, 0.5) == 1.0
 
 
+def test_grid_oracles_borrow_no_closed_form(monkeypatch, study_setup):
+    terms, tests, a = study_setup
+    tests = {**tests, "t2": GaussianTest(0.3, 0.8), "t3": GaussianTest(-0.2, 1.1)}
+    two_point, a2 = two_point_term_and_assignment()
+    two_tests = {"t1": STD, "t2": GaussianTest(0.3, 0.8)}
+    value = term_value(two_point, two_tests, a2, 0.8)
+    rows = term_convergence(terms["crossing"], tests, a, [1.0, 0.6])
+
+    def forbidden(*args):
+        raise AssertionError("the oracle called a closed form")
+
+    for name in ("_gauss_product", "gauss_fourier", "overlap", "_closed_integral"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    assert rel_err(value, term_value_quadrature(two_point, two_tests, a2, 0.8)) <= 1e-9
+    for row in rows:
+        grid = term_convergence_quadrature(terms["crossing"], tests, a, row.lam)
+        assert rel_err(row.value, grid) <= 1e-9, row.lam
+
+
 def test_term_value_four_point_against_grid(study_setup):
     terms, tests, a = study_setup
     for tag in ("crossing", "noncrossing"):
@@ -472,3 +493,52 @@ def test_orthogonal_momenta_turn_off_the_crossing_suppression():
     rows = term_convergence(terms["crossing"], tests, a, [1.0, 0.1])
     assert rows[0].target.real == pytest.approx(4.0 * math.pi ** 3, rel=1e-12)
     assert rows[0].abs_err == 0.0 and rows[1].abs_err == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the tensor grid against a direct sum over the whole grid
+
+def _direct_grid_sum(bounds, integrand, points):
+    """Every factor broadcast to the full grid, multiplied, summed at once."""
+    x, w = roots_legendre(points)
+    dim = len(bounds)
+    axes, weights = [], []
+    for i, (lo, hi) in enumerate(bounds):
+        shape = (1,) * i + (-1,) + (1,) * (dim - 1 - i)
+        axes.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * x).reshape(shape))
+        weights.append((0.5 * (hi - lo) * w).reshape(shape))
+    full = np.broadcast_arrays(*weights, *integrand(*axes))
+    return complex(np.sum(functools.reduce(np.multiply, full, 1.0)))
+
+
+# each factor spans the axes it depends on, of length 1 on the rest; the
+# 0-d ones and those that skip the first axis go into the grid's tail
+GRID_CASES = {
+    "no axes": ([], lambda: [2.5, 1.0 - 0.5j]),
+    "one axis": ([(-1.0, 2.0)], lambda t: [np.exp(-t * t), np.exp(1.3j * t), 0.5]),
+    "two real axes": ([(-1.0, 1.5), (0.0, 2.0)], lambda t, s: [
+        np.cos(s), np.exp(-(t - 0.7 * s) ** 2), -2.0]),
+    "three axes": ([(-0.5, 1.0), (-2.0, 0.0), (0.3, 1.2)], lambda t, s, u: [
+        np.exp(-(s - u) ** 2), np.exp(0.9j * (t + u)), np.sin(t) + 2.0, 1j]),
+    "four axes": ([(-1.0, 1.0), (0.0, 1.0), (-0.5, 0.5), (1.0, 2.0)],
+                  lambda t, s, u, v: [
+                      np.exp(-s * s - v), np.exp(1j * (t - s + u - v)),
+                      np.cos(u * t), 0.3 + 0.1j]),
+}
+
+
+@pytest.mark.parametrize("points", [5, 6, 7])
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_tensor_quadrature_against_a_direct_sum(case, points):
+    bounds, integrand = GRID_CASES[case]
+    direct = _direct_grid_sum(bounds, integrand, points)
+    assert rel_err(kernels._tensor_quadrature(bounds, integrand, points),
+                   direct) <= 1e-13
+
+
+def test_legendre_rule_is_built_once_and_read_only():
+    rule = kernels._legendre_rule(7)
+    assert kernels._legendre_rule(7) is rule
+    for arr in rule:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

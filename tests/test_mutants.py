@@ -260,6 +260,11 @@ MUTANTS = [
     # the oracle itself, so the gate is shown to see damage on either side
     Mutant("kernels.delta_kernel_quadrature", "delta-kernel-vs-cubature",
            "- 1j * h.center * tau", "+ 1j * h.center * tau"),
+    Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
+           "np.einsum(subscripts, tail, node)",
+           "np.einsum(subscripts, np.ones_like(tail), node)"),
+    Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
+           "range(points if bounds else 1)", "range(0, points if bounds else 1, 2)"),
     # the routes as the verify suites call them
     Mutant("verify.correlator_pairing_sum", "closed-form-vs-recursion",
            stub=lambda w: EXPR_ZERO),
