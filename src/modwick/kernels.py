@@ -405,6 +405,8 @@ def term_value(term: tuple, tests: dict, a: Assignment,
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
+_GRID_BLOCK = 2 ** 16  # grid points per einsum, about 1 MB of complex128
+
 @functools.cache
 def _legendre_rule(points: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], shared read-only per size."""
@@ -419,12 +421,15 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
 
     `integrand` receives one node array per variable, along its own axis,
     and returns the integrand's factors, each over the axes it depends on,
-    of length 1 on the rest (0-d for none).  The weights and the factors
-    constant along the first axis multiply into one tail block once; per
-    first-axis node, one fused `einsum` sums the tail against the product
-    of the other factors' slices, never building the full product.  So each
-    node's value is the product of all its factors, summed node by node:
-    no factorized shortcut is taken, an independent check of closed forms.
+    of length 1 on the rest (0-d for none).  The grid is walked along the
+    axis whose node block, the other axes of the factors varying along it,
+    is smallest (the lowest such axis).  The weights and the other factors
+    multiply into one tail block once; per run of walked nodes, about
+    `_GRID_BLOCK` grid points, one fused `einsum` sums the tail against the
+    product of the varying factors' slices, never building the full
+    product.  So each node's value is the product of all its factors,
+    summed node by node: no factorized shortcut is taken, an independent
+    check of closed forms.
     """
     base_x, base_w = _legendre_rule(points)
     dim = len(bounds)
@@ -435,18 +440,28 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
         axes.append((0.5 * (lo + hi) + half * base_x).reshape(shape))
         weights.append((half * base_w).reshape(shape))
 
+    factors = weights + integrand(*axes)
+    shapes = [np.shape(f) for f in factors]
+
+    def node_block(j):  # elements of one node of the factors varying on j
+        return math.prod(np.broadcast_shapes(
+            *(s[:j] + s[j + 1:] for s in shapes if s and s[j] > 1)))
+
+    walk = min(range(dim), key=node_block, default=0)
     tail, first = np.ones((1,) * dim), []
-    for factor in weights + integrand(*axes):
-        if np.ndim(factor) and np.shape(factor)[0] > 1:
-            first.append(factor)
+    for factor, shape in zip(factors, shapes):
+        if shape and shape[walk] > 1:
+            first.append(np.moveaxis(factor, walk, 0))
         else:
             tail = tail * factor
+    tail = np.moveaxis(tail, walk, 0) if dim else tail
     subscripts = "{0},{0}->".format("abcdefghijklmnopqrstuvwxyz"[:dim])
+    step = max(1, _GRID_BLOCK // points ** max(dim - 1, 0))
     acc = 0.0 + 0.0j
-    for i in range(points if bounds else 1):  # a box of no axes is one node
+    for i in range(0, points if bounds else 1, step):  # no axes: one node
         node = np.ones((1,) * dim)
         for factor in first:
-            node = node * factor[i:i + 1]
+            node = node * factor[i:i + step]
         acc += np.einsum(subscripts, tail, node)
     return complex(acc)
 

@@ -29,8 +29,9 @@ process, where canonicalize, conjugate and the recursion meet the most
 term shapes; it was recorded before momentum deltas over distinct labels
 skipped the union-find, `conjugate` kept a canonical input canonical and
 the recursion stopped expanding sub-words that end with an annihilator.
-The second, sixth and seventh digests need no numpy, and they are checked
-again under every pyenv Python 3.10 or later that the host has.
+The first, second, fourth, sixth and seventh digests need no numpy, and
+they are checked again under every pyenv Python 3.10 or later that the
+host has.
 When a change is meant to move output, recompute the digest and say why.
 """
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import glob
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -46,10 +46,9 @@ import sys
 import pytest
 
 import modwick
-from golden_routes import block_word_sha256, odd_label_sha256, routes
-from modwick.cli import _pairing_entry
-from modwick.pairings import annotated_pairing_terms
-from modwick.serialize import term_to_json_dict, to_json_str, to_latex
+from golden_routes import (
+    annotated_pairings_sha256, block_word_sha256, odd_label_sha256, routes_sha256,
+)
 from modwick.verify import MODES, _build, patterns_up_to, report, run_all
 from modwick.words import word_to_json_dict
 
@@ -72,15 +71,7 @@ CONVERGE_ASSIGNMENTS = [
 
 
 def test_outputs_match_the_golden_digest():
-    h = hashlib.sha256()
-    # the 12-generator word brings labels t10-t12, which sort before t2
-    for pattern in [*patterns_up_to(6), "aa+a+a+a+a++"]:
-        for mode in MODES:
-            for e in routes(_build(pattern, mode)):
-                h.update(f"{pattern} {mode}\n{to_json_str(e)}\n{to_latex(e)}\n"
-                         .encode())
-    h.update(report(run_all(3)).encode())
-    assert h.hexdigest() == GOLDEN_SHA256
+    assert routes_sha256() == GOLDEN_SHA256
 
 
 def test_block_word_matches_its_golden_digest():
@@ -92,17 +83,7 @@ def test_odd_labels_match_their_golden_digest():
 
 
 def test_annotated_pairings_match_their_golden_digest():
-    h = hashlib.sha256()
-    for pattern in [*patterns_up_to(6), "aa+a+a+a+a++", "aaaaaa++++++"]:
-        for mode in MODES:
-            h.update(f"{pattern} {mode}\n".encode())
-            for at in annotated_pairing_terms(_build(pattern, mode)):
-                entry = json.dumps(
-                    _pairing_entry(at.pairing, at.crossings,
-                                   term_to_json_dict(at.term)),
-                    separators=(",", ":"))
-                h.update(entry.encode() + b"\n")
-    assert h.hexdigest() == ANNOTATED_SHA256
+    assert annotated_pairings_sha256() == ANNOTATED_SHA256
 
 
 def test_cli_documents_match_their_golden_digest(cli_run, write_json):
@@ -141,12 +122,16 @@ def _interpreters() -> list:
     return found
 
 
-# run under each interpreter: the two route digests, one line each, then
+# run under each interpreter: the four route digests, one line each, then
 # the verify --max-n 4 report as the CLI prints it
 _ON_EACH_INTERPRETER = """\
 import sys
-from golden_routes import block_word_sha256, odd_label_sha256
+from golden_routes import (
+    annotated_pairings_sha256, block_word_sha256, odd_label_sha256, routes_sha256,
+)
 from modwick.cli import main
+print(routes_sha256())
+print(annotated_pairings_sha256())
 print(block_word_sha256())
 print(odd_label_sha256())
 sys.exit(main(["verify", "--max-n", "4"]))
@@ -169,7 +154,9 @@ def test_verify_report_is_the_same_on_every_interpreter(record_property):
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True)
         assert (proc.returncode, proc.stderr) == (0, b""), version
-        block, odd, verify_4 = proc.stdout.split(b"\n", 2)
+        full, annotated, block, odd, verify_4 = proc.stdout.split(b"\n", 4)
+        assert full.decode() == GOLDEN_SHA256, version
+        assert annotated.decode() == ANNOTATED_SHA256, version
         assert block.decode() == BLOCK_WORD_SHA256, version
         assert odd.decode() == ODD_LABEL_SHA256, version
         assert hashlib.sha256(verify_4).hexdigest() == VERIFY_4_SHA256, version

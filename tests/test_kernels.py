@@ -524,6 +524,26 @@ GRID_CASES = {
                   lambda t, s, u, v: [
                       np.exp(-s * s - v), np.exp(1j * (t - s + u - v)),
                       np.cos(u * t), 0.3 + 0.1j]),
+    # the term_convergence grids: a test function per axis and oscillations
+    # over pairs of axes, placed so that the smallest node block lies off
+    # the first axis where it can (with every pair, all three blocks tie)
+    "oscillations on (t,s) and (t,u)": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
+                                        lambda t, s, u: [
+        np.exp(-(t - 0.2) ** 2), np.cos(s) + 1.5, np.exp(-u * u),
+        np.exp(1.1j * (t - s)), np.exp(0.7j * (t + u))]),
+    "oscillation on (t,s) only": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
+                                  lambda t, s, u: [
+        np.exp(-t * t), np.exp(-(s - 0.5) ** 2), np.sin(u) + 2.0,
+        np.exp(1.3j * (t + 2.0 * s))]),
+    "oscillations on every pair": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
+                                   lambda t, s, u: [
+        np.exp(-t * t), np.exp(-s * s), np.exp(-(u + 1.0) ** 2),
+        np.exp(0.9j * (t - s)), np.exp(-0.6j * (t - u)), np.exp(1.2j * (s + u))]),
+    # the crossing aaa+++ grid, (b,d), (b,c) and (a,c), with a and c swapped
+    "four axes crossing": ([(-1.0, 1.0), (0.0, 2.0), (-1.5, 0.5), (-0.5, 1.5)],
+                           lambda t, s, u, v: [
+        np.exp(-t * t), np.exp(-(s - 1.0) ** 2), np.exp(-u * u), np.cos(v),
+        np.exp(1.4j * (s - v)), np.exp(-0.8j * (t - s)), np.exp(0.5j * (t + u))]),
 }
 
 
@@ -534,6 +554,35 @@ def test_tensor_quadrature_against_a_direct_sum(case, points):
     direct = _direct_grid_sum(bounds, integrand, points)
     assert rel_err(kernels._tensor_quadrature(bounds, integrand, points),
                    direct) <= 1e-13
+
+
+# (case, points, elements of one walked node): 97 points on three axes and
+# 26 on four make several blocks of at most 2**16 grid points, the last short
+BLOCKED_GRIDS = [("oscillations on (t,s) and (t,u)", 97, 97),
+                 ("oscillation on (t,s) only", 97, 1),
+                 ("oscillations on every pair", 97, 97 * 97),
+                 ("four axes crossing", 26, 26)]
+
+
+@pytest.mark.parametrize("case, points, node", BLOCKED_GRIDS)
+def test_tensor_quadrature_walks_the_smallest_node_block_in_blocks(
+        monkeypatch, case, points, node):
+    bounds, integrand = GRID_CASES[case]
+    einsum, blocks = np.einsum, []
+
+    def recording_einsum(subscripts, tail, block):
+        blocks.append(block.shape)
+        return einsum(subscripts, tail, block)
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    value = kernels._tensor_quadrature(bounds, integrand, points)
+    monkeypatch.undo()
+    assert rel_err(value, _direct_grid_sum(bounds, integrand, points)) <= 1e-13
+    lengths = [shape[0] for shape in blocks]
+    assert sum(lengths) == points and len(set(lengths[:-1])) == 1
+    assert 0 < lengths[-1] < lengths[0]
+    assert {math.prod(shape[1:]) for shape in blocks} == {node}
+    assert lengths[0] * points ** (len(bounds) - 1) <= kernels._GRID_BLOCK
 
 
 def test_legendre_rule_is_built_once_and_read_only():

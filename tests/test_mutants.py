@@ -18,14 +18,17 @@ selection", IEEE Computer 11(4), 1978.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import math
 import textwrap
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_legendre
 
 from modwick import kernels, limits, pairings, scalars, verify, words
 from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
@@ -95,6 +98,35 @@ def _two_point_term_against_grid() -> bool:
     return (_rel_err(value, kernels.term_value_quadrature(term, tests, a, 1.0)) < 1e-9
             and _rel_err(row.value, kernels.term_convergence_quadrature(
                 term, tests, a, 1.0)) < 1e-9)
+
+
+# (axes, points, integrand) on [-1, 1]^axes: oscillations on (t, s) and
+# (t, u), walked along s, and the crossing aaa+++ structure on (s, v),
+# (t, s) and (t, u), walked along u; each in several blocks, the last short
+BLOCKED_GRIDS = [
+    (3, 97, lambda t, s, u: [np.exp(-(t - 0.3) ** 2), np.cos(2.0 * s) + 1.5,
+                             np.exp(1.7j * (t - s)), np.exp(0.8j * t * u)]),
+    (4, 26, lambda t, s, u, v: [np.exp(-(s - 0.4) ** 2), np.cos(v) + 1.2,
+                                np.exp(1.3j * (s - v)), np.exp(-0.9j * (t - s)),
+                                np.exp(0.6j * (t + 2.0 * u))]),
+]
+
+
+def _grid_against_direct_sum() -> bool:
+    """The tensor grid against one sum over the whole grid.
+
+    The a+ grids walk their first axis in one block, so they cannot see
+    the walked factors' other axes permuted unlike the tail's: only a walk
+    past the second axis, here the four-axis one, tells the two apart.
+    """
+    for dim, points, integrand in BLOCKED_GRIDS:
+        x, w = roots_legendre(points)
+        grid = kernels._tensor_quadrature([(-1.0, 1.0)] * dim, integrand, points)
+        direct = np.sum(functools.reduce(
+            np.multiply, [*np.ix_(*[w] * dim), *integrand(*np.ix_(*[x] * dim))]))
+        if not _rel_err(grid, direct) < 1e-13:
+            return False
+    return True
 
 
 def _delta_kernel_against_cubature() -> bool:
@@ -167,6 +199,7 @@ GATES = {
     "limit-is-real": _limit_is_real,
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,
+    "grid-vs-direct-sum": _grid_against_direct_sum,
     "delta-kernel-vs-cubature": _delta_kernel_against_cubature,
     "fast-path-vs-union-find": _fast_path_against_union_find,
     "conjugate-keeps-canonical-form": _conjugate_keeps_canonical_form,
@@ -263,8 +296,10 @@ MUTANTS = [
     Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
            "np.einsum(subscripts, tail, node)",
            "np.einsum(subscripts, np.ones_like(tail), node)"),
-    Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
-           "range(points if bounds else 1)", "range(0, points if bounds else 1, 2)"),
+    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
+           "factor[i:i + step]", "factor[i:i + step:2]"),
+    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
+           "np.moveaxis(factor, walk, 0)", "np.swapaxes(factor, walk, 0)"),
     # the routes as the verify suites call them
     Mutant("verify.correlator_pairing_sum", "closed-form-vs-recursion",
            stub=lambda w: EXPR_ZERO),
