@@ -1,11 +1,14 @@
 """Cross-method verification suites.
 
-Every suite runs the same idea from a different angle: compute one
-object by two routes that share no code path and demand canonical
-equality.  The suites enumerate every creator/annihilator pattern up to
-a length bound, in scalar mode and in two polarized modes (uniform
-polarizations, which must reproduce the scalar structure, and cycling
-polarizations, which leave each route fewer contractions to form).
+The four equivalence suites compute one object by routes that share no
+formula and demand canonical equality.  The other four check counts
+against closed formulas (catalan count, block-word count), a stack scan
+against a filter (noncrossing uniqueness) and pairings against bracket
+balance (pairing existence).  The suites enumerate every
+creator/annihilator pattern up to a length bound, in scalar mode and in
+two polarized modes (uniform polarizations, which must reproduce the
+scalar structure, and cycling polarizations, which leave each route
+fewer contractions to form).
 
 All iteration orders are fixed, so the text report is byte-identical
 across runs.
@@ -68,11 +71,6 @@ def _build(pattern: str, mode: str) -> Word:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _words(max_n: int) -> dict:
-    """Every (pattern, mode) word a suite of this size bound reads, patterns outermost."""
-    return {(p, mode): _build(p, mode) for p in patterns_up_to(2 * max_n) for mode in MODES}
-
-
 def _dump(e: ScalarExpr) -> str:
     return json.dumps(to_json_dict(e), separators=(",", ":"))
 
@@ -91,7 +89,7 @@ def _run(name: str, cases, check) -> SuiteResult:
 
 
 class _Case:
-    """A word of the table and the route values its suites share, each computed once."""
+    """A (pattern, mode) word and the route values its suites share, each computed once."""
 
     def __init__(self, key: tuple, word: Word, memo: dict):
         self.key, self.word, self.memo = key, word, memo
@@ -113,9 +111,11 @@ class _Case:
         return enumerate_pairings(self.word)
 
 
-def _cases(words: dict, memo: dict):
-    """A case of its own for every word of the table, in order, sharing `memo`."""
-    return (_Case(key, w, memo) for key, w in words.items())
+def _cases(max_n: int, memo: dict):
+    """A case for every (pattern, mode) up to length 2 * max_n, patterns
+    outermost, all sharing `memo`; each word is built when the walk reaches it."""
+    return (_Case((p, mode), _build(p, mode), memo)
+            for p in patterns_up_to(2 * max_n) for mode in MODES)
 
 
 def _chain(*routes):
@@ -158,14 +158,13 @@ def suite_limit_triple_agreement(cases) -> SuiteResult:
 CATALAN = (1, 2, 5, 14, 42, 132)
 
 
-def suite_catalan_count(max_n: int, limits: dict) -> SuiteResult:
-    """Patterns with nonzero limit in `limits`, counted against the Catalan numbers."""
+def suite_catalan_count(max_n: int, live: dict) -> SuiteResult:
+    """`live` maps a length to the number of scalar patterns of that length
+    with nonzero limit; length 2n must give the n-th Catalan number."""
     def check(n):
-        live = [p for p in patterns_up_to(2 * n) if len(p) == 2 * n
-                and not limits[p].is_zero()]
-        expect = CATALAN[n - 1]
-        if len(live) != expect:
-            return f"n={n}: {len(live)} patterns with nonzero limit, expected {expect}"
+        got, expect = live.get(2 * n, 0), CATALAN[n - 1]
+        if got != expect:
+            return f"n={n}: {got} patterns with nonzero limit, expected {expect}"
 
     return _run("catalan-count", range(1, max_n + 1), check)
 
@@ -261,33 +260,34 @@ MAX_N = 6  # largest size bound run_all accepts; the smallest is 1
 def run_all(max_n: int) -> list:
     """All suites at the given size bound, in fixed order.
 
-    One word table serves every suite.  The suites that read one word at
-    a time walk it once, together: each word's case goes to each of them
-    in turn, so its routes are computed once and dropped before the next
-    word, but for the scalar Wick limits and pairing counts that
-    catalan-count and block-word-count read.  Every
-    recursion of the run shares one sub-word memo; the closed form and
-    the limit routes never see it.
+    One walk of the words serves every suite.  Each word is built when the
+    walk reaches it, and its case goes to each case suite in turn, so its
+    routes are computed once and dropped with it before the next word.
+    The walk keeps only ints for the two count suites: per length, the
+    scalar patterns with nonzero Wick limit, and per scalar pattern, its
+    number of pairings.  Every recursion of the run shares one sub-word
+    memo; the closed form and the limit routes never see it.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be between 1 and {MAX_N}")
     memo: dict = {}
-    words = _words(max_n)
     suites = (suite_closed_form_vs_recursion, suite_limit_triple_agreement,
               suite_noncrossing_uniqueness, suite_pairing_existence,
               suite_adjoint_symmetry, suite_swap_consistency)
     # a suite's total starts as its run on no case, then adds each word's run
     totals = [s(()) for s in suites]
-    limits, counts = {}, {}
-    for case in _cases(words, memo):
+    live, counts = {}, {}
+    for case in _cases(max_n, memo):
         for total, r in zip(totals, [s((case,)) for s in suites]):
             total.cases += r.cases
             total.failures += r.failures
-        if case.key[1] == "scalar":
-            limits[case.key[0]] = case.wick_limit
-            counts[case.key[0]] = len(case.pairings)
+        pattern, mode = case.key
+        if mode == "scalar":
+            counts[pattern] = len(case.pairings)
+            if not case.wick_limit.is_zero():
+                live[len(pattern)] = live.get(len(pattern), 0) + 1
     closed_form, limit_triple, noncrossing, existence, adjoint_symmetry, swap = totals
-    return [closed_form, limit_triple, suite_catalan_count(max_n, limits),
+    return [closed_form, limit_triple, suite_catalan_count(max_n, live),
             noncrossing, existence, suite_block_word_count(max_n, counts),
             adjoint_symmetry, swap]
 

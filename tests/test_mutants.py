@@ -18,6 +18,7 @@ selection", IEEE Computer 11(4), 1978.
 
 from __future__ import annotations
 
+import collections
 import functools
 import importlib
 import inspect
@@ -42,7 +43,12 @@ from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
 EXPR_ONE = canonicalize(ScalarExpr((ScalarTerm(),)))
 
 MAX_N = 3
-WORDS = verify._words(MAX_N)
+
+
+def _all_words():
+    """Every (pattern, mode) word of the n <= MAX_N walk, in its order."""
+    return (c.word for c in verify._cases(MAX_N, {}))
+
 
 # off-center and of unequal widths, so no centre or width cancels
 OFF = GaussianTest(0.3, 0.8)
@@ -63,7 +69,7 @@ def _limit_is_real() -> bool:
     phase argument: only the delta sign-fixes make the three agree.
     """
     for pattern in verify.patterns_up_to(2 * MAX_N):
-        w = WORDS[pattern, "scalar"]
+        w = verify._build(pattern, "scalar")
         expect = limits.correlator_wick_limit(w)
         via_adjoint = limits.correlator_wick_limit(adjoint(w))
         via_conjugate = limits.limit_of_pairing_sum(
@@ -141,7 +147,7 @@ def _fast_path_against_union_find() -> bool:
     Recursion and pairing sum name their representatives through the same
     map, so no suite sees a fast path that picks the larger label.
     """
-    for w in WORDS.values():
+    for w in _all_words():
         for _, _, _, _, deltas in (
                 *words._raw_correlator_terms(w.gens, {}),
                 *(pairings.pairing_term(w, p) for p in pairings.enumerate_pairings(w))):
@@ -168,7 +174,7 @@ SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
 
 def _conjugate_keeps_canonical_form() -> bool:
     """A canonical input's conjugate is its term-wise conjugate canonicalized."""
-    for e in (SAME_TIME, *map(correlator_recursive, WORDS.values())):
+    for e in (SAME_TIME, *map(correlator_recursive, _all_words())):
         got, want = scalars.conjugate(e), _termwise_conjugate(e)
         if (got.terms, got.signatures) != (want.terms, want.signatures):
             return False
@@ -179,23 +185,23 @@ def _conjugate_keeps_canonical_form() -> bool:
 # in `modwick.verify` when they run, and each gets fresh cases and memo
 GATES = {
     "closed-form-vs-recursion":
-        lambda: verify.suite_closed_form_vs_recursion(verify._cases(WORDS, {})).passed(),
+        lambda: verify.suite_closed_form_vs_recursion(verify._cases(MAX_N, {})).passed(),
     "limit-triple-agreement":
-        lambda: verify.suite_limit_triple_agreement(verify._cases(WORDS, {})).passed(),
-    "catalan-count": lambda: verify.suite_catalan_count(MAX_N, {
-        c.key[0]: c.wick_limit for c in verify._cases(WORDS, {})
-        if c.key[1] == "scalar"}).passed(),
+        lambda: verify.suite_limit_triple_agreement(verify._cases(MAX_N, {})).passed(),
+    "catalan-count": lambda: verify.suite_catalan_count(MAX_N, collections.Counter(
+        len(c.key[0]) for c in verify._cases(MAX_N, {})
+        if c.key[1] == "scalar" and not c.wick_limit.is_zero())).passed(),
     "noncrossing-uniqueness":
-        lambda: verify.suite_noncrossing_uniqueness(verify._cases(WORDS, {})).passed(),
+        lambda: verify.suite_noncrossing_uniqueness(verify._cases(MAX_N, {})).passed(),
     "pairing-existence":
-        lambda: verify.suite_pairing_existence(verify._cases(WORDS, {})).passed(),
+        lambda: verify.suite_pairing_existence(verify._cases(MAX_N, {})).passed(),
     "block-word-count": lambda: verify.suite_block_word_count(MAX_N, {
-        c.key[0]: len(c.pairings) for c in verify._cases(WORDS, {})
+        c.key[0]: len(c.pairings) for c in verify._cases(MAX_N, {})
         if c.key[1] == "scalar"}).passed(),
     "adjoint-symmetry":
-        lambda: verify.suite_adjoint_symmetry(verify._cases(WORDS, {})).passed(),
+        lambda: verify.suite_adjoint_symmetry(verify._cases(MAX_N, {})).passed(),
     "swap-consistency":
-        lambda: verify.suite_swap_consistency(verify._cases(WORDS, {})).passed(),
+        lambda: verify.suite_swap_consistency(verify._cases(MAX_N, {})).passed(),
     "limit-is-real": _limit_is_real,
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,

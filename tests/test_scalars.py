@@ -29,7 +29,7 @@ from modwick.pairings import (
     annotated_pairing_terms, correlator_pairing_sum, enumerate_pairings, pairing_term,
 )
 from modwick.serialize import from_json_str, to_json_str
-from modwick.verify import MODES, _build, _words, patterns_up_to
+from modwick.verify import MODES, _build, _cases, patterns_up_to
 from modwick.words import (
     _raw_correlator_terms, correlator_recursive, word_from_pattern,
 )
@@ -186,7 +186,7 @@ def test_block_word_factors_and_atoms_are_untracked_after_a_collection():
     factors = [x for e in exprs for x in _factors(e)]
     atoms = [a for e in exprs for a in _atoms(e)]
     memo_items = [x for item in memo.items() for x in item]
-    gens = [g for word in _words(3).values() for g in word.gens]
+    gens = [g for c in _cases(3, {}) for g in c.word.gens]
     assert factors and atoms and len(memo) > 1 and gens
     gc.collect()
     assert not any(gc.is_tracked(a) for a in atoms)
@@ -386,10 +386,10 @@ def _union_find_path(deltas) -> tuple:
 
 
 def test_disjoint_momentum_pairs_give_the_union_find_result():
-    # every raw recursion and pairing term of the n <= 4 table has disjoint
+    # every raw recursion and pairing term of the n <= 4 words has disjoint
     # pairs, and so has every Wick limit term, next to its other deltas
     renamed = 0
-    for w in _words(4).values():
+    for w in (c.word for c in _cases(4, {})):
         for t in (*_raw_correlator_terms(w.gens, {}),
                   *(pairing_term(w, p) for p in enumerate_pairings(w)),
                   *correlator_wick_limit(w).terms):
@@ -426,7 +426,7 @@ SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
 def test_conjugate_keeps_a_canonical_input_canonical():
     memo: dict = {}
     exprs = [SAME_TIME, correlator_recursive(word_from_pattern("aaaaaa++++++")),
-             *(correlator_recursive(w, memo) for w in _words(4).values())]
+             *(correlator_recursive(c.word, memo) for c in _cases(4, {}))]
     for e in exprs:
         if e.terms:
             got, want = conjugate(e), _termwise_conjugate(e)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 from modwick import verify, words
 from modwick.limits import correlator_wick_limit
@@ -16,7 +17,7 @@ from modwick.verify import (
     CATALAN, MODES, SuiteResult, all_passed, patterns_up_to, report, run_all,
     suite_adjoint_symmetry, suite_catalan_count, suite_closed_form_vs_recursion,
     suite_limit_triple_agreement, suite_swap_consistency, _bracket_balanced,
-    _cases, _words,
+    _cases,
 )
 from modwick.words import (
     Word, correlator_recursive, expand_leading_annihilator, word_from_pattern,
@@ -67,13 +68,14 @@ def test_modes_cover_polarization_space():
     assert MODES == ("scalar", "uniform", "cyclic")
 
 
-def _wick_limits(words: dict) -> dict:
-    """The direct Wick limit of each scalar pattern, as run_all hands it on."""
-    return {c.key[0]: c.wick_limit for c in _cases(words, {}) if c.key[1] == "scalar"}
+def _live(max_n: int) -> Counter:
+    """Per length, the scalar patterns with nonzero Wick limit, as run_all counts them."""
+    return Counter(len(c.key[0]) for c in _cases(max_n, {})
+                   if c.key[1] == "scalar" and not c.wick_limit.is_zero())
 
 
 def test_catalan_table_matches_suite():
-    res = suite_catalan_count(4, _wick_limits(_words(4)))
+    res = suite_catalan_count(4, _live(4))
     assert res.passed()
     assert CATALAN[:4] == (1, 2, 5, 14)
 
@@ -86,7 +88,7 @@ def test_equivalence_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", corrupted)
-    res = suite_closed_form_vs_recursion(_cases(_words(2), {}))
+    res = suite_closed_form_vs_recursion(_cases(2, {}))
     assert not res.passed()
     assert res.failures
     text = report([res])
@@ -111,7 +113,7 @@ def test_equivalence_suite_detects_a_dropped_crossing_phase(monkeypatch):
         return e
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", dropped)
-    res = suite_closed_form_vs_recursion(_cases(_words(2), {}))
+    res = suite_closed_form_vs_recursion(_cases(2, {}))
     # aa++ has the only crossing pairing; cyclic polarizations kill it
     assert [f.split(":")[0] for f in res.failures] == [
         "pattern=aa++ mode=scalar", "pattern=aa++ mode=uniform"]
@@ -122,7 +124,7 @@ def test_triple_agreement_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_wick_limit", corrupted)
-    res = suite_limit_triple_agreement(_cases(_words(2), {}))
+    res = suite_limit_triple_agreement(_cases(2, {}))
     assert not res.passed()
 
 
@@ -132,13 +134,13 @@ def _failed_links(res) -> set:
 
 def test_triple_agreement_suite_detects_a_corrupted_rewrite(monkeypatch):
     monkeypatch.setattr(verify, "correlator_limit_rewrite", lambda w: EXPR_ONE)
-    res = suite_limit_triple_agreement(_cases(_words(2), {}))
+    res = suite_limit_triple_agreement(_cases(2, {}))
     assert _failed_links(res) == {"direct-wick != rewrite"}
 
 
 def test_catalan_suite_detects_a_limit_that_never_vanishes(monkeypatch):
     monkeypatch.setattr(verify, "correlator_wick_limit", lambda w: EXPR_ONE)
-    res = suite_catalan_count(2, _wick_limits(_words(2)))
+    res = suite_catalan_count(2, _live(2))
     assert res.failures == [
         "n=1: 4 patterns with nonzero limit, expected 1",
         "n=2: 16 patterns with nonzero limit, expected 2"]
@@ -150,7 +152,7 @@ def test_adjoint_suite_detects_a_recursion_scaled_by_i(monkeypatch):
         return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
     monkeypatch.setattr(verify, "correlator_recursive", scaled)
-    res = suite_adjoint_symmetry(_cases(_words(2), {}))
+    res = suite_adjoint_symmetry(_cases(2, {}))
     assert _failed_links(res) == {"adjoint != conjugate"}
 
 
@@ -160,7 +162,7 @@ def test_swap_suite_detects_a_recursion_blind_to_the_swap(monkeypatch):
         return correlator_recursive(Word(tuple(sorted(w.gens))))
 
     monkeypatch.setattr(verify, "correlator_recursive", blind)
-    res = suite_swap_consistency(_cases(_words(2), {}))
+    res = suite_swap_consistency(_cases(2, {}))
     assert _failed_links(res) == {"direct != swapped*factor"}
 
 
@@ -172,11 +174,11 @@ def test_suite_result_passed_flag():
 
 
 def test_run_all_computes_each_route_once_per_word(monkeypatch):
-    # the suites that walk the table share each word's routes: one pairing
-    # sum and one direct Wick limit per table word, one enumeration of
-    # pairings per scalar word, which block-word-count reads too, and one
-    # recursion per table word plus the adjoint word of each adjoint case
-    # and the swapped word of each swap case
+    # the suites that share the walk share each word's routes: one pairing
+    # sum and one direct Wick limit per word, one enumeration of pairings
+    # per scalar word, which block-word-count reads too, and one recursion
+    # per word plus the adjoint word of each adjoint case and the swapped
+    # word of each swap case
     calls = {"recursion": 0, "pairing sum": 0, "wick limit": 0, "pairings": 0}
 
     def counted(name, route):
@@ -194,7 +196,7 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_pairings",
                         counted("pairings", enumerate_pairings))
     results = {r.name: r for r in run_all(3)}
-    table = len(_words(3))
+    table = sum(1 for _ in _cases(3, {}))
     assert table == 378
     assert calls["pairing sum"] == calls["wick limit"] == table
     assert calls["pairings"] == results["pairing-existence"].cases == table // 3
@@ -208,9 +210,9 @@ def test_run_all_memo_holds_one_entry_per_expansion(monkeypatch):
     # entry, and every entry is the one expansion of its sub-word
     memos, expansions = [], []
 
-    def cases(table, memo):
+    def cases(max_n, memo):
         memos.append(memo)
-        return _cases(table, memo)
+        return _cases(max_n, memo)
 
     def expand(gens):
         expansions.append(gens)
@@ -222,6 +224,28 @@ def test_run_all_memo_holds_one_entry_per_expansion(monkeypatch):
     (memo,) = memos
     assert all(gens and not gens[0][0] and gens[-1][0] for gens in memo)
     assert len(memo) == len(expansions) == len(set(expansions)) == 1843
+
+
+def test_run_all_builds_each_word_when_the_walk_reaches_it(monkeypatch):
+    # the first word's routes run before the second word is built, so the
+    # run never holds more than the word it is checking
+    log, build_word = [], verify._build
+
+    def build(pattern, mode):
+        log.append("build")
+        return build_word(pattern, mode)
+
+    def closed_form(w):
+        log.append("closed-form")
+        return correlator_pairing_sum(w)
+
+    monkeypatch.setattr(verify, "_build", build)
+    monkeypatch.setattr(verify, "correlator_pairing_sum", closed_form)
+    assert all_passed(run_all(1))
+    assert log.index("closed-form") < log.index("build", 1)
+    # six patterns of length <= 2, three modes each, every word checked
+    # before the next is built
+    assert log == ["build", "closed-form"] * 18
 
 
 def _recursion_times_i(w, memo=None):
