@@ -152,6 +152,35 @@ def test_delta_kernel_quadrature_sweep():
                    - delta_kernel_quadrature(f, g, h, lam)) <= 1e-9 * scale, (f, g, h, lam)
 
 
+def test_delta_kernel_quadrature_on_far_apart_tests():
+    # where g's support shifted by lambda^2 tau reaches furthest past f's:
+    # centres 3 and 5 apart, one narrow and one wide test, an off-centre h
+    h = GaussianTest(0.9, 1.3)
+    for c in (1.5, -2.5):
+        for fw, gw in ((0.5, 2.0), (2.0, 0.5)):
+            f, g = GaussianTest(c, fw), GaussianTest(-c, gw)
+            scale = abs(delta_kernel(f, g, h, 1.0))
+            for lam in (0.2, 0.5, 1.0):
+                assert abs(delta_kernel(f, g, h, lam) - delta_kernel_quadrature(
+                    f, g, h, lam)) <= 1e-9 * scale, (f, g, lam)
+
+
+def test_delta_kernel_quadrature_integrates_t_over_f_support(monkeypatch):
+    f, g, h = GaussianTest(1.5, 0.5), GaussianTest(-1.5, 2.0), GaussianTest(0.9, 1.3)
+    plain = delta_kernel_quadrature(f, g, h, 0.7)
+    boxes = []
+
+    def recorder(fn, a, b, **kwargs):
+        boxes.append((list(a), list(b)))
+        return cubature(fn, a, b, **kwargs)
+
+    cubature = integrate.cubature
+    monkeypatch.setattr(integrate, "cubature", recorder)
+    assert delta_kernel_quadrature(f, g, h, 0.7) == plain
+    f_lo, f_hi = f.support()
+    assert boxes == [([-8.0 / h.width, f_lo], [8.0 / h.width, f_hi])]
+
+
 def test_delta_kernel_quadrature_borrows_no_closed_form(monkeypatch):
     f, g, h = GaussianTest(0.4, 1.0), GaussianTest(-0.3, 0.8), GaussianTest(0.7, 1.2)
     closed = delta_kernel(f, g, h, 0.6)

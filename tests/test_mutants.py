@@ -299,6 +299,8 @@ MUTANTS = [
     # the oracle itself, so the gate is shown to see damage on either side
     Mutant("kernels.delta_kernel_quadrature", "delta-kernel-vs-cubature",
            "- 1j * h.center * tau", "+ 1j * h.center * tau"),
+    Mutant("kernels.delta_kernel_quadrature", "delta-kernel-vs-cubature",
+           "f.support()", "(f.center - 3 * f.width, f.center + 3 * f.width)"),
     Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
            "np.einsum(subscripts, tail, node)",
            "np.einsum(subscripts, np.ones_like(tail), node)"),
