@@ -17,7 +17,9 @@ Quadrature policy: adaptive integration only ever meets non-oscillatory
 cut at eight standard deviations of the test functions that are its factors;
 so the delta-kernel cubature's t spans f's support alone, as past it the
 integrand is below e^-32 whatever g does.  Brute-force tensor-grid
-quadrature is kept around as an independent oracle for the closed forms.
+quadrature is kept around as an independent oracle for the closed forms:
+it sums every node's full product, one factor per time variable for each
+oscillation, with no Gaussian transform and no factorized sum.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ class GaussianTest:
     width: float = 1.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if not (math.isfinite(self.center) and 0 < self.width < math.inf):
+            raise ValueError("a Gaussian needs a finite center and a positive finite"
+                             f" width, got center {self.center} and width {self.width}")
 
     def __call__(self, t):
         u = (np.asarray(t, dtype=float) - self.center) / self.width
@@ -421,9 +424,10 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
 
     `integrand` receives one node array per variable, along its own axis,
     and returns the integrand's factors, each over the axes it depends on,
-    of length 1 on the rest (0-d for none).  The grid is walked along the
-    axis whose node block, the other axes of the factors varying along it,
-    is smallest (the lowest such axis).  The weights and the other factors
+    of length 1 on the rest (0-d for none); those on one set of axes, the
+    weights included, first multiply into one.  The grid is walked along
+    the axis whose node block, the other axes of the factors varying along
+    it, is smallest (the lowest such axis).  The factors constant along it
     multiply into one tail block once; per run of walked nodes, about
     `_GRID_BLOCK` grid points, one fused `einsum` sums the tail against the
     product of the varying factors' slices, never building the full
@@ -440,7 +444,11 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
         axes.append((0.5 * (lo + hi) + half * base_x).reshape(shape))
         weights.append((half * base_w).reshape(shape))
 
-    factors = weights + integrand(*axes)
+    merged: dict = {}  # one factor per set of axes it varies along
+    for factor in weights + integrand(*axes):
+        key = tuple(i for i, n in enumerate(np.shape(factor)) if n > 1)
+        merged[key] = merged[key] * factor if key in merged else factor
+    factors = list(merged.values())
     shapes = [np.shape(f) for f in factors]
 
     def node_block(j):  # elements of one node of the factors varying on j
@@ -472,9 +480,10 @@ def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,
 
     `groups` maps each integration variable to the time labels whose
     test functions it carries; `phase_data` holds, per oscillation, its
-    time items over those variables and its evaluated argument.  The
-    integrand returns its factors, each test function and oscillation on
-    its own variables' axes (0-d when a time combination cancels).
+    time items over those variables and its evaluated argument x.  The
+    integrand returns its factors, each on one variable's axis: every test
+    function, and per oscillation one factor exp(-i x c t / lambda^2) for
+    each of its items (t, c), their product by exp(a + b) = exp(a) exp(b).
     """
     reps = sorted(groups)
     index = {r: i for i, r in enumerate(reps)}
@@ -482,8 +491,8 @@ def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,
     def integrand(*ts):
         factors = [tests[m](t) for r, t in zip(reps, ts) for m in groups[r]]
         for items, x in phase_data:
-            delta = sum(c * ts[index[t]] for t, c in items)
-            factors.append(np.exp(-1j * x / lam ** 2 * delta))
+            factors += [np.exp(-1j * x / lam ** 2 * (c * ts[index[t]]))
+                        for t, c in items]
         return factors
 
     bounds = []

@@ -87,6 +87,16 @@ def test_gaussian_test_shape():
         GaussianTest(0.0, 0.0)
 
 
+@pytest.mark.parametrize("center, width", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    (0.0, math.inf), (0.0, math.nan), (0.0, -1.0)])
+def test_gaussian_test_rejects_a_non_finite_center_or_width(center, width):
+    # every evaluator used to return nan or raise ZeroDivisionError or
+    # "math domain error" on such a test function
+    with pytest.raises(ValueError, match="finite center and a positive finite"):
+        GaussianTest(center, width)
+
+
 @pytest.mark.parametrize("xi", [0.0, 1.7, -2.4])
 def test_gauss_fourier_against_quadrature(xi):
     f = GaussianTest(0.3, 0.8)
@@ -412,6 +422,33 @@ def test_grid_oracles_borrow_no_closed_form(monkeypatch, study_setup):
         assert rel_err(row.value, grid) <= 1e-9, row.lam
 
 
+def test_term_oracles_hand_the_grid_one_axis_per_factor(monkeypatch):
+    # each oscillation enters as one factor per time variable, so no factor
+    # of the crossing aaa+++ grids spans two axes
+    terms = [strip_momentum_deltas(ann.term)
+             for ann in annotated_pairing_terms(word_from_pattern("aaa+++"))
+             if ann.crossings]
+    a = Assignment({f"k{i}": (0.3 * i, -0.2, 0.1 * i) for i in range(1, 7)},
+                   (0.1, 0.0, -0.2))
+    tests = {f"t{i}": GaussianTest(0.1 * i - 0.3, 0.9 + 0.05 * i)
+             for i in range(1, 7)}
+    quadrature, factors = kernels._tensor_quadrature, []
+
+    def recording_quadrature(bounds, integrand, points):
+        def recorded(*axes):
+            out = integrand(*axes)
+            factors.extend(out)
+            return out
+        return quadrature(bounds, recorded, points)
+
+    monkeypatch.setattr(kernels, "_tensor_quadrature", recording_quadrature)
+    for term in terms:
+        term_value_quadrature(term, tests, a, 0.8, points=4)
+        term_convergence_quadrature(term, tests, a, 0.8, points=6)
+    assert len(terms) == 5 and any(np.iscomplexobj(f) for f in factors)
+    assert max(sum(n > 1 for n in np.shape(f)) for f in factors) == 1
+
+
 def test_term_value_four_point_against_grid(study_setup):
     terms, tests, a = study_setup
     for tag in ("crossing", "noncrossing"):
@@ -568,6 +605,11 @@ GRID_CASES = {
                                    lambda t, s, u: [
         np.exp(-t * t), np.exp(-s * s), np.exp(-(u + 1.0) ** 2),
         np.exp(0.9j * (t - s)), np.exp(-0.6j * (t - u)), np.exp(1.2j * (s + u))]),
+    # two factors on the pair (t,s) and two on u alone, merged before the walk
+    "same-axis factors": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
+                          lambda t, s, u: [
+        np.exp(1.1j * (t - s)), np.cos(t + 0.5 * s) + 1.5, np.exp(-u * u),
+        np.sin(u) + 2.0, np.exp(-t * t), np.exp(0.7j * u)]),
     # the crossing aaa+++ grid, (b,d), (b,c) and (a,c), with a and c swapped
     "four axes crossing": ([(-1.0, 1.0), (0.0, 2.0), (-1.5, 0.5), (-0.5, 1.5)],
                            lambda t, s, u, v: [

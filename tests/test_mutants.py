@@ -94,16 +94,21 @@ def _two_point_term_against_grid() -> bool:
 
     The literal reading transforms each test function alone at a nonzero
     frequency; the contracted one merges the two into a product Gaussian.
+    Both run at lambda = 1 and at 0.7: at 1 alone, lambda^2 = lambda and
+    a wrong coupling power in either integrator goes unseen.
     """
     (ann,) = pairings.annotated_pairing_terms(word_from_pattern("a+"))
     term = kernels.strip_momentum_deltas(ann.term)
     a = Assignment({"k1": (1.0, 0.0, 0.0)}, (0.0, 0.0, 0.0))
     tests = {"t1": STANDARD_GAUSSIAN, "t2": OFF}
-    value = kernels.term_value(term, tests, a, 1.0)
-    (row,) = kernels.term_convergence(term, tests, a, [1.0])
-    return (_rel_err(value, kernels.term_value_quadrature(term, tests, a, 1.0)) < 1e-9
-            and _rel_err(row.value, kernels.term_convergence_quadrature(
-                term, tests, a, 1.0)) < 1e-9)
+    for lam in (1.0, 0.7):
+        value = kernels.term_value(term, tests, a, lam)
+        (row,) = kernels.term_convergence(term, tests, a, [lam])
+        if not (_rel_err(value, kernels.term_value_quadrature(term, tests, a, lam)) < 1e-9
+                and _rel_err(row.value, kernels.term_convergence_quadrature(
+                    term, tests, a, lam)) < 1e-9):
+            return False
+    return True
 
 
 # (axes, points, integrand) on [-1, 1]^axes: oscillations on (t, s) and
@@ -291,6 +296,8 @@ MUTANTS = [
            "amp = math.exp(-0.5 * (sq - center ** 2 * inv_var))", "amp = 1.0"),
     Mutant("kernels._gauss_product", "two-point-term-vs-grid",
            "center = width ** 2 * sum(", "center = sum("),
+    Mutant("kernels._closed_integral", "two-point-term-vs-grid",
+           "freq[v] / lam ** 2", "freq[v] / lam"),
     Mutant("kernels.gauss_fourier", "gauss-fourier-vs-quad",
            "-math.sin(f.center * xi)", "math.sin(f.center * xi)"),
     Mutant("kernels.delta_kernel", "delta-kernel-vs-cubature",
@@ -308,6 +315,14 @@ MUTANTS = [
            "factor[i:i + step]", "factor[i:i + step:2]"),
     Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
            "np.moveaxis(factor, walk, 0)", "np.swapaxes(factor, walk, 0)"),
+    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
+           "merged[key] * factor if key in merged else factor", "factor"),
+    # the grid's oscillation, one factor per time variable: its coupling
+    # power and its coefficient
+    Mutant("kernels._grid_integral", "two-point-term-vs-grid",
+           "/ lam ** 2", "/ lam"),
+    Mutant("kernels._grid_integral", "two-point-term-vs-grid",
+           "(c * ts[index[t]])", "ts[index[t]]"),
     # the routes as the verify suites call them
     Mutant("verify.correlator_pairing_sum", "closed-form-vs-recursion",
            stub=lambda w: EXPR_ZERO),
