@@ -18,8 +18,9 @@ cut at eight standard deviations of the test functions that are its factors;
 so the delta-kernel cubature's t spans f's support alone, as past it the
 integrand is below e^-32 whatever g does.  Brute-force tensor-grid
 quadrature is kept around as an independent oracle for the closed forms:
-it sums every node's full product, one factor per time variable for each
-oscillation, with no Gaussian transform and no factorized sum.
+one einsum sums every node's full product over the whole grid, one factor
+per time variable for each oscillation, with no Gaussian transform and no
+factorized sum.
 """
 
 from __future__ import annotations
@@ -408,8 +409,6 @@ def term_value(term: tuple, tests: dict, a: Assignment,
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-_GRID_BLOCK = 2 ** 16  # grid points per einsum, about 1 MB of complex128
-
 @functools.cache
 def _legendre_rule(points: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], shared read-only per size."""
@@ -425,13 +424,10 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
     `integrand` receives one node array per variable, along its own axis,
     and returns the integrand's factors, each over the axes it depends on,
     of length 1 on the rest (0-d for none); those on one set of axes, the
-    weights included, first multiply into one.  The grid is walked along
-    the axis whose node block, the other axes of the factors varying along
-    it, is smallest (the lowest such axis).  The factors constant along it
-    multiply into one tail block once; per run of walked nodes, about
-    `_GRID_BLOCK` grid points, one fused `einsum` sums the tail against the
-    product of the varying factors' slices, never building the full
-    product.  So each node's value is the product of all its factors,
+    weights included, first multiply into one.  The factors varying along
+    the first axis multiply into `first`, the rest into `tail`, and one
+    two-operand `einsum` sums their product over the whole grid without
+    storing it.  So each node's value is the product of all its factors,
     summed node by node: no factorized shortcut is taken, an independent
     check of closed forms.
     """
@@ -448,30 +444,14 @@ def _tensor_quadrature(bounds, integrand, points: int) -> complex:
     for factor in weights + integrand(*axes):
         key = tuple(i for i, n in enumerate(np.shape(factor)) if n > 1)
         merged[key] = merged[key] * factor if key in merged else factor
-    factors = list(merged.values())
-    shapes = [np.shape(f) for f in factors]
-
-    def node_block(j):  # elements of one node of the factors varying on j
-        return math.prod(np.broadcast_shapes(
-            *(s[:j] + s[j + 1:] for s in shapes if s and s[j] > 1)))
-
-    walk = min(range(dim), key=node_block, default=0)
-    tail, first = np.ones((1,) * dim), []
-    for factor, shape in zip(factors, shapes):
-        if shape and shape[walk] > 1:
-            first.append(np.moveaxis(factor, walk, 0))
+    first = tail = np.ones((1,) * dim)
+    for key, factor in merged.items():
+        if 0 in key:
+            first = first * factor
         else:
             tail = tail * factor
-    tail = np.moveaxis(tail, walk, 0) if dim else tail
     subscripts = "{0},{0}->".format("abcdefghijklmnopqrstuvwxyz"[:dim])
-    step = max(1, _GRID_BLOCK // points ** max(dim - 1, 0))
-    acc = 0.0 + 0.0j
-    for i in range(0, points if bounds else 1, step):  # no axes: one node
-        node = np.ones((1,) * dim)
-        for factor in first:
-            node = node * factor[i:i + step]
-        acc += np.einsum(subscripts, tail, node)
-    return complex(acc)
+    return complex(np.einsum(subscripts, tail, first))
 
 
 def _grid_integral(groups: dict, tests: dict, phase_data: list, lam: float,

@@ -422,9 +422,8 @@ def test_grid_oracles_borrow_no_closed_form(monkeypatch, study_setup):
         assert rel_err(row.value, grid) <= 1e-9, row.lam
 
 
-def test_term_oracles_hand_the_grid_one_axis_per_factor(monkeypatch):
-    # each oscillation enters as one factor per time variable, so no factor
-    # of the crossing aaa+++ grids spans two axes
+def _crossing_aaa():
+    """The five crossing aaa+++ terms, six test functions and an assignment."""
     terms = [strip_momentum_deltas(ann.term)
              for ann in annotated_pairing_terms(word_from_pattern("aaa+++"))
              if ann.crossings]
@@ -432,6 +431,13 @@ def test_term_oracles_hand_the_grid_one_axis_per_factor(monkeypatch):
                    (0.1, 0.0, -0.2))
     tests = {f"t{i}": GaussianTest(0.1 * i - 0.3, 0.9 + 0.05 * i)
              for i in range(1, 7)}
+    return terms, tests, a
+
+
+def test_term_oracles_hand_the_grid_one_axis_per_factor(monkeypatch):
+    # each oscillation enters as one factor per time variable, so no factor
+    # of the crossing aaa+++ grids spans two axes
+    terms, tests, a = _crossing_aaa()
     quadrature, factors = kernels._tensor_quadrature, []
 
     def recording_quadrature(bounds, integrand, points):
@@ -447,6 +453,32 @@ def test_term_oracles_hand_the_grid_one_axis_per_factor(monkeypatch):
         term_convergence_quadrature(term, tests, a, 0.8, points=6)
     assert len(terms) == 5 and any(np.iscomplexobj(f) for f in factors)
     assert max(sum(n > 1 for n in np.shape(f)) for f in factors) == 1
+
+
+# the literal reading has six axes, the contracted one three: at 8 and at 96
+# points each grid holds 2**18 nodes or more, and one einsum sums them all
+@pytest.mark.parametrize("quadrature, points", [
+    (term_value_quadrature, 8), (term_convergence_quadrature, 96)])
+def test_tensor_quadrature_sums_each_term_grid_in_one_einsum(
+        monkeypatch, quadrature, points):
+    terms, tests, a = _crossing_aaa()
+    grid, einsum, calls = kernels._tensor_quadrature, np.einsum, []
+
+    def counting_einsum(*args, **kwargs):
+        calls[-1] += 1
+        return einsum(*args, **kwargs)
+
+    def checked_grid(bounds, integrand, points):
+        calls.append(0)
+        value = grid(bounds, integrand, points)
+        assert rel_err(value, _direct_grid_sum(bounds, integrand, points)) <= 1e-13
+        return value
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(kernels, "_tensor_quadrature", checked_grid)
+    for term in terms:
+        quadrature(term, tests, a, 0.8, points=points)
+    assert calls == [1] * len(terms)
 
 
 def test_term_value_four_point_against_grid(study_setup):
@@ -577,8 +609,8 @@ def _direct_grid_sum(bounds, integrand, points):
     return complex(np.sum(functools.reduce(np.multiply, full, 1.0)))
 
 
-# each factor spans the axes it depends on, of length 1 on the rest; the
-# 0-d ones and those that skip the first axis go into the grid's tail
+# each factor spans the axes it depends on, of length 1 on the rest, and
+# may span several: a term's grid has one axis per factor, these need not
 GRID_CASES = {
     "no axes": ([], lambda: [2.5, 1.0 - 0.5j]),
     "one axis": ([(-1.0, 2.0)], lambda t: [np.exp(-t * t), np.exp(1.3j * t), 0.5]),
@@ -590,9 +622,8 @@ GRID_CASES = {
                   lambda t, s, u, v: [
                       np.exp(-s * s - v), np.exp(1j * (t - s + u - v)),
                       np.cos(u * t), 0.3 + 0.1j]),
-    # the term_convergence grids: a test function per axis and oscillations
-    # over pairs of axes, placed so that the smallest node block lies off
-    # the first axis where it can (with every pair, all three blocks tie)
+    # a test function per axis and oscillations over pairs of axes, some
+    # varying along the first axis and some not
     "oscillations on (t,s) and (t,u)": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
                                         lambda t, s, u: [
         np.exp(-(t - 0.2) ** 2), np.cos(s) + 1.5, np.exp(-u * u),
@@ -605,7 +636,7 @@ GRID_CASES = {
                                    lambda t, s, u: [
         np.exp(-t * t), np.exp(-s * s), np.exp(-(u + 1.0) ** 2),
         np.exp(0.9j * (t - s)), np.exp(-0.6j * (t - u)), np.exp(1.2j * (s + u))]),
-    # two factors on the pair (t,s) and two on u alone, merged before the walk
+    # two factors on the pair (t,s) and two on u alone, merged before the sum
     "same-axis factors": ([(-2.0, 1.5), (-1.0, 2.5), (-3.0, 1.0)],
                           lambda t, s, u: [
         np.exp(1.1j * (t - s)), np.cos(t + 0.5 * s) + 1.5, np.exp(-u * u),
@@ -625,35 +656,6 @@ def test_tensor_quadrature_against_a_direct_sum(case, points):
     direct = _direct_grid_sum(bounds, integrand, points)
     assert rel_err(kernels._tensor_quadrature(bounds, integrand, points),
                    direct) <= 1e-13
-
-
-# (case, points, elements of one walked node): 97 points on three axes and
-# 26 on four make several blocks of at most 2**16 grid points, the last short
-BLOCKED_GRIDS = [("oscillations on (t,s) and (t,u)", 97, 97),
-                 ("oscillation on (t,s) only", 97, 1),
-                 ("oscillations on every pair", 97, 97 * 97),
-                 ("four axes crossing", 26, 26)]
-
-
-@pytest.mark.parametrize("case, points, node", BLOCKED_GRIDS)
-def test_tensor_quadrature_walks_the_smallest_node_block_in_blocks(
-        monkeypatch, case, points, node):
-    bounds, integrand = GRID_CASES[case]
-    einsum, blocks = np.einsum, []
-
-    def recording_einsum(subscripts, tail, block):
-        blocks.append(block.shape)
-        return einsum(subscripts, tail, block)
-
-    monkeypatch.setattr(np, "einsum", recording_einsum)
-    value = kernels._tensor_quadrature(bounds, integrand, points)
-    monkeypatch.undo()
-    assert rel_err(value, _direct_grid_sum(bounds, integrand, points)) <= 1e-13
-    lengths = [shape[0] for shape in blocks]
-    assert sum(lengths) == points and len(set(lengths[:-1])) == 1
-    assert 0 < lengths[-1] < lengths[0]
-    assert {math.prod(shape[1:]) for shape in blocks} == {node}
-    assert lengths[0] * points ** (len(bounds) - 1) <= kernels._GRID_BLOCK
 
 
 def test_legendre_rule_is_built_once_and_read_only():

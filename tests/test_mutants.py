@@ -112,9 +112,10 @@ def _two_point_term_against_grid() -> bool:
 
 
 # (axes, points, integrand) on [-1, 1]^axes: oscillations on (t, s) and
-# (t, u), walked along s, and the crossing aaa+++ structure on (s, v),
-# (t, s) and (t, u), walked along u; each in several blocks, the last short
-BLOCKED_GRIDS = [
+# (t, u), and the crossing aaa+++ structure on (s, v), (t, s) and (t, u);
+# each has several factors varying along its first axis, its weights among
+# them, and factors on the other axes alone
+PAIR_GRIDS = [
     (3, 97, lambda t, s, u: [np.exp(-(t - 0.3) ** 2), np.cos(2.0 * s) + 1.5,
                              np.exp(1.7j * (t - s)), np.exp(0.8j * t * u)]),
     (4, 26, lambda t, s, u, v: [np.exp(-(s - 0.4) ** 2), np.cos(v) + 1.2,
@@ -126,11 +127,11 @@ BLOCKED_GRIDS = [
 def _grid_against_direct_sum() -> bool:
     """The tensor grid against one sum over the whole grid.
 
-    The a+ grids walk their first axis in one block, so they cannot see
-    the walked factors' other axes permuted unlike the tail's: only a walk
-    past the second axis, here the four-axis one, tells the two apart.
+    The a+ grids of the term gates merge into one factor per axis, so they
+    cannot see a factor dropped from the product along the first axis:
+    these grids, with several factors varying along it, do.
     """
-    for dim, points, integrand in BLOCKED_GRIDS:
+    for dim, points, integrand in PAIR_GRIDS:
         x, w = roots_legendre(points)
         grid = kernels._tensor_quadrature([(-1.0, 1.0)] * dim, integrand, points)
         direct = np.sum(functools.reduce(
@@ -309,14 +310,12 @@ MUTANTS = [
     Mutant("kernels.delta_kernel_quadrature", "delta-kernel-vs-cubature",
            "f.support()", "(f.center - 3 * f.width, f.center + 3 * f.width)"),
     Mutant("kernels._tensor_quadrature", "two-point-term-vs-grid",
-           "np.einsum(subscripts, tail, node)",
-           "np.einsum(subscripts, np.ones_like(tail), node)"),
-    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
-           "factor[i:i + step]", "factor[i:i + step:2]"),
-    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
-           "np.moveaxis(factor, walk, 0)", "np.swapaxes(factor, walk, 0)"),
+           "np.einsum(subscripts, tail, first)",
+           "np.einsum(subscripts, np.ones_like(tail), first)"),
     Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
            "merged[key] * factor if key in merged else factor", "factor"),
+    Mutant("kernels._tensor_quadrature", "grid-vs-direct-sum",
+           "first = first * factor", "first = factor"),
     # the grid's oscillation, one factor per time variable: its coupling
     # power and its coefficient
     Mutant("kernels._grid_integral", "two-point-term-vs-grid",
