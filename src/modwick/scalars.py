@@ -454,19 +454,13 @@ def multiply(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 
 def conjugate(e: ScalarExpr) -> ScalarExpr:
-    """Each coefficient conjugated and each phase argument negated.
-
-    A marked input stays canonical with its phases re-sorted and its
-    signature values negated: negation is injective, so no like terms meet."""
-    terms = [((re, -im), two_pi_power, lambda_power,
-              tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
-              deltas)
-             for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms]
-    if not e.canonical:
-        return canonicalize(ScalarExpr(tuple(terms)))
-    return _marked(((*sig[:3], tuple([(t, s, a, -v) for t, s, a, v in sig[3]])),
-                    (*term[:3], tuple(sorted(term[3], key=phase_key)), term[4]))
-                   for sig, term in zip(e.signatures, terms))
+    """The canonical form of each coefficient conjugated and each phase
+    argument negated."""
+    return canonicalize(ScalarExpr(tuple(
+        ((re, -im), two_pi_power, lambda_power,
+         tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
+         deltas)
+        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
 
 
 def canonically_equal(a: ScalarExpr, b: ScalarExpr) -> bool:

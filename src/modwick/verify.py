@@ -91,15 +91,15 @@ def _run(name: str, cases, check) -> SuiteResult:
 class _Case:
     """A (pattern, mode) word and the route values its suites share, each computed once."""
 
-    def __init__(self, key: tuple, word: Word, memo: dict):
-        self.key, self.word, self.memo = key, word, memo
+    def __init__(self, key: tuple, word: Word):
+        self.key, self.word = key, word
 
     @cached_property
-    def recursion(self) -> ScalarExpr:  # through the run's sub-word memo
-        return correlator_recursive(self.word, self.memo)
+    def recursion(self) -> ScalarExpr:
+        return correlator_recursive(self.word)
 
     @cached_property
-    def closed_form(self) -> ScalarExpr:  # the pairing sum never sees the memo
+    def closed_form(self) -> ScalarExpr:
         return correlator_pairing_sum(self.word)
 
     @cached_property
@@ -111,10 +111,10 @@ class _Case:
         return enumerate_pairings(self.word)
 
 
-def _cases(max_n: int, memo: dict):
+def _cases(max_n: int):
     """A case for every (pattern, mode) up to length 2 * max_n, patterns
-    outermost, all sharing `memo`; each word is built when the walk reaches it."""
-    return (_Case((p, mode), _build(p, mode), memo)
+    outermost; each word is built when the walk reaches it."""
+    return (_Case((p, mode), _build(p, mode))
             for p in patterns_up_to(2 * max_n) for mode in MODES)
 
 
@@ -139,7 +139,7 @@ _LIMIT_TRIPLE = _chain(("mapped-limit", lambda c: limit_of_pairing_sum(c.closed_
                        ("direct-wick", lambda c: c.wick_limit),
                        ("rewrite", lambda c: correlator_limit_rewrite(c.word)))
 _ADJOINT_SYMMETRY = _chain(
-    ("adjoint", lambda c: correlator_recursive(adjoint(c.word), c.memo)),
+    ("adjoint", lambda c: correlator_recursive(adjoint(c.word))),
     ("conjugate", lambda c: conjugate(c.recursion)))
 _SWAP_CONSISTENCY = _chain(("direct", lambda c: c.recursion),
                            ("swapped*factor", lambda c: _swapped_times_factor(c)))
@@ -240,7 +240,7 @@ def _swapped_times_factor(c: _Case) -> ScalarExpr:
     phase = oscillation(x_t, y_t, comb({Dot(x_k, y_k): 1}), power=-1)
     factor = ScalarExpr((ScalarTerm(phases=(phase,)),))
     swapped = Word(gens[:site] + (y, x) + gens[site + 2:])
-    return multiply(factor, correlator_recursive(swapped, c.memo))
+    return multiply(factor, correlator_recursive(swapped))
 
 
 def suite_swap_consistency(cases) -> SuiteResult:
@@ -265,19 +265,17 @@ def run_all(max_n: int) -> list:
     routes are computed once and dropped with it before the next word.
     The walk keeps only ints for the two count suites: per length, the
     scalar patterns with nonzero Wick limit, and per scalar pattern, its
-    number of pairings.  Every recursion of the run shares one sub-word
-    memo; the closed form and the limit routes never see it.
+    number of pairings.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"max_n must be between 1 and {MAX_N}")
-    memo: dict = {}
     suites = (suite_closed_form_vs_recursion, suite_limit_triple_agreement,
               suite_noncrossing_uniqueness, suite_pairing_existence,
               suite_adjoint_symmetry, suite_swap_consistency)
     # a suite's total starts as its run on no case, then adds each word's run
     totals = [s(()) for s in suites]
     live, counts = {}, {}
-    for case in _cases(max_n, memo):
+    for case in _cases(max_n):
         for total, r in zip(totals, [s((case,)) for s in suites]):
             total.cases += r.cases
             total.failures += r.failures

@@ -17,8 +17,8 @@ particle momentum p, so they are moved to the far right of the remaining
 word before recursing; passing a creator with momentum g adds +k.g to
 every k.p atom, passing an annihilator subtracts it.  The vacuum kills
 words that begin with a creator or end with an annihilator, which closes
-the recursion for vacuum correlators before its memo is asked.  Words
-built from patterns share one set of label strings.
+the recursion for vacuum correlators before its per-call memo is asked.
+Words built from patterns share one set of label strings.
 """
 
 from __future__ import annotations
@@ -246,23 +246,18 @@ def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
     return terms
 
 
-def correlator_recursive(w: Word, memo: dict | None = None) -> ScalarExpr:
+def correlator_recursive(w: Word) -> ScalarExpr:
     """Vacuum correlator by repeated expansion of the leftmost annihilator.
 
     Expanding the leading annihilator of a word gives terms s_j times a
     shorter word w_j, so the raw terms obey C(w) = [s_j * t for each j,
     for t in C(w_j)], and C(w_j) depends on w_j alone.  The recursion is
     therefore a dynamic program over sub-words, memoized by their
-    generators.  The memo stores raw terms, not canonical ones: the final
+    generators for the length of one call: one entry per expanded
+    sub-word, none for the empty word or a sub-word the vacuum kills.
+    The memo stores raw terms, not canonical ones: the final
     `canonicalize` then sees exactly the terms, with phases concatenated
     in the same order, that a plain walk of the expansion tree would
     collect, so the output is byte-identical to it.
-
-    `memo` maps generator tuples to raw term tuples.  By default it lives
-    for one call; `verify.run_all` passes one memo to all the suites of a
-    run.  Entries are valid for any word, so a memo may be shared freely,
-    and it grows by one entry per expanded sub-word: none for the empty
-    word or a sub-word the vacuum kills.
     """
-    terms = _raw_correlator_terms(w.gens, {} if memo is None else memo)
-    return canonicalize(ScalarExpr(terms))
+    return canonicalize(ScalarExpr(_raw_correlator_terms(w.gens, {})))

@@ -36,7 +36,7 @@ from modwick.words import word_from_pattern
 
 def test_criterion_1_pairing_sum_matches_recursion_for_all_short_words():
     t0 = time.perf_counter()
-    res = suite_closed_form_vs_recursion(_cases(4, {}))
+    res = suite_closed_form_vs_recursion(_cases(4))
     elapsed = time.perf_counter() - t0
     assert res.cases == 1530  # 510 patterns of length <= 8, three modes
     assert res.passed(), res.failures[:3]
@@ -45,7 +45,7 @@ def test_criterion_1_pairing_sum_matches_recursion_for_all_short_words():
 
 def test_criterion_2_three_limit_routes_agree_for_all_short_words():
     t0 = time.perf_counter()
-    res = suite_limit_triple_agreement(_cases(4, {}))
+    res = suite_limit_triple_agreement(_cases(4))
     elapsed = time.perf_counter() - t0
     assert res.cases == 1530
     assert res.passed(), res.failures[:3]

@@ -27,8 +27,10 @@ computed before the equivalence suites walked the word table together.
 An eighth digest covers the `verify --max-n 5` report, computed in
 process, where canonicalize, conjugate and the recursion meet the most
 term shapes; it was recorded before momentum deltas over distinct labels
-skipped the union-find, `conjugate` kept a canonical input canonical and
-the recursion stopped expanding sub-words that end with an annihilator.
+skipped the union-find, before `conjugate` kept a canonical input
+canonical on a path of its own (since folded back into `canonicalize`),
+before the recursion stopped expanding sub-words that end with an
+annihilator, and before each recursion kept its sub-word memo to itself.
 The first, second, fourth, sixth and seventh digests need no numpy, and
 they are checked again under every other pyenv Python 3.10 or later that
 the host has: the interpreter running the tests checks them in process.

@@ -27,7 +27,7 @@ from modwick.scalars import (
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _bracket_balanced
 from modwick.words import (
-    Word, adjoint, correlator_recursive, word_from_pattern,
+    Word, _raw_correlator_terms, adjoint, correlator_recursive, word_from_pattern,
 )
 
 LABEL_CHARS = "tkxyz,;:()019é"
@@ -60,8 +60,7 @@ def words(draw, patterns=dyck_patterns(), modes=MODES) -> Word:
 
 
 def assert_routes_agree(w):
-    memo = {}
-    recursive = correlator_recursive(w, memo)
+    recursive = correlator_recursive(w)
     closed = correlator_pairing_sum(w)
     assert canonically_equal(recursive, closed)
     wick = correlator_wick_limit(w)
@@ -69,7 +68,7 @@ def assert_routes_agree(w):
     assert canonically_equal(wick, correlator_limit_rewrite(w))
 
     # the raw terms in reverse give the same terms, so the same bytes
-    raw = memo[w.gens]
+    raw = _raw_correlator_terms(w.gens, {})
     assert canonicalize(ScalarExpr(raw[::-1])) == recursive
 
 

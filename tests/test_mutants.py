@@ -34,8 +34,8 @@ from scipy.special import roots_legendre
 from modwick import kernels, limits, pairings, scalars, verify, words
 from modwick.kernels import Assignment, GaussianTest, STANDARD_GAUSSIAN
 from modwick.scalars import (
-    C_ONE, Dot, EXPR_ZERO, Energy, ScalarExpr, ScalarTerm, canonicalize,
-    canonically_equal, comb, conjugate, negated, time_difference, times,
+    EXPR_ZERO, ScalarExpr, ScalarTerm, canonicalize, canonically_equal,
+    conjugate, times,
 )
 from modwick.words import Word, adjoint, correlator_recursive, word_from_pattern
 
@@ -47,7 +47,7 @@ MAX_N = 3
 
 def _all_words():
     """Every (pattern, mode) word of the n <= MAX_N walk, in its order."""
-    return (c.word for c in verify._cases(MAX_N, {}))
+    return (c.word for c in verify._cases(MAX_N))
 
 
 # off-center and of unequal widths, so no centre or width cancels
@@ -163,67 +163,42 @@ def _fast_path_against_union_find() -> bool:
     return True
 
 
-def _termwise_conjugate(e: ScalarExpr) -> ScalarExpr:
-    return canonicalize(ScalarExpr(tuple(
-        ((re, -im), two_pi_power, lambda_power,
-         tuple((time, negated(arg), weighted) for time, arg, weighted in phases),
-         deltas)
-        for (re, im), two_pi_power, lambda_power, phases, deltas in e.terms)))
-
-
-# two weighted phases over one time whose arguments differ in the sign of
-# one entry: conjugation swaps their order, which no route output shows
-SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
-    (time_difference("t1", "t2"), comb({Energy("k1"): 1, Dot("k1", "k2"): s}), True)
-    for s in (1, -1))),)))
-
-
-def _conjugate_keeps_canonical_form() -> bool:
-    """A canonical input's conjugate is its term-wise conjugate canonicalized."""
-    for e in (SAME_TIME, *map(correlator_recursive, _all_words())):
-        got, want = scalars.conjugate(e), _termwise_conjugate(e)
-        if (got.terms, got.signatures) != (want.terms, want.signatures):
-            return False
-    return True
-
-
 # every gate returns True when it passes; the suites look their routes up
-# in `modwick.verify` when they run, and each gets fresh cases and memo
+# in `modwick.verify` when they run, and each gets fresh cases
 GATES = {
     "closed-form-vs-recursion":
-        lambda: verify.suite_closed_form_vs_recursion(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_closed_form_vs_recursion(verify._cases(MAX_N)).passed(),
     "limit-triple-agreement":
-        lambda: verify.suite_limit_triple_agreement(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_limit_triple_agreement(verify._cases(MAX_N)).passed(),
     "catalan-count": lambda: verify.suite_catalan_count(MAX_N, collections.Counter(
-        len(c.key[0]) for c in verify._cases(MAX_N, {})
+        len(c.key[0]) for c in verify._cases(MAX_N)
         if c.key[1] == "scalar" and not c.wick_limit.is_zero())).passed(),
     "noncrossing-uniqueness":
-        lambda: verify.suite_noncrossing_uniqueness(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_noncrossing_uniqueness(verify._cases(MAX_N)).passed(),
     "pairing-existence":
-        lambda: verify.suite_pairing_existence(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_pairing_existence(verify._cases(MAX_N)).passed(),
     "block-word-count": lambda: verify.suite_block_word_count(MAX_N, {
-        c.key[0]: len(c.pairings) for c in verify._cases(MAX_N, {})
+        c.key[0]: len(c.pairings) for c in verify._cases(MAX_N)
         if c.key[1] == "scalar"}).passed(),
     "adjoint-symmetry":
-        lambda: verify.suite_adjoint_symmetry(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_adjoint_symmetry(verify._cases(MAX_N)).passed(),
     "swap-consistency":
-        lambda: verify.suite_swap_consistency(verify._cases(MAX_N, {})).passed(),
+        lambda: verify.suite_swap_consistency(verify._cases(MAX_N)).passed(),
     "limit-is-real": _limit_is_real,
     "gauss-fourier-vs-quad": _gauss_fourier_against_quad,
     "two-point-term-vs-grid": _two_point_term_against_grid,
     "grid-vs-direct-sum": _grid_against_direct_sum,
     "delta-kernel-vs-cubature": _delta_kernel_against_cubature,
     "fast-path-vs-union-find": _fast_path_against_union_find,
-    "conjugate-keeps-canonical-form": _conjugate_keeps_canonical_form,
 }
 
 
-def _recursion_times_i(w, memo=None):
+def _recursion_times_i(w):
     i = ScalarTerm((0, 1))
     return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
 
-def _recursion_blind_to_order(w, memo=None):
+def _recursion_blind_to_order(w):
     return correlator_recursive(Word(tuple(sorted(w.gens))))
 
 
@@ -285,9 +260,6 @@ MUTANTS = [
     # the disjoint-pair fast path naming the larger label of each pair
     Mutant("scalars._canonical_deltas_and_subst", "fast-path-vs-union-find",
            "{b: a for _, a, b in momentum}", "{a: b for _, a, b in momentum}"),
-    # conjugate keeping a canonical input canonical without the phase re-sort
-    Mutant("scalars.conjugate", "conjugate-keeps-canonical-form",
-           "sorted(term[3], key=phase_key)", "term[3]"),
     # canonicalize's per-call memo: a phase renamed without its labels'
     # representatives in the key reuses another term's renaming
     Mutant("scalars._PhaseMemo.rename", "closed-form-vs-recursion",

@@ -179,14 +179,14 @@ def test_block_word_factors_and_atoms_are_untracked_after_a_collection():
     # every route coefficient to a pair of ints
     w = word_from_pattern("aaaaaa++++++")
     memo: dict = {}
-    recursion = correlator_recursive(w, memo)
+    recursion = canonicalize(ScalarExpr(_raw_correlator_terms(w.gens, memo)))
     exprs = (recursion, correlator_pairing_sum(w),
              limit_of_pairing_sum(recursion))
     held = [x for e in exprs for t in e.terms for x in (t, t[0], t[3], t[4])]
     factors = [x for e in exprs for x in _factors(e)]
     atoms = [a for e in exprs for a in _atoms(e)]
     memo_items = [x for item in memo.items() for x in item]
-    gens = [g for c in _cases(3, {}) for g in c.word.gens]
+    gens = [g for c in _cases(3) for g in c.word.gens]
     assert factors and atoms and len(memo) > 1 and gens
     gc.collect()
     assert not any(gc.is_tracked(a) for a in atoms)
@@ -389,7 +389,7 @@ def test_disjoint_momentum_pairs_give_the_union_find_result():
     # every raw recursion and pairing term of the n <= 4 words has disjoint
     # pairs, and so has every Wick limit term, next to its other deltas
     renamed = 0
-    for w in (c.word for c in _cases(4, {})):
+    for w in (c.word for c in _cases(4)):
         for t in (*_raw_correlator_terms(w.gens, {}),
                   *(pairing_term(w, p) for p in enumerate_pairings(w)),
                   *correlator_wick_limit(w).terms):
@@ -426,7 +426,8 @@ SAME_TIME = canonicalize(ScalarExpr((ScalarTerm(C_ONE, 0, -4, tuple(
 def test_conjugate_keeps_a_canonical_input_canonical():
     memo: dict = {}
     exprs = [SAME_TIME, correlator_recursive(word_from_pattern("aaaaaa++++++")),
-             *(correlator_recursive(c.word, memo) for c in _cases(4, {}))]
+             *(canonicalize(ScalarExpr(_raw_correlator_terms(c.word.gens, memo)))
+               for c in _cases(4))]
     for e in exprs:
         if e.terms:
             got, want = conjugate(e), _termwise_conjugate(e)

@@ -70,7 +70,7 @@ def test_modes_cover_polarization_space():
 
 def _live(max_n: int) -> Counter:
     """Per length, the scalar patterns with nonzero Wick limit, as run_all counts them."""
-    return Counter(len(c.key[0]) for c in _cases(max_n, {})
+    return Counter(len(c.key[0]) for c in _cases(max_n)
                    if c.key[1] == "scalar" and not c.wick_limit.is_zero())
 
 
@@ -88,7 +88,7 @@ def test_equivalence_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", corrupted)
-    res = suite_closed_form_vs_recursion(_cases(2, {}))
+    res = suite_closed_form_vs_recursion(_cases(2))
     assert not res.passed()
     assert res.failures
     text = report([res])
@@ -113,7 +113,7 @@ def test_equivalence_suite_detects_a_dropped_crossing_phase(monkeypatch):
         return e
 
     monkeypatch.setattr(verify, "correlator_pairing_sum", dropped)
-    res = suite_closed_form_vs_recursion(_cases(2, {}))
+    res = suite_closed_form_vs_recursion(_cases(2))
     # aa++ has the only crossing pairing; cyclic polarizations kill it
     assert [f.split(":")[0] for f in res.failures] == [
         "pattern=aa++ mode=scalar", "pattern=aa++ mode=uniform"]
@@ -124,7 +124,7 @@ def test_triple_agreement_suite_detects_a_corrupted_route(monkeypatch):
         return EXPR_ZERO
 
     monkeypatch.setattr(verify, "correlator_wick_limit", corrupted)
-    res = suite_limit_triple_agreement(_cases(2, {}))
+    res = suite_limit_triple_agreement(_cases(2))
     assert not res.passed()
 
 
@@ -134,7 +134,7 @@ def _failed_links(res) -> set:
 
 def test_triple_agreement_suite_detects_a_corrupted_rewrite(monkeypatch):
     monkeypatch.setattr(verify, "correlator_limit_rewrite", lambda w: EXPR_ONE)
-    res = suite_limit_triple_agreement(_cases(2, {}))
+    res = suite_limit_triple_agreement(_cases(2))
     assert _failed_links(res) == {"direct-wick != rewrite"}
 
 
@@ -147,22 +147,22 @@ def test_catalan_suite_detects_a_limit_that_never_vanishes(monkeypatch):
 
 
 def test_adjoint_suite_detects_a_recursion_scaled_by_i(monkeypatch):
-    def scaled(w, memo=None):
+    def scaled(w):
         i = ScalarTerm((0, 1))
         return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 
     monkeypatch.setattr(verify, "correlator_recursive", scaled)
-    res = suite_adjoint_symmetry(_cases(2, {}))
+    res = suite_adjoint_symmetry(_cases(2))
     assert _failed_links(res) == {"adjoint != conjugate"}
 
 
 def test_swap_suite_detects_a_recursion_blind_to_the_swap(monkeypatch):
     # sorting the generators gives a word and its swapped copy one value
-    def blind(w, memo=None):
+    def blind(w):
         return correlator_recursive(Word(tuple(sorted(w.gens))))
 
     monkeypatch.setattr(verify, "correlator_recursive", blind)
-    res = suite_swap_consistency(_cases(2, {}))
+    res = suite_swap_consistency(_cases(2))
     assert _failed_links(res) == {"direct != swapped*factor"}
 
 
@@ -196,7 +196,7 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_pairings",
                         counted("pairings", enumerate_pairings))
     results = {r.name: r for r in run_all(3)}
-    table = sum(1 for _ in _cases(3, {}))
+    table = sum(1 for _ in _cases(3))
     assert table == 378
     assert calls["pairing sum"] == calls["wick limit"] == table
     assert calls["pairings"] == results["pairing-existence"].cases == table // 3
@@ -204,26 +204,32 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
                                   + results["swap-consistency"].cases)
 
 
-def test_run_all_memo_holds_one_entry_per_expansion(monkeypatch):
-    # the vacuum rule answers before the memo: no sub-word that starts with
-    # a creator or ends with an annihilator, nor the empty word, gets an
-    # entry, and every entry is the one expansion of its sub-word
-    memos, expansions = [], []
+def test_each_recursion_memo_holds_one_entry_per_expansion(monkeypatch):
+    # every recursion starts its own memo, and the vacuum rule answers
+    # before it: no sub-word that starts with a creator or ends with an
+    # annihilator, nor the empty word, gets an entry, and every entry is
+    # the one expansion of its sub-word within that call
+    memos, starts, expansions = [], [], []
+    raw_terms = words._raw_correlator_terms
 
-    def cases(max_n, memo):
-        memos.append(memo)
-        return _cases(max_n, memo)
+    def raw(gens, memo):
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+            starts.append(len(expansions))
+        return raw_terms(gens, memo)
 
     def expand(gens):
         expansions.append(gens)
         return expand_leading_annihilator(gens)
 
-    monkeypatch.setattr(verify, "_cases", cases)
+    monkeypatch.setattr(words, "_raw_correlator_terms", raw)
     monkeypatch.setattr(words, "expand_leading_annihilator", expand)
     assert all_passed(run_all(4))
-    (memo,) = memos
-    assert all(gens and not gens[0][0] and gens[-1][0] for gens in memo)
-    assert len(memo) == len(expansions) == len(set(expansions)) == 1843
+    assert len(expansions) == 2216
+    for memo, start, end in zip(memos, starts, starts[1:] + [len(expansions)]):
+        expanded = expansions[start:end]
+        assert all(gens and not gens[0][0] and gens[-1][0] for gens in memo)
+        assert set(memo) == set(expanded) and len(memo) == len(expanded)
 
 
 def test_run_all_builds_each_word_when_the_walk_reaches_it(monkeypatch):
@@ -248,7 +254,7 @@ def test_run_all_builds_each_word_when_the_walk_reaches_it(monkeypatch):
     assert log == ["build", "closed-form"] * 18
 
 
-def _recursion_times_i(w, memo=None):
+def _recursion_times_i(w):
     i = ScalarTerm((0, 1))
     return ScalarExpr(tuple(times(t, i) for t in correlator_recursive(w).terms))
 

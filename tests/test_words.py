@@ -13,7 +13,7 @@ from modwick.scalars import (
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, patterns_up_to
 from modwick.words import (
-    Word, WordError, adjoint, annihilate,
+    Word, WordError, _raw_correlator_terms, adjoint, annihilate,
     contraction_arg, correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
@@ -415,5 +415,6 @@ def test_recursion_is_byte_identical_to_the_tree_walk():
         assert to_json_str(correlator_recursive(w)) == expected, pattern_of(w)
         # one memo across every pattern and mode: the key must tell
         # polarizations and labels apart
-        assert to_json_str(correlator_recursive(w, shared)) == expected, \
+        shared_terms = _raw_correlator_terms(w.gens, shared)
+        assert to_json_str(canonicalize(ScalarExpr(shared_terms))) == expected, \
             (pattern_of(w), w.gens[0][3])
