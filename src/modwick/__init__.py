@@ -33,8 +33,8 @@ from .verify import all_passed, report, run_all
 __version__ = "0.1.0"
 
 # the numeric layer loads numpy, so its names load on first use (PEP 562)
-_KERNEL_NAMES = frozenset("""Assignment ConvergenceRow GaussianTest STANDARD_GAUSSIAN
-    UnassignedLabelError arg_value delta_kernel delta_kernel_quadrature
+_KERNEL_NAMES = frozenset("""Assignment ConvergenceRow GaussianTest QuadratureError
+    STANDARD_GAUSSIAN UnassignedLabelError arg_value delta_kernel delta_kernel_quadrature
     delta_kernel_target fit_loglog_slope gauss_fourier overlap phase_value
     strip_momentum_deltas term_convergence term_convergence_quadrature
     term_value term_value_quadrature vanishing_kernel""".split())

@@ -27,7 +27,7 @@ from .scalars import (
     comb, contraction_phases, label_classes, merged_exponent, momentum_delta,
     phase_delta, substituted, time_delta, time_difference, times,
 )
-from .words import Word, contraction_arg
+from .words import Word
 
 
 def noncrossing_match(w: Word):
@@ -59,6 +59,9 @@ def _limit_term(term: tuple):
     weighted = contraction_phases(term)
     if any(not arg for _, arg, _ in weighted):
         raise ValueError("weighted phase with zero argument has no limit")
+    # each time delta identifies two labels, so its time must be t - t'
+    if any(len(time) != 2 or {c for _, c in time} != {1, -1} for time, _, _ in weighted):
+        raise ValueError("weighted phase time combination must be a simple difference")
     time_map = label_classes({t for t, _ in time} for time, _, _ in weighted)
 
     # a residual oscillation with nonzero exponent kills the term
@@ -123,6 +126,21 @@ def correlator_wick_limit(w: Word) -> ScalarExpr:
 
     term = ScalarTerm(C_ONE, len(w.gens) // 2, 0, (), tuple(deltas))
     return canonicalize(ScalarExpr((term,)))
+
+
+def contraction_arg(x: tuple, right) -> tuple:
+    """Phase argument E(k) + k.p of annihilator x, moved past `right`.
+
+    The rewrite limit's own p-shift: a(t,k) f(p) = f(p + k) a(t,k), so
+    passing a creator with momentum g adds +k.g and passing an
+    annihilator subtracts it.
+    """
+    _, _, k, _ = x
+    acc = {Energy(k): 1, PDot(k): 1}
+    for dagger, _, other_k, _ in right:
+        d = Dot(k, other_k)
+        acc[d] = acc.get(d, 0) + (1 if dagger else -1)
+    return comb(acc)
 
 
 def correlator_limit_rewrite(w: Word) -> ScalarExpr:

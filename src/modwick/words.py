@@ -15,10 +15,11 @@ rules are
 with E(k) the shifted dispersion.  Contraction scalars depend on the
 particle momentum p, so they are moved to the far right of the remaining
 word before recursing; passing a creator with momentum g adds +k.g to
-every k.p atom, passing an annihilator subtracts it.  The vacuum kills
-words that begin with a creator or end with an annihilator, which closes
-the recursion for vacuum correlators before its per-call memo is asked.
-Words built from patterns share one set of label strings.
+every k.p atom, passing an annihilator subtracts it.  The rewrite limit
+keeps its own copy of this p-shift.  The vacuum kills words that begin
+with a creator or end with an annihilator, which closes the recursion
+for vacuum correlators before its per-call memo is asked.  Words built
+from patterns share one set of label strings.
 """
 
 from __future__ import annotations
@@ -169,24 +170,6 @@ def word_from_json_dict(d: dict) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# rewrite rules
-
-def contraction_arg(x: tuple, right) -> tuple:
-    """Phase argument E(k) + k.p of annihilator x, moved past `right`.
-
-    The contraction scalar depends on p and migrates to the far end of
-    the word: a(t,k) f(p) = f(p + k) a(t,k), so passing a creator with
-    momentum g adds +k.g and passing an annihilator subtracts it.
-    """
-    _, _, k, _ = x
-    acc = {Energy(k): 1, PDot(k): 1}
-    for dagger, _, other_k, _ in right:
-        d = Dot(k, other_k)
-        acc[d] = acc.get(d, 0) + (1 if dagger else -1)
-    return comb(acc)
-
-
-# ---------------------------------------------------------------------------
 # expansion of a leading annihilator
 
 def expand_leading_annihilator(gens: tuple) -> list:
@@ -194,37 +177,29 @@ def expand_leading_annihilator(gens: tuple) -> list:
 
     Only creators of the annihilator's polarization get a term, since the
     contraction carries a polarization delta.  Term j contracts it with
-    the creator tail[j].  Its scalar collects the swap phase of every tail
-    generator left of that creator, and the contraction phase itself is
-    shifted by the tail generators to its right because the p-dependent
-    scalar migrates to the far end of the word.  Each term is a pair
-    (scalar, rest), rest the remaining generators in their order.
+    the creator tail[j], in one pass over the tail.  Its contraction phase,
+    shifted by the tail generators to its right as the p-dependent scalar
+    migrates to the far end of the word, comes before the swap phases of
+    the generators to its left.  Each term is a pair (scalar, rest), rest
+    the remaining generators in their order.
     """
     if not gens or gens[0][0]:
         raise WordError("word must start with an annihilator")
     lead, tail = gens[0], gens[1:]
     _, t, k, pol = lead
-    creators = [j for j, (dagger, _, _, p) in enumerate(tail) if dagger and p == pol]
-    if not creators:
-        return []
-    # each tail generator's atom k.g and sign, shared by its swap phase and
-    # the p-shift of every creator to its left
-    atoms = [(Dot(k, other_k), 1 if other_dagger else -1)
-             for other_dagger, _, other_k, _ in tail]
-    # term j takes the swap phases of tail[:j] as a prefix of this one tuple
-    swaps = tuple((time_difference(t, other_t), ((d, c),), False)
-                  for (_, other_t, _, _), (d, c) in zip(tail[:creators[-1]], atoms))
-    # term j's p-shift: E(k) + k.p, tagged -1, and the atoms of tail[j + 1:]
-    shift = sorted([(Energy(k), 1, -1), (PDot(k), 1, -1)]
-                   + [(d, c, i) for i, (d, c) in enumerate(atoms)])
-    out = []
-    for j in creators:
-        _, y_t, y_k, _ = tail[j]
-        phase = (time_difference(t, y_t),
-                 tuple((d, c) for d, c, i in shift if i < 0 or i > j), True)
-        scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps[:j],
-                            (momentum_delta(k, y_k),))
-        out.append((scalar, tail[:j] + tail[j + 1:]))
+    out, swaps = [], ()
+    for j, (dagger, other_t, other_k, other_pol) in enumerate(tail):
+        if dagger and other_pol == pol:
+            # not limits.contraction_arg: routes that check each other share no formula
+            acc = {Energy(k): 1, PDot(k): 1}
+            for right_dagger, _, right_k, _ in tail[j + 1:]:
+                acc[Dot(k, right_k)] = 1 if right_dagger else -1
+            phase = (time_difference(t, other_t), comb(acc), True)
+            scalar = ScalarTerm(C_ONE, 0, -2, (phase,) + swaps,
+                                (momentum_delta(k, other_k),))
+            out.append((scalar, tail[:j] + tail[j + 1:]))
+        d, c = Dot(k, other_k), 1 if dagger else -1
+        swaps += ((time_difference(t, other_t), ((d, c),), False),)
     return out
 
 

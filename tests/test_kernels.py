@@ -17,6 +17,7 @@ import pytest
 from scipy import integrate
 from scipy.special import roots_legendre
 
+import modwick
 from modwick import kernels
 from modwick.kernels import (
     Assignment, GaussianTest, QuadratureError, STANDARD_GAUSSIAN,
@@ -664,3 +665,13 @@ def test_legendre_rule_is_built_once_and_read_only():
     for arr in rule:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_the_package_exports_each_kernel_name_lazily():
+    # `delta_kernel_quadrature` raises QuadratureError, so the package
+    # must name it too
+    assert "QuadratureError" in modwick._KERNEL_NAMES
+    for name in sorted(modwick._KERNEL_NAMES):
+        assert getattr(modwick, name) is getattr(kernels, name), name
+    with pytest.raises(AttributeError, match="no attribute 'Quadrature'"):
+        modwick.Quadrature

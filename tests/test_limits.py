@@ -169,6 +169,20 @@ def test_limit_map_rejects_a_weighted_phase_the_identification_cancels():
         limit_of_pairing_sum(ScalarExpr((term,)))
 
 
+@pytest.mark.parametrize("time", [(("t1", 2), ("t2", -1)), (("t1", 1),)])
+def test_limit_map_rejects_a_weighted_phase_over_no_simple_difference(time):
+    # on the support of delta(2 t1 - t2) the unweighted factor reads
+    # q(-t1, k1.k2), which does not cancel: no pair of labels to identify
+    term = ScalarTerm(
+        C_ONE, 0, -2,
+        ((time, comb({Energy("k1"): 1, PDot("k1"): 1}), True),
+         (time_difference("t1", "t2"), comb({Dot("k1", "k2"): 1}), False)),
+        ())
+    with pytest.raises(ValueError, match="^weighted phase time combination "
+                                         "must be a simple difference$"):
+        limit_of_pairing_sum(ScalarExpr((term,)))
+
+
 # ---------------------------------------------------------------------------
 # agreement and vanishing
 

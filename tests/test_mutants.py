@@ -230,9 +230,9 @@ MUTANTS = [
     # the recursion: the p-shift of the contraction, the swap phases and
     # the vacuum
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
-           "i < 0 or i > j", "i < 0"),
+           "in tail[j + 1:]:", "in ():"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
-           "(phase,) + swaps[:j]", "(phase,)"),
+           "(phase,) + swaps", "(phase,)"),
     Mutant("words.expand_leading_annihilator", "closed-form-vs-recursion",
            "((d, c),)", "((d, -c),)"),
     Mutant("words._raw_correlator_terms", "closed-form-vs-recursion",

@@ -10,11 +10,13 @@ from modwick.scalars import (
     momentum_delta, oscillation, phase_delta, phase_key, term_signature,
     time_difference, times,
 )
+from modwick import words as words_module
+from modwick.limits import contraction_arg
 from modwick.serialize import to_json_str
-from modwick.verify import MODES, _build, patterns_up_to
+from modwick.verify import MODES, _build, _cases, patterns_up_to
 from modwick.words import (
     Word, WordError, _raw_correlator_terms, adjoint, annihilate,
-    contraction_arg, correlator_recursive, create, expand_leading_annihilator,
+    correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
 
@@ -418,3 +420,23 @@ def test_recursion_is_byte_identical_to_the_tree_walk():
         shared_terms = _raw_correlator_terms(w.gens, shared)
         assert to_json_str(canonicalize(ScalarExpr(shared_terms))) == expected, \
             (pattern_of(w), w.gens[0][3])
+
+
+def test_expansion_raw_terms_equal_the_reference(monkeypatch):
+    # the raw terms tuple for tuple: canonicalize can hide a change in the
+    # order of a term's factors, so the output tests do not pin it
+    words = [c.word for c in _cases(4)]
+    words += [word_from_pattern("aaaaaa++++++"), _build("aaaa+a+a++++", "cyclic")]
+    expanded = []
+
+    def recorded(gens):
+        expanded.append(gens)
+        return expand_leading_annihilator(gens)
+
+    monkeypatch.setattr(words_module, "expand_leading_annihilator", recorded)
+    for w in words:
+        _raw_correlator_terms(w.gens, {})
+    assert len(expanded) == 1214  # every expansion of the walk, repeats included
+    for gens in expanded:
+        want = [(s, rest) for s, rest in _reference_expand(gens) if s[0] != (0, 0)]
+        assert expand_leading_annihilator(gens) == want, gens
