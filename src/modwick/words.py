@@ -18,8 +18,10 @@ word before recursing; passing a creator with momentum g adds +k.g to
 every k.p atom, passing an annihilator subtracts it.  The rewrite limit
 keeps its own copy of this p-shift.  The vacuum kills words that begin
 with a creator or end with an annihilator, which closes the recursion
-for vacuum correlators before its per-call memo is asked.  Words built
-from patterns share one set of label strings.
+for vacuum correlators before its per-call memo is asked.  A sub-word in
+which some annihilator has no creator of its polarization to pair with
+on its right ends empty too, so the recursion refuses it before
+expanding it.  Words built from patterns share one set of label strings.
 """
 
 from __future__ import annotations
@@ -203,16 +205,32 @@ def expand_leading_annihilator(gens: tuple) -> list:
     return out
 
 
+def _pairable(gens: tuple) -> bool:
+    """Whether each annihilator can be paired with a creator of its
+    polarization to its right.  Read right to left, a creator opens one
+    depth of its polarization and an annihilator closes one; the word is
+    pairable when no depth goes negative and none is left open."""
+    depth = {}
+    for dagger, _, _, pol in reversed(gens):
+        d = depth.get(pol, 0) + (1 if dagger else -1)
+        if d < 0:
+            return False
+        depth[pol] = d
+    return not any(depth.values())
+
+
 def _raw_correlator_terms(gens: tuple, memo: dict) -> tuple:
     """Raw terms C(gens) of the vacuum correlator of a sub-word, memoized;
     none, never stored, where the vacuum kills a leading creator or a
-    trailing annihilator."""
+    trailing annihilator, or where no pairing closes the sub-word."""
     if not gens:
         return (TERM_ONE,)
     if gens[0][0] or not gens[-1][0]:
         return ()
     terms = memo.get(gens)
     if terms is None:
+        if not _pairable(gens):
+            return ()
         terms = memo[gens] = tuple(
             times(scalar, t)
             for scalar, rest in expand_leading_annihilator(gens)
@@ -229,7 +247,8 @@ def correlator_recursive(w: Word) -> ScalarExpr:
     for t in C(w_j)], and C(w_j) depends on w_j alone.  The recursion is
     therefore a dynamic program over sub-words, memoized by their
     generators for the length of one call: one entry per expanded
-    sub-word, none for the empty word or a sub-word the vacuum kills.
+    sub-word, none for the empty word, a sub-word the vacuum kills or one
+    that no pairing closes (`_pairable`), so no entry is empty.
     The memo stores raw terms, not canonical ones: the final
     `canonicalize` then sees exactly the terms, with phases concatenated
     in the same order, that a plain walk of the expansion tree would

@@ -237,6 +237,8 @@ MUTANTS = [
            "((d, c),)", "((d, -c),)"),
     Mutant("words._raw_correlator_terms", "closed-form-vs-recursion",
            "not gens[-1][0]", "gens[-1][0]"),
+    # the pairability rule refusing every word with an annihilator
+    Mutant("words._pairable", "closed-form-vs-recursion", "d < 0", "d < 1"),
     # the three limit routes
     Mutant("limits.contraction_arg", "limit-triple-agreement",
            "for dagger, _, other_k, _ in right:", "for dagger, _, other_k, _ in ():"),

@@ -205,9 +205,10 @@ def test_run_all_computes_each_route_once_per_word(monkeypatch):
 
 
 def test_each_recursion_memo_holds_one_entry_per_expansion(monkeypatch):
-    # every recursion starts its own memo, and the vacuum rule answers
-    # before it: no sub-word that starts with a creator or ends with an
-    # annihilator, nor the empty word, gets an entry, and every entry is
+    # every recursion starts its own memo, and the vacuum rule and
+    # `_pairable` answer before it: no sub-word that starts with a creator
+    # or ends with an annihilator, nor one that no pairing closes, nor the
+    # empty word, gets an entry, so no entry is empty, and every entry is
     # the one expansion of its sub-word within that call
     memos, starts, expansions = [], [], []
     raw_terms = words._raw_correlator_terms
@@ -225,10 +226,11 @@ def test_each_recursion_memo_holds_one_entry_per_expansion(monkeypatch):
     monkeypatch.setattr(words, "_raw_correlator_terms", raw)
     monkeypatch.setattr(words, "expand_leading_annihilator", expand)
     assert all_passed(run_all(4))
-    assert len(expansions) == 2216
+    assert len(expansions) == 584
     for memo, start, end in zip(memos, starts, starts[1:] + [len(expansions)]):
         expanded = expansions[start:end]
         assert all(gens and not gens[0][0] and gens[-1][0] for gens in memo)
+        assert all(memo.values())
         assert set(memo) == set(expanded) and len(memo) == len(expanded)
 
 

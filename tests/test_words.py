@@ -15,7 +15,7 @@ from modwick.limits import contraction_arg
 from modwick.serialize import to_json_str
 from modwick.verify import MODES, _build, _cases, patterns_up_to
 from modwick.words import (
-    Word, WordError, _raw_correlator_terms, adjoint, annihilate,
+    Word, WordError, _pairable, _raw_correlator_terms, adjoint, annihilate,
     correlator_recursive, create, expand_leading_annihilator,
     word, word_from_json_dict, word_from_pattern, word_to_json_dict,
 )
@@ -436,7 +436,31 @@ def test_expansion_raw_terms_equal_the_reference(monkeypatch):
     monkeypatch.setattr(words_module, "expand_leading_annihilator", recorded)
     for w in words:
         _raw_correlator_terms(w.gens, {})
-    assert len(expanded) == 1214  # every expansion of the walk, repeats included
+    assert len(expanded) == 372  # every expansion of the walk, repeats included
     for gens in expanded:
         want = [(s, rest) for s, rest in _reference_expand(gens) if s[0] != (0, 0)]
         assert expand_leading_annihilator(gens) == want, gens
+
+
+def test_pairable_holds_exactly_where_the_tree_walk_reaches_the_empty_word():
+    # a rule that refuses too much changes the recursion's output, which
+    # the closed form sees; one that accepts too much only costs
+    # expansions, so it is held here against every sub-word the walk
+    # without the vacuum rule or `_pairable` reaches
+    words = [c.word for c in _cases(4)]
+    words += [word_from_pattern("aaaaaa++++++"), _build("aaaa+a+a++++", "cyclic")]
+    closes: dict = {}
+
+    def reaches_empty(gens):
+        if gens not in closes:
+            # a list, not any(): every branch is walked and recorded
+            closes[gens] = not gens or not gens[0][0] and any([
+                reaches_empty(rest) for scalar, rest in _reference_expand(gens)
+                if scalar[0] != (0, 0)])
+        return closes[gens]
+
+    for w in words:
+        reaches_empty(w.gens)
+    assert sum(closes.values()) < len(closes)
+    for gens, closed in closes.items():
+        assert _pairable(gens) is closed, gens
